@@ -272,11 +272,15 @@ def _cmd_verify(args, out, parser) -> int:
 
     if args.max_n < 0:
         parser.error("--max-n must be nonnegative")
+    if args.max_n > HARD_STREAM_CAP:
+        raise CapExceededError(
+            f"--max-n {args.max_n} exceeds the poset streaming cap {HARD_STREAM_CAP}"
+        )
     sizes = []
     failures = []
     for n in range(args.max_n + 1):
         total = verified = 0
-        for poset in enumerate_posets(n, cap=min(args.max_n, HARD_STREAM_CAP)):
+        for poset in enumerate_posets(n, cap=args.max_n):
             total += 1
             if args.directed_only and not poset.is_downward_directed():
                 continue

@@ -91,6 +91,7 @@ def validate_nucleus(
     """
     items = table.items() if isinstance(table, Mapping) else table
     masks = poset.downset_masks()
+    rank = poset._dmask_pos
     d = len(masks)
     images: list[int | None] = [None] * d
     for key, value in items:
@@ -100,7 +101,7 @@ def validate_nucleus(
             raise PosetMismatchError("table image belongs to a different poset")
         if not poset.is_downset_mask(key.mask):
             raise ValueError(f"table key {key} is not a downset")
-        i = poset.downset_rank(key.mask)
+        i = rank[key.mask]
         if images[i] is not None:
             raise ValueError(f"table lists {key} twice")
         images[i] = value.mask
@@ -118,15 +119,14 @@ def validate_nucleus(
     for i in range(d):
         if masks[i] & ~images[i]:
             raise NotInflationaryError(downs[i])
-    rank = poset.downset_rank
     for i in range(d):
-        if images[rank(images[i])] != images[i]:
+        if images[rank[images[i]]] != images[i]:
             raise NotIdempotentError(downs[i])
     for i in range(d):
         for k in range(i):
-            if images[rank(masks[i] & masks[k])] != images[i] & images[k]:
+            if images[rank[masks[i] & masks[k]]] != images[i] & images[k]:
                 raise NotMeetPreservingError(downs[k], downs[i])
-    return Nucleus(poset, tuple(rank(img) for img in images))
+    return Nucleus(poset, tuple(rank[img] for img in images))
 
 
 def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucleus]:

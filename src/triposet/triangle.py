@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
 
-from .errors import NucleusAxiomError, TopologyAxiomError, TriposetError
+from .errors import TriposetError
 from .heyting import implication_mask
 from .nucleus import DEFAULT_NUCLEUS_CAP, Nucleus, enumerate_nuclei, validate_nucleus
-from .poset import DownSet, Poset, Subset
+from .poset import Poset, Subset
 from .topology import (
     DEFAULT_TOPOLOGY_CAP,
     GrothendieckTopology,
@@ -61,10 +61,9 @@ __all__ = [
 def subset_to_nucleus(x: Subset) -> Nucleus:
     """The nucleus S |-> (x -> S)."""
     poset = x.poset
-    rank = poset.downset_rank
-    table = tuple(
-        rank(implication_mask(poset, x.mask, s)) for s in poset.downset_masks()
-    )
+    dmasks = poset.downset_masks()
+    rank = poset._dmask_pos
+    table = tuple(rank[implication_mask(poset, x.mask, s)] for s in dmasks)
     return Nucleus(poset, table)
 
 
@@ -72,11 +71,11 @@ def nucleus_to_subset(j: Nucleus) -> Subset:
     """The points p not swallowed by j applied to everything strictly below p."""
     poset = j.poset
     dmasks = poset.downset_masks()
-    rank = poset.downset_rank
+    rank = poset._dmask_pos
     out = 0
     for p in range(poset.n):
         punctured = poset._down[p] & ~(1 << p)
-        if not dmasks[j.table[rank(punctured)]] >> p & 1:
+        if not dmasks[j.table[rank[punctured]]] >> p & 1:
             out |= 1 << p
     return Subset._wrap(poset, out)
 
@@ -84,11 +83,12 @@ def nucleus_to_subset(j: Nucleus) -> Subset:
 def nucleus_to_subset_alt(j: Nucleus) -> Subset:
     """Alternate extraction: p where j separates the cone of p from the punctured cone."""
     poset = j.poset
-    rank = poset.downset_rank
+    poset.downset_masks()  # fills poset._dmask_pos
+    rank = poset._dmask_pos
     out = 0
     for p in range(poset.n):
         cone = poset._down[p]
-        if j.table[rank(cone)] != j.table[rank(cone & ~(1 << p))]:
+        if j.table[rank[cone]] != j.table[rank[cone & ~(1 << p)]]:
             out |= 1 << p
     return Subset._wrap(poset, out)
 
@@ -102,13 +102,13 @@ def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
     """
     poset = j.poset
     dmasks = poset.downset_masks()
-    rank = poset.downset_rank
+    rank = poset._dmask_pos
     out = 0
     for p in range(poset.n):
         cone = poset._down[p]
         bit = 1 << p
         if all(
-            bool(dmasks[j.table[rank(s)]] & bit) == (s == cone)
+            bool(dmasks[j.table[rank[s]]] & bit) == (s == cone)
             for s in poset.sieve_masks(p)
         ):
             out |= bit
@@ -139,12 +139,12 @@ def nucleus_to_topology(j: Nucleus) -> GrothendieckTopology:
     """Covers at p are the sieves sent over p by the nucleus."""
     poset = j.poset
     dmasks = poset.downset_masks()
-    rank = poset.downset_rank
+    rank = poset._dmask_pos
     fams = []
     for p in range(poset.n):
         bit = 1 << p
         fams.append(
-            tuple(s for s in poset.sieve_masks(p) if dmasks[j.table[rank(s)]] & bit)
+            tuple(s for s in poset.sieve_masks(p) if dmasks[j.table[rank[s]]] & bit)
         )
     return GrothendieckTopology(poset, fams)
 
@@ -153,14 +153,15 @@ def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
     """j(S) collects the points where S pulls back to a covering sieve."""
     poset = J.poset
     fam_sets = [set(f) for f in J.families]
-    rank = poset.downset_rank
+    dmasks = poset.downset_masks()
+    rank = poset._dmask_pos
     table = []
-    for s in poset.downset_masks():
+    for s in dmasks:
         m = 0
         for p in range(poset.n):
             if s & poset._down[p] in fam_sets[p]:
                 m |= 1 << p
-        table.append(rank(m))
+        table.append(rank[m])
     return Nucleus(poset, table)
 
 
@@ -212,9 +213,23 @@ class TriangleReport:
         }
 
 
-def _law(name, finder) -> LawResult:
-    witness = finder()
+def _law(name: str, witness: dict[str, Any] | None) -> LawResult:
     return LawResult(name, witness is None, witness)
+
+
+def _memo(compute, key):
+    """``compute`` cached on ``key(value)``: each distinct key is computed once."""
+    seen = {}
+
+    def get(value):
+        k = key(value)
+        try:
+            return seen[k]
+        except KeyError:
+            out = seen[k] = compute(value)
+            return out
+
+    return get
 
 
 def verify_triangle(
@@ -229,6 +244,11 @@ def verify_triangle(
     identity laws over every enumerated nucleus; counts and bijections
     against the independent axiom-census enumerators.  A failing law
     records a minimal witness and the remaining laws still run.
+
+    Within one call every edge runs at most once per distinct input and
+    every distinct nucleus table or topology is validated at most once;
+    the laws read those results from per-call tables keyed by
+    ``Subset.mask``, ``Nucleus.table`` and ``GrothendieckTopology.families``.
     """
     t0 = perf_counter()
     n = poset.n
@@ -241,75 +261,58 @@ def verify_triangle(
         "topologies": len(topologies),
     }
 
-    def roundtrip_subset_nucleus():
-        for x in subsets:
-            got = nucleus_to_subset(subset_to_nucleus(x))
-            if got != x:
-                return {"subset": x.to_jsonable(), "got": got.to_jsonable()}
+    def mask(x):
+        return x.mask
+
+    def table(j):
+        return j.table
+
+    def families(J):
+        return J.families
+
+    s2n = _memo(subset_to_nucleus, mask)
+    s2t = _memo(subset_to_topology, mask)
+    n2s = _memo(nucleus_to_subset, table)
+    n2t = _memo(nucleus_to_topology, table)
+    t2s = _memo(topology_to_subset, families)
+    t2n = _memo(topology_to_nucleus, families)
+    alt = _memo(nucleus_to_subset_alt, table)
+    via = _memo(nucleus_to_subset_via_topology, table)
+
+    def checked(validate, arg):
+        try:
+            validate(poset, arg)
+        except TriposetError as exc:
+            return {"error": str(exc), "kind": type(exc).__name__}
         return None
 
-    def roundtrip_subset_topology():
-        for x in subsets:
-            got = topology_to_subset(subset_to_topology(x))
-            if got != x:
-                return {"subset": x.to_jsonable(), "got": got.to_jsonable()}
+    nucleus_failure = _memo(lambda j: checked(validate_nucleus, dict(j.pairs())), table)
+    topology_failure = _memo(
+        lambda J: checked(validate_topology, [J.sieves_at(p) for p in range(n)]),
+        families,
+    )
+
+    def roundtrip(values, there, back, key):
+        for v in values:
+            got = back(there(v))
+            if got != v:
+                return {key: v.to_jsonable(), "got": got.to_jsonable()}
         return None
 
-    def roundtrip_nucleus():
-        for j in nuclei:
-            got = subset_to_nucleus(nucleus_to_subset(j))
-            if got != j:
-                return {"nucleus": j.to_jsonable(), "got": got.to_jsonable()}
-        return None
-
-    def roundtrip_topology():
-        for J in topologies:
-            got = subset_to_topology(topology_to_subset(J))
-            if got != J:
-                return {"topology": J.to_jsonable(), "got": got.to_jsonable()}
-        return None
-
-    def roundtrip_nucleus_topology():
-        for j in nuclei:
-            got = topology_to_nucleus(nucleus_to_topology(j))
-            if got != j:
-                return {"nucleus": j.to_jsonable(), "got": got.to_jsonable()}
-        return None
-
-    def roundtrip_topology_nucleus():
-        for J in topologies:
-            got = nucleus_to_topology(topology_to_nucleus(J))
-            if got != J:
-                return {"topology": J.to_jsonable(), "got": got.to_jsonable()}
-        return None
-
-    def commute_via_nucleus():
-        for x in subsets:
-            got = nucleus_to_topology(subset_to_nucleus(x))
-            want = subset_to_topology(x)
-            if got != want:
+    def agree(values, key, name_a, a, name_b, b):
+        for v in values:
+            got_a, got_b = a(v), b(v)
+            if got_a != got_b:
                 return {
-                    "subset": x.to_jsonable(),
-                    "via_nucleus": got.to_jsonable(),
-                    "direct": want.to_jsonable(),
+                    key: v.to_jsonable(),
+                    name_a: got_a.to_jsonable(),
+                    name_b: got_b.to_jsonable(),
                 }
         return None
 
-    def commute_via_topology():
-        for x in subsets:
-            got = topology_to_nucleus(subset_to_topology(x))
-            want = subset_to_nucleus(x)
-            if got != want:
-                return {
-                    "subset": x.to_jsonable(),
-                    "via_topology": got.to_jsonable(),
-                    "direct": want.to_jsonable(),
-                }
-        return None
-
-    def _extraction_agreement(other):
+    def extraction_agreement(other):
         for i, j in enumerate(nuclei):
-            direct = nucleus_to_subset(j)
+            direct = n2s(j)
             got = other(j)
             if got != direct:
                 diff = direct.mask ^ got.mask
@@ -323,110 +326,57 @@ def verify_triangle(
                 }
         return None
 
-    def identity_composite():
-        return _extraction_agreement(nucleus_to_subset_via_topology)
-
-    def identity_alt():
-        return _extraction_agreement(nucleus_to_subset_alt)
-
-    def composite_cross_check():
-        for j in nuclei:
-            literal = topology_to_subset(nucleus_to_topology(j))
-            closed = nucleus_to_subset_via_topology(j)
-            if literal != closed:
-                return {
-                    "nucleus": j.to_jsonable(),
-                    "literal": literal.to_jsonable(),
-                    "closed_form": closed.to_jsonable(),
-                }
+    def count(found):
+        if found != 1 << n:
+            return {"expected": 1 << n, "got": found}
         return None
 
-    def nucleus_count():
-        if len(nuclei) != 1 << n:
-            return {"expected": 1 << n, "got": len(nuclei)}
-        return None
-
-    def topology_count():
-        if len(topologies) != 1 << n:
-            return {"expected": 1 << n, "got": len(topologies)}
-        return None
-
-    def nucleus_bijection():
-        image = {subset_to_nucleus(x) for x in subsets}
+    def bijection(edge, census):
+        image = {edge(x) for x in subsets}
         if len(image) != len(subsets):
             return {"reason": "not injective", "image_size": len(image)}
-        if image != set(nuclei):
+        if image != set(census):
             return {"reason": "image differs from enumeration"}
         return None
 
-    def topology_bijection():
-        image = {subset_to_topology(x) for x in subsets}
-        if len(image) != len(subsets):
-            return {"reason": "not injective", "image_size": len(image)}
-        if image != set(topologies):
-            return {"reason": "image differs from enumeration"}
-        return None
-
-    def _validity(values, validator, serialize):
+    def validity(values, edge, failure):
         for v in values:
-            try:
-                validator(v)
-            except (NucleusAxiomError, TopologyAxiomError, TriposetError) as exc:
-                return {"input": serialize(v), "error": str(exc), "kind": type(exc).__name__}
+            witness = failure(edge(v))
+            if witness is not None:
+                return {"input": v.to_jsonable(), **witness}
         return None
 
-    def subset_to_nucleus_valid():
-        return _validity(
-            subsets,
-            lambda x: validate_nucleus(poset, dict(subset_to_nucleus(x).pairs())),
-            lambda x: x.to_jsonable(),
-        )
-
-    def subset_to_topology_valid():
-        return _validity(
-            subsets,
-            lambda x: validate_topology(
-                poset, [subset_to_topology(x).sieves_at(p) for p in range(n)]
-            ),
-            lambda x: x.to_jsonable(),
-        )
-
-    def nucleus_to_topology_valid():
-        return _validity(
-            nuclei,
-            lambda j: validate_topology(
-                poset, [nucleus_to_topology(j).sieves_at(p) for p in range(n)]
-            ),
-            lambda j: j.to_jsonable(),
-        )
-
-    def topology_to_nucleus_valid():
-        return _validity(
-            topologies,
-            lambda J: validate_nucleus(poset, dict(topology_to_nucleus(J).pairs())),
-            lambda J: J.to_jsonable(),
-        )
-
+    # evaluated in order: the tables fill as the laws run, so an edge or a
+    # validator is first called by the same law as in a law-by-law check
     laws = (
-        _law("subset_nucleus_roundtrip", roundtrip_subset_nucleus),
-        _law("subset_topology_roundtrip", roundtrip_subset_topology),
-        _law("nucleus_roundtrip", roundtrip_nucleus),
-        _law("topology_roundtrip", roundtrip_topology),
-        _law("nucleus_topology_roundtrip", roundtrip_nucleus_topology),
-        _law("topology_nucleus_roundtrip", roundtrip_topology_nucleus),
-        _law("triangle_commutes_via_nucleus", commute_via_nucleus),
-        _law("triangle_commutes_via_topology", commute_via_topology),
-        _law("identity_composite", identity_composite),
-        _law("identity_alt", identity_alt),
-        _law("composite_cross_check", composite_cross_check),
-        _law("nucleus_count", nucleus_count),
-        _law("topology_count", topology_count),
-        _law("nucleus_bijection", nucleus_bijection),
-        _law("topology_bijection", topology_bijection),
-        _law("subset_to_nucleus_valid", subset_to_nucleus_valid),
-        _law("subset_to_topology_valid", subset_to_topology_valid),
-        _law("nucleus_to_topology_valid", nucleus_to_topology_valid),
-        _law("topology_to_nucleus_valid", topology_to_nucleus_valid),
+        _law("subset_nucleus_roundtrip", roundtrip(subsets, s2n, n2s, "subset")),
+        _law("subset_topology_roundtrip", roundtrip(subsets, s2t, t2s, "subset")),
+        _law("nucleus_roundtrip", roundtrip(nuclei, n2s, s2n, "nucleus")),
+        _law("topology_roundtrip", roundtrip(topologies, t2s, s2t, "topology")),
+        _law("nucleus_topology_roundtrip", roundtrip(nuclei, n2t, t2n, "nucleus")),
+        _law("topology_nucleus_roundtrip", roundtrip(topologies, t2n, n2t, "topology")),
+        _law(
+            "triangle_commutes_via_nucleus",
+            agree(subsets, "subset", "via_nucleus", lambda x: n2t(s2n(x)), "direct", s2t),
+        ),
+        _law(
+            "triangle_commutes_via_topology",
+            agree(subsets, "subset", "via_topology", lambda x: t2n(s2t(x)), "direct", s2n),
+        ),
+        _law("identity_composite", extraction_agreement(via)),
+        _law("identity_alt", extraction_agreement(alt)),
+        _law(
+            "composite_cross_check",
+            agree(nuclei, "nucleus", "literal", lambda j: t2s(n2t(j)), "closed_form", via),
+        ),
+        _law("nucleus_count", count(len(nuclei))),
+        _law("topology_count", count(len(topologies))),
+        _law("nucleus_bijection", bijection(s2n, nuclei)),
+        _law("topology_bijection", bijection(s2t, topologies)),
+        _law("subset_to_nucleus_valid", validity(subsets, s2n, nucleus_failure)),
+        _law("subset_to_topology_valid", validity(subsets, s2t, topology_failure)),
+        _law("nucleus_to_topology_valid", validity(nuclei, n2t, topology_failure)),
+        _law("topology_to_nucleus_valid", validity(topologies, t2n, nucleus_failure)),
     )
     return TriangleReport(
         poset=poset,

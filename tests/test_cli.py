@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from triposet import cli
 from triposet.cli import main
 
 CHAIN2 = "poset v1\nelements a b\nrel a<b\n"
@@ -238,6 +239,18 @@ class TestVerify:
 
     def test_negative_sweep_rejected(self, capsys):
         assert main(["verify", "--max-n", "-1"]) == 2
+
+    def test_sweep_past_the_stream_cap_is_refused_before_any_work(
+        self, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "verify_triangle", lambda poset: calls.append(poset))
+        assert main(["verify", "--max-n", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert calls == []
 
 
 class TestHasse:
