@@ -31,7 +31,7 @@ from .formats import (
     topology_from_jsonable,
 )
 from .nucleus import enumerate_nuclei
-from .poset import HARD_STREAM_CAP, Poset, Subset, enumerate_posets
+from .poset import HARD_STREAM_CAP, LATTICE_CAP, Poset, enumerate_posets
 from .topology import enumerate_topologies
 from .triangle import (
     nucleus_to_subset,
@@ -113,10 +113,6 @@ def _read_poset(path: str) -> Poset:
     return load_poset(Path(path).read_text(encoding="utf-8"))
 
 
-def _fmt_set(value: Subset) -> str:
-    return str(value)
-
-
 def _print_nucleus(j, out) -> None:
     for s, img in j.pairs():
         print(f"  {s} -> {img}", file=out)
@@ -133,7 +129,7 @@ def _cmd_check(args, out) -> int:
     poset = _read_poset(args.file)
     directed = poset.is_downward_directed()
     covers = [[poset.labels[p], poset.labels[q]] for p, q in poset.covers()]
-    downset_count = len(poset.downset_masks()) if poset.n <= 16 else None
+    downset_count = len(poset.downset_masks()) if poset.n <= LATTICE_CAP else None
     if args.json:
         print(json.dumps(
             {
@@ -164,7 +160,7 @@ def _cmd_downsets(args, out) -> int:
                          sort_keys=True, separators=(",", ":")), file=out)
     else:
         for v in values:
-            print(_fmt_set(v), file=out)
+            print(v, file=out)
     return 0
 
 
@@ -176,7 +172,7 @@ def _cmd_sieves(args, out) -> int:
                          sort_keys=True, separators=(",", ":")), file=out)
     else:
         for v in values:
-            print(_fmt_set(v), file=out)
+            print(v, file=out)
     return 0
 
 
@@ -194,7 +190,7 @@ def _cmd_enumerate(args, out) -> int:
         return 0
     for i, v in enumerate(values):
         if args.kind == "subsets":
-            print(_fmt_set(v), file=out)
+            print(v, file=out)
         elif args.kind == "nuclei":
             print(f"nucleus {i}:", file=out)
             _print_nucleus(v, out)
@@ -233,7 +229,7 @@ def _cmd_convert(args, out, parser) -> int:
     if args.json:
         print(serialize(result), file=out)
     elif args.target == "subset":
-        print(_fmt_set(result), file=out)
+        print(result, file=out)
     elif args.target == "nucleus":
         _print_nucleus(result, out)
     else:

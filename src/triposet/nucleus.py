@@ -46,6 +46,14 @@ class Nucleus:
         self.poset = poset
         self.table = table
 
+    @classmethod
+    def _wrap(cls, poset: Poset, table: tuple[int, ...]):
+        """Trusted constructor: ``table`` is already a tuple of in-range ranks."""
+        obj = object.__new__(cls)
+        obj.poset = poset
+        obj.table = table
+        return obj
+
     def apply(self, s: DownSet) -> DownSet:
         if s.poset is not self.poset and s.poset != self.poset:
             raise PosetMismatchError()
@@ -99,9 +107,9 @@ def validate_nucleus(
             raise PosetMismatchError("table key belongs to a different poset")
         if value.poset is not poset and value.poset != poset:
             raise PosetMismatchError("table image belongs to a different poset")
-        if not poset.is_downset_mask(key.mask):
+        i = rank.get(key.mask)
+        if i is None:
             raise ValueError(f"table key {key} is not a downset")
-        i = rank[key.mask]
         if images[i] is not None:
             raise ValueError(f"table lists {key} twice")
         images[i] = value.mask
@@ -114,7 +122,7 @@ def validate_nucleus(
 
     downs = poset.downsets()
     for i in range(d):
-        if not poset.is_downset_mask(images[i]):
+        if images[i] not in rank:
             raise ImageNotDownsetError(downs[i], Subset._wrap(poset, images[i]))
     for i in range(d):
         if masks[i] & ~images[i]:
@@ -126,7 +134,7 @@ def validate_nucleus(
         for k in range(i):
             if images[rank[masks[i] & masks[k]]] != images[i] & images[k]:
                 raise NotMeetPreservingError(downs[k], downs[i])
-    return Nucleus(poset, tuple(rank[img] for img in images))
+    return Nucleus._wrap(poset, tuple(rank[img] for img in images))
 
 
 def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucleus]:
@@ -167,7 +175,7 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
 
     def rec(i: int) -> None:
         if i == d:
-            out.append(Nucleus(poset, tuple(assigned)))
+            out.append(Nucleus._wrap(poset, tuple(assigned)))
             return
         row = meet_at[i]
         for t in (i,) if fixed[i] else supersets[i]:

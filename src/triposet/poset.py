@@ -142,9 +142,6 @@ class Poset:
     def down_mask(self, p: int) -> int:
         return self._down[p]
 
-    def up_mask(self, p: int) -> int:
-        return self._up[p]
-
     def principal_downset(self, p: int) -> DownSet:
         return DownSet._wrap(self, self._down[p])
 

@@ -15,7 +15,7 @@ and is intentionally independent of any conversion routines.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 
 from .errors import (
     CapExceededError,
@@ -41,6 +41,21 @@ def _canon(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
 
 
+def _covered(
+    r: int, points: Iterable[int], down: Sequence[int], fams: Sequence[Container[int]]
+) -> int:
+    """The mask of the ``points`` q where the sieve ``r`` pulls back into ``fams[q]``.
+
+    With the points of the cone of p, a sieve R on p outside J(p) breaks
+    transitivity exactly when some S in J(p) lies inside this mask.
+    """
+    covered = 0
+    for q in points:
+        if r & down[q] in fams[q]:
+            covered |= 1 << q
+    return covered
+
+
 class GrothendieckTopology:
     """Per-point covering families over a fixed poset.
 
@@ -58,6 +73,14 @@ class GrothendieckTopology:
             )
         self.poset = poset
         self.families = tuple(_canon(f) for f in families)
+
+    @classmethod
+    def _wrap(cls, poset: Poset, families: tuple[tuple[int, ...], ...]):
+        """Trusted constructor: ``families`` is already canonical."""
+        obj = object.__new__(cls)
+        obj.poset = poset
+        obj.families = families
+        return obj
 
     def family_masks(self, p: int) -> tuple[int, ...]:
         return self.families[p]
@@ -121,7 +144,10 @@ def validate_topology(
             f"{len(families)} families for a poset with {poset.n} elements"
         )
 
+    poset.downset_masks()  # fills poset._dmask_pos
+    rank = poset._dmask_pos
     down = poset._down
+    cones = [tuple(_bits(m)) for m in down]
     fam_masks: list[tuple[int, ...]] = []
     for p in range(poset.n):
         entries = []
@@ -131,7 +157,7 @@ def validate_topology(
             entries.append(s.mask)
         entries = _canon(entries)
         for m in entries:
-            if m & ~down[p] or not poset.is_downset_mask(m):
+            if m & ~down[p] or m not in rank:
                 raise NotASieveError(poset.labels[p], Subset._wrap(poset, m))
         fam_masks.append(entries)
 
@@ -141,7 +167,7 @@ def validate_topology(
             raise MissingMaximalError(poset.labels[p])
     for p in range(poset.n):
         for s in fam_masks[p]:
-            for q in _bits(down[p]):
+            for q in cones[p]:
                 if q != p and s & down[q] not in fam_sets[q]:
                     raise StabilityFailError(
                         poset.labels[p], poset.labels[q], DownSet._wrap(poset, s)
@@ -150,14 +176,15 @@ def validate_topology(
         for r in poset.sieve_masks(p):
             if r in fam_sets[p]:
                 continue
+            covered = _covered(r, cones[p], down, fam_sets)
             for s in fam_masks[p]:
-                if all(r & down[q] in fam_sets[q] for q in _bits(s)):
+                if not s & ~covered:
                     raise TransitivityFailError(
                         poset.labels[p],
                         DownSet._wrap(poset, s),
                         DownSet._wrap(poset, r),
                     )
-    return GrothendieckTopology(poset, fam_masks)
+    return GrothendieckTopology._wrap(poset, tuple(fam_masks))
 
 
 def enumerate_topologies(
@@ -166,16 +193,22 @@ def enumerate_topologies(
     """Every Grothendieck topology on the poset, in canonical order.
 
     Points are processed along a linear extension (everything below a point
-    first), so when a family is chosen for ``p`` all of its stability
-    constraints point at already-fixed families and are enforced on the
-    spot: only sieves whose pullbacks are all covered remain candidates.
+    first), so when a family is chosen for ``p`` every J(q) with q < p is
+    already fixed.  Stability and transitivity at ``p`` read only those
+    families and J(p) itself (a witness sieve lies in the cone of ``p``, and
+    its pullbacks land on points below ``p``), so both axioms are decided on
+    the spot: only sieves whose pullbacks are all covered remain candidates,
+    and only candidate families that are transitive at ``p`` are kept.
+    Every assignment that reaches a leaf is therefore a topology.
+
     Within a point, families are the upward-closed subsets of the allowed
     sieves that contain the maximal sieve.  Upward closure is forced by the
     axioms (a superset of a covering sieve pulls back to whole principal
     downsets, which maximality covers), so restricting to it loses nothing;
     it just keeps the family count near the answer instead of near the
-    powerset.  Transitivity does not localize, so it is checked globally on
-    each completed assignment.
+    powerset.  The families kept at ``p`` depend only on the families below
+    it, and the same lower configuration recurs across branches, so the
+    list is memoised within the call on that configuration.
     """
     n = poset.n
     if n > cap:
@@ -185,17 +218,22 @@ def enumerate_topologies(
     down = poset._down
     order = sorted(range(n), key=lambda p: (down[p].bit_count(), p))
     sieves = [poset.sieve_masks(p) for p in range(n)]
-    fam: list[set[int] | None] = [None] * n
+    fam: list[frozenset[int] | None] = [None] * n
+    canon: list[tuple[int, ...]] = [()] * n
+    memo: dict[tuple, list[tuple[frozenset[int], tuple[int, ...]]]] = {}
     results: list[GrothendieckTopology] = []
 
-    def families_at(p: int) -> list[frozenset[int]]:
+    def families_at(p: int) -> list[tuple[frozenset[int], tuple[int, ...]]]:
         full = down[p]
-        below = [q for q in _bits(full) if q != p]
-        allowed = [
-            s
-            for s in sieves[p]
-            if s == full or all(s & down[q] in fam[q] for q in below)
-        ]
+        below = full & ~(1 << p)
+        lower = tuple(_bits(below))
+        key = (p, *(fam[q] for q in lower))
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        # points below p only: a sieve outside J(p) never pulls back into J(p)
+        covered = {r: _covered(r, lower, down, fam) for r in sieves[p]}
+        allowed = [s for s in sieves[p] if s == full or not below & ~covered[s]]
         # supersets first, so including a sieve can insist on its strict supersets
         elems = sorted(allowed, key=lambda m: (-m.bit_count(), m))
         m = len(elems)
@@ -204,11 +242,22 @@ def enumerate_topologies(
             for k in range(m)
         ]
         chosen = [False] * m
-        fams: list[frozenset[int]] = []
+        fams: list[tuple[frozenset[int], tuple[int, ...]]] = []
+
+        def transitive(f: frozenset[int]) -> bool:
+            for r in sieves[p]:
+                if r not in f:
+                    c = covered[r]
+                    for s in f:
+                        if not s & ~c:
+                            return False
+            return True
 
         def rec(k: int) -> None:
             if k == m:
-                fams.append(frozenset(e for e, c in zip(elems, chosen) if c))
+                f = frozenset(e for e, c in zip(elems, chosen) if c)
+                if transitive(f):
+                    fams.append((f, tuple(s for s in sieves[p] if s in f)))
                 return
             if all(chosen[a] for a in need[k]):
                 chosen[k] = True
@@ -218,31 +267,18 @@ def enumerate_topologies(
                 rec(k + 1)
 
         rec(0)
+        memo[key] = fams
         return fams
-
-    def transitive() -> bool:
-        for p in range(n):
-            fp = fam[p]
-            for r in sieves[p]:
-                if r in fp:
-                    continue
-                for s in fp:
-                    if all(r & down[q] in fam[q] for q in _bits(s)):
-                        return False
-        return True
 
     def rec_points(idx: int) -> None:
         if idx == n:
-            if transitive():
-                results.append(
-                    GrothendieckTopology(poset, [tuple(fam[p]) for p in range(n)])
-                )
+            results.append(GrothendieckTopology._wrap(poset, tuple(canon)))
             return
         p = order[idx]
-        for f in families_at(p):
+        for f, c in families_at(p):
             fam[p] = f
+            canon[p] = c
             rec_points(idx + 1)
-        fam[p] = None
 
     rec_points(0)
     results.sort(key=lambda t: t.families)

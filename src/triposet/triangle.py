@@ -64,7 +64,7 @@ def subset_to_nucleus(x: Subset) -> Nucleus:
     dmasks = poset.downset_masks()
     rank = poset._dmask_pos
     table = tuple(rank[implication_mask(poset, x.mask, s)] for s in dmasks)
-    return Nucleus(poset, table)
+    return Nucleus._wrap(poset, table)
 
 
 def nucleus_to_subset(j: Nucleus) -> Subset:
@@ -122,7 +122,7 @@ def subset_to_topology(x: Subset) -> GrothendieckTopology:
     for p in range(poset.n):
         need = x.mask & poset._down[p]
         fams.append(tuple(s for s in poset.sieve_masks(p) if not need & ~s))
-    return GrothendieckTopology(poset, fams)
+    return GrothendieckTopology._wrap(poset, tuple(fams))
 
 
 def topology_to_subset(J: GrothendieckTopology) -> Subset:
@@ -146,7 +146,7 @@ def nucleus_to_topology(j: Nucleus) -> GrothendieckTopology:
         fams.append(
             tuple(s for s in poset.sieve_masks(p) if dmasks[j.table[rank[s]]] & bit)
         )
-    return GrothendieckTopology(poset, fams)
+    return GrothendieckTopology._wrap(poset, tuple(fams))
 
 
 def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
@@ -162,7 +162,7 @@ def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
             if s & poset._down[p] in fam_sets[p]:
                 m |= 1 << p
         table.append(rank[m])
-    return Nucleus(poset, table)
+    return Nucleus._wrap(poset, tuple(table))
 
 
 # -- the verifier ----------------------------------------------------------

@@ -1,0 +1,204 @@
+"""Slow references for the oracle layer.
+
+These are :func:`enumerate_topologies`, :func:`validate_topology` and
+:func:`validate_nucleus` as they were before the mask rewrite: the
+enumerator checks transitivity only on completed assignments, and the
+validators test sieve-hood and downset-hood by walking bits and scan every
+sieve of a witness for transitivity.  They are kept so tests can check that
+the optimised oracles give the same lists, in the same order, and raise the
+same errors with the same witnesses.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+
+from triposet.errors import (
+    CapExceededError,
+    ImageNotDownsetError,
+    MissingMaximalError,
+    NotASieveError,
+    NotIdempotentError,
+    NotInflationaryError,
+    NotMeetPreservingError,
+    PosetMismatchError,
+    StabilityFailError,
+    TransitivityFailError,
+)
+from triposet.nucleus import Nucleus
+from triposet.poset import DownSet, Subset, _bits
+from triposet.topology import DEFAULT_TOPOLOGY_CAP, GrothendieckTopology
+
+
+def _canon(masks):
+    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
+
+
+def reference_validate_nucleus(poset, table):
+    items = table.items() if isinstance(table, Mapping) else table
+    masks = poset.downset_masks()
+    rank = poset._dmask_pos
+    d = len(masks)
+    images = [None] * d
+    for key, value in items:
+        if key.poset is not poset and key.poset != poset:
+            raise PosetMismatchError("table key belongs to a different poset")
+        if value.poset is not poset and value.poset != poset:
+            raise PosetMismatchError("table image belongs to a different poset")
+        if not poset.is_downset_mask(key.mask):
+            raise ValueError(f"table key {key} is not a downset")
+        i = rank[key.mask]
+        if images[i] is not None:
+            raise ValueError(f"table lists {key} twice")
+        images[i] = value.mask
+    missing = [i for i, img in enumerate(images) if img is None]
+    if missing:
+        raise ValueError(
+            f"table is missing {Subset._wrap(poset, masks[missing[0]])}"
+            + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
+        )
+
+    downs = poset.downsets()
+    for i in range(d):
+        if not poset.is_downset_mask(images[i]):
+            raise ImageNotDownsetError(downs[i], Subset._wrap(poset, images[i]))
+    for i in range(d):
+        if masks[i] & ~images[i]:
+            raise NotInflationaryError(downs[i])
+    for i in range(d):
+        if images[rank[images[i]]] != images[i]:
+            raise NotIdempotentError(downs[i])
+    for i in range(d):
+        for k in range(i):
+            if images[rank[masks[i] & masks[k]]] != images[i] & images[k]:
+                raise NotMeetPreservingError(downs[k], downs[i])
+    return Nucleus(poset, tuple(rank[img] for img in images))
+
+
+def reference_validate_topology(poset, families):
+    if isinstance(families, Mapping):
+        seq = [None] * poset.n
+        for label, fam in families.items():
+            i = poset.index(label)
+            if seq[i] is not None:
+                raise ValueError(f"family for {label!r} listed twice")
+            seq[i] = fam
+        missing = [poset.labels[i] for i, f in enumerate(seq) if f is None]
+        if missing:
+            raise ValueError(f"no covering family for {missing[0]!r}")
+        families = seq
+    elif len(families) != poset.n:
+        raise ValueError(
+            f"{len(families)} families for a poset with {poset.n} elements"
+        )
+
+    down = poset._down
+    fam_masks = []
+    for p in range(poset.n):
+        entries = []
+        for s in families[p]:
+            if s.poset is not poset and s.poset != poset:
+                raise PosetMismatchError("sieve belongs to a different poset")
+            entries.append(s.mask)
+        entries = _canon(entries)
+        for m in entries:
+            if m & ~down[p] or not poset.is_downset_mask(m):
+                raise NotASieveError(poset.labels[p], Subset._wrap(poset, m))
+        fam_masks.append(entries)
+
+    fam_sets = [set(f) for f in fam_masks]
+    for p in range(poset.n):
+        if down[p] not in fam_sets[p]:
+            raise MissingMaximalError(poset.labels[p])
+    for p in range(poset.n):
+        for s in fam_masks[p]:
+            for q in _bits(down[p]):
+                if q != p and s & down[q] not in fam_sets[q]:
+                    raise StabilityFailError(
+                        poset.labels[p], poset.labels[q], DownSet._wrap(poset, s)
+                    )
+    for p in range(poset.n):
+        for r in poset.sieve_masks(p):
+            if r in fam_sets[p]:
+                continue
+            for s in fam_masks[p]:
+                if all(r & down[q] in fam_sets[q] for q in _bits(s)):
+                    raise TransitivityFailError(
+                        poset.labels[p],
+                        DownSet._wrap(poset, s),
+                        DownSet._wrap(poset, r),
+                    )
+    return GrothendieckTopology(poset, fam_masks)
+
+
+def reference_enumerate_topologies(poset, cap=DEFAULT_TOPOLOGY_CAP):
+    """Stability pruned per point, transitivity checked on each leaf."""
+    n = poset.n
+    if n > cap:
+        raise CapExceededError(
+            f"{n} elements exceeds the topology enumeration cap {cap}"
+        )
+    down = poset._down
+    order = sorted(range(n), key=lambda p: (down[p].bit_count(), p))
+    sieves = [poset.sieve_masks(p) for p in range(n)]
+    fam = [None] * n
+    results = []
+
+    def families_at(p):
+        full = down[p]
+        below = [q for q in _bits(full) if q != p]
+        allowed = [
+            s
+            for s in sieves[p]
+            if s == full or all(s & down[q] in fam[q] for q in below)
+        ]
+        elems = sorted(allowed, key=lambda m: (-m.bit_count(), m))
+        m = len(elems)
+        need = [
+            [a for a in range(k) if elems[a] != elems[k] and not elems[k] & ~elems[a]]
+            for k in range(m)
+        ]
+        chosen = [False] * m
+        fams = []
+
+        def rec(k):
+            if k == m:
+                fams.append(frozenset(e for e, c in zip(elems, chosen) if c))
+                return
+            if all(chosen[a] for a in need[k]):
+                chosen[k] = True
+                rec(k + 1)
+                chosen[k] = False
+            if elems[k] != full:
+                rec(k + 1)
+
+        rec(0)
+        return fams
+
+    def transitive():
+        for p in range(n):
+            fp = fam[p]
+            for r in sieves[p]:
+                if r in fp:
+                    continue
+                for s in fp:
+                    if all(r & down[q] in fam[q] for q in _bits(s)):
+                        return False
+        return True
+
+    def rec_points(idx):
+        if idx == n:
+            if transitive():
+                results.append(
+                    GrothendieckTopology(poset, [tuple(fam[p]) for p in range(n)])
+                )
+            return
+        p = order[idx]
+        for f in families_at(p):
+            fam[p] = f
+            rec_points(idx + 1)
+        fam[p] = None
+
+    rec_points(0)
+    results.sort(key=lambda t: t.families)
+    return results

@@ -1,0 +1,153 @@
+"""The mask-based oracles against the slow references in ``reference_oracles.py``.
+
+The topology enumerator decides transitivity at each point and both
+validators test membership through the poset's rank dict.  These tests hold
+them to the pre-rewrite code: the same topology list in the same order, and
+for every one-entry change of a valid table or family set, the same
+exception with the same message and witnesses, or the same accepted value.
+"""
+
+import pytest
+
+from reference_oracles import (
+    reference_enumerate_topologies,
+    reference_validate_nucleus,
+    reference_validate_topology,
+)
+from triposet import (
+    GrothendieckTopology,
+    Nucleus,
+    Subset,
+    build_poset,
+    enumerate_nuclei,
+    enumerate_posets,
+    enumerate_topologies,
+    nucleus_to_topology,
+    subset_to_nucleus,
+    subset_to_topology,
+    topology_to_nucleus,
+    validate_nucleus,
+    validate_topology,
+)
+from triposet.errors import TriposetError
+
+
+def chain(n):
+    labels = [f"c{i}" for i in range(n)]
+    return build_poset(labels, list(zip(labels, labels[1:])))
+
+
+def enumeration_posets():
+    """All labeled posets with n <= 4 and every 30th labeled n = 5 poset."""
+    for n in range(5):
+        yield from enumerate_posets(n)
+    for i, poset in enumerate(enumerate_posets(5, cap=5)):
+        if i % 30 == 0:
+            yield poset
+
+
+def mutation_posets(diamond):
+    for n in range(4):
+        yield from enumerate_posets(n)
+    yield diamond
+
+
+def outcome(validate, poset, value):
+    """``("ok", value)`` or the raised error's type, message and witnesses."""
+    try:
+        return "ok", validate(poset, value)
+    except (TriposetError, ValueError) as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def test_enumerated_topologies_match_the_reference_in_order():
+    checked = 0
+    for poset in enumeration_posets():
+        got = [J.families for J in enumerate_topologies(poset)]
+        assert got == [J.families for J in reference_enumerate_topologies(poset)]
+        checked += 1
+    assert checked == 243 + 142
+
+
+def test_chain6_topologies_match_the_reference_in_order():
+    poset = chain(6)
+    got = [J.families for J in enumerate_topologies(poset, cap=6)]
+    assert got == [J.families for J in reference_enumerate_topologies(poset, cap=6)]
+    assert len(got) == 64
+
+
+def test_topology_validators_agree_on_every_one_sieve_change(diamond):
+    accepted = rejected = 0
+    for poset in mutation_posets(diamond):
+        every = [Subset._wrap(poset, m) for m in range(1 << poset.n)]
+        for J in enumerate_topologies(poset):
+            for p in range(poset.n):
+                for s in every:
+                    families = [list(J.sieves_at(q)) for q in range(poset.n)]
+                    if s in families[p]:
+                        families[p].remove(s)
+                    else:
+                        families[p].append(s)
+                    got = outcome(validate_topology, poset, families)
+                    want = outcome(reference_validate_topology, poset, families)
+                    assert got[0] == want[0]
+                    if got[0] == "ok":
+                        assert got[1].families == want[1].families
+                        accepted += 1
+                    else:
+                        assert got == want
+                        rejected += 1
+    assert accepted and rejected
+
+
+def test_nucleus_validators_agree_on_every_one_entry_change(diamond):
+    accepted = rejected = 0
+    for poset in mutation_posets(diamond):
+        every = [Subset._wrap(poset, m) for m in range(1 << poset.n)]
+        for j in enumerate_nuclei(poset):
+            rows = list(j.pairs())
+            for key, image in rows:
+                for other in every:
+                    if other == image:
+                        continue
+                    table = dict(rows)
+                    table[key] = other
+                    got = outcome(validate_nucleus, poset, table)
+                    want = outcome(reference_validate_nucleus, poset, table)
+                    assert got[0] == want[0]
+                    if got[0] == "ok":
+                        assert got[1].table == want[1].table
+                        accepted += 1
+                    else:
+                        assert got == want
+                        rejected += 1
+    assert accepted and rejected
+
+
+def test_trusted_values_equal_what_the_checking_constructors_build(diamond):
+    """Enumerators and edges build through ``_wrap``; the public constructors agree."""
+    for poset in mutation_posets(diamond):
+        nuclei = enumerate_nuclei(poset)
+        topologies = enumerate_topologies(poset)
+        built_nuclei = [
+            *nuclei,
+            *(subset_to_nucleus(x) for x in poset.subsets()),
+            *(topology_to_nucleus(J) for J in topologies),
+        ]
+        built_topologies = [
+            *topologies,
+            *(subset_to_topology(x) for x in poset.subsets()),
+            *(nucleus_to_topology(j) for j in nuclei),
+        ]
+        for j in built_nuclei:
+            assert Nucleus(poset, j.table) == j
+        for J in built_topologies:
+            assert GrothendieckTopology(poset, J.families) == J
+
+
+@pytest.mark.parametrize("validate", [validate_nucleus, reference_validate_nucleus])
+def test_open_key_is_rejected_by_both(chain2, validate):
+    rows = dict(enumerate_nuclei(chain2)[0].pairs())
+    rows[chain2.subset("b")] = rows.pop(chain2.downset("a"))
+    with pytest.raises(ValueError, match="is not a downset"):
+        validate(chain2, rows)

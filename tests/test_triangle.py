@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import posets
 from triposet import (
     CapExceededError,
+    build_poset,
     enumerate_nuclei,
     enumerate_topologies,
     nucleus_to_subset,
@@ -223,6 +224,36 @@ class TestVerify:
             verify_triangle(chain2, nucleus_cap=2)
         with pytest.raises(CapExceededError):
             verify_triangle(chain2, topology_cap=1)
+
+
+def chain(n):
+    labels = [f"c{i}" for i in range(n)]
+    return build_poset(labels, list(zip(labels, labels[1:])))
+
+
+def boolean_lattice(k):
+    labels = [format(m, f"0{k}b") for m in range(1 << k)]
+    covers = [
+        (labels[m], labels[m | 1 << b])
+        for m in range(1 << k)
+        for b in range(k)
+        if not m >> b & 1
+    ]
+    return build_poset(labels, covers)
+
+
+@pytest.mark.parametrize(
+    "poset, nucleus_cap, topology_cap",
+    [
+        (chain(10), 11, 10),
+        (boolean_lattice(3), 20, 8),
+    ],
+    ids=["chain10", "boolean3"],
+)
+def test_verify_past_five_elements(poset, nucleus_cap, topology_cap):
+    report = verify_triangle(poset, nucleus_cap=nucleus_cap, topology_cap=topology_cap)
+    assert report.all_passed
+    assert report.counts == dict.fromkeys(("subsets", "nuclei", "topologies"), 1 << poset.n)
 
 
 class TestBijections:
