@@ -14,12 +14,9 @@ from pathlib import Path
 
 from .errors import (
     CapExceededError,
-    CycleDetectedError,
-    DuplicateLabelError,
     NucleusAxiomError,
-    PosetSyntaxError,
     TopologyAxiomError,
-    UnknownLabelError,
+    TriposetError,
 )
 from .formats import (
     export_hasse_dot,
@@ -44,17 +41,10 @@ from .triangle import (
     verify_triangle,
 )
 
-_USAGE_ERRORS = (
-    PosetSyntaxError,
-    DuplicateLabelError,
-    UnknownLabelError,
-    CycleDetectedError,
-    CapExceededError,
-    ValueError,
-    json.JSONDecodeError,
-    OSError,
-)
 _LAW_ERRORS = (NucleusAxiomError, TopologyAxiomError)
+# caught after _LAW_ERRORS, which subclass TriposetError;
+# json.JSONDecodeError is a ValueError
+_USAGE_ERRORS = (TriposetError, ValueError, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,27 +55,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, file_=True):
+    def add(name, run, help_, file_=True):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         if file_:
             p.add_argument("file", help="poset v1 file")
         return p
 
-    p = add("check", "parse a poset file and report basic facts")
+    p = add("check", _cmd_check, "parse a poset file and report basic facts")
     p.add_argument("--json", action="store_true")
 
-    p = add("downsets", "list every downset in canonical order")
+    p = add("downsets", _cmd_downsets, "list every downset in canonical order")
     p.add_argument("--json", action="store_true")
 
-    p = add("sieves", "list the sieves on one element")
+    p = add("sieves", _cmd_sieves, "list the sieves on one element")
     p.add_argument("-p", "--point", required=True, metavar="LABEL")
     p.add_argument("--json", action="store_true")
 
-    p = add("enumerate", "enumerate subsets, nuclei, or topologies")
+    p = add("enumerate", _cmd_enumerate, "enumerate subsets, nuclei, or topologies")
     p.add_argument("--kind", required=True, choices=("subsets", "nuclei", "topologies"))
     p.add_argument("--json", action="store_true")
 
-    p = add("convert", "convert between subset, nucleus, and topology")
+    p = add("convert", _cmd_convert, "convert between subset, nucleus, and topology")
     p.add_argument("--from", dest="source", required=True,
                    choices=("subset", "nucleus", "topology"))
     p.add_argument("--to", dest="target", required=True,
@@ -96,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the alternate nucleus-to-subset extraction")
     p.add_argument("--json", action="store_true")
 
-    p = add("verify", "run the triangle law suite", file_=False)
+    p = add("verify", _cmd_verify, "run the triangle law suite", file_=False)
     p.add_argument("file", nargs="?", help="poset v1 file")
     p.add_argument("--max-n", type=int, metavar="N",
                    help="verify every labeled poset with at most N elements")
@@ -104,13 +95,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip posets that are not downward directed")
     p.add_argument("--json", action="store_true")
 
-    p = add("hasse", "emit the covering relation as DOT")
+    p = add("hasse", _cmd_hasse, "emit the covering relation as DOT")
     p.add_argument("--format", choices=("dot",), default="dot")
     return parser
 
 
 def _read_poset(path: str) -> Poset:
     return load_poset(Path(path).read_text(encoding="utf-8"))
+
+
+def _print_json(data, out) -> None:
+    """Canonical JSON, the same bytes as ``serialize``."""
+    print(json.dumps(data, sort_keys=True, separators=(",", ":")), file=out)
 
 
 def _print_nucleus(j, out) -> None:
@@ -125,13 +121,13 @@ def _print_topology(J, out) -> None:
         print(f"  {poset.labels[p]}: {sieves}", file=out)
 
 
-def _cmd_check(args, out) -> int:
+def _cmd_check(args, out, parser) -> int:
     poset = _read_poset(args.file)
     directed = poset.is_downward_directed()
     covers = [[poset.labels[p], poset.labels[q]] for p, q in poset.covers()]
     downset_count = len(poset.downset_masks()) if poset.n <= LATTICE_CAP else None
     if args.json:
-        print(json.dumps(
+        _print_json(
             {
                 "n": poset.n,
                 "labels": list(poset.labels),
@@ -139,8 +135,8 @@ def _cmd_check(args, out) -> int:
                 "directed": directed,
                 "downset_count": downset_count,
             },
-            sort_keys=True, separators=(",", ":"),
-        ), file=out)
+            out,
+        )
     else:
         print(f"ok: n={poset.n}, labels: {' '.join(poset.labels) or '(none)'}", file=out)
         print(f"covers: {' '.join(f'{x}<{y}' for x, y in covers) or '(none)'}", file=out)
@@ -152,31 +148,25 @@ def _cmd_check(args, out) -> int:
     return 0
 
 
-def _cmd_downsets(args, out) -> int:
-    poset = _read_poset(args.file)
-    values = poset.downsets()
+def _print_downsets(values, args, out) -> int:
     if args.json:
-        print(json.dumps([v.to_jsonable() for v in values],
-                         sort_keys=True, separators=(",", ":")), file=out)
+        _print_json([v.to_jsonable() for v in values], out)
     else:
         for v in values:
             print(v, file=out)
     return 0
 
 
-def _cmd_sieves(args, out) -> int:
+def _cmd_downsets(args, out, parser) -> int:
+    return _print_downsets(_read_poset(args.file).downsets(), args, out)
+
+
+def _cmd_sieves(args, out, parser) -> int:
     poset = _read_poset(args.file)
-    values = poset.sieves(poset.index(args.point))
-    if args.json:
-        print(json.dumps([v.to_jsonable() for v in values],
-                         sort_keys=True, separators=(",", ":")), file=out)
-    else:
-        for v in values:
-            print(v, file=out)
-    return 0
+    return _print_downsets(poset.sieves(poset.index(args.point)), args, out)
 
 
-def _cmd_enumerate(args, out) -> int:
+def _cmd_enumerate(args, out, parser) -> int:
     poset = _read_poset(args.file)
     if args.kind == "subsets":
         values = list(poset.subsets())
@@ -185,8 +175,7 @@ def _cmd_enumerate(args, out) -> int:
     else:
         values = enumerate_topologies(poset)
     if args.json:
-        print(json.dumps([to_jsonable(v) for v in values],
-                         sort_keys=True, separators=(",", ":")), file=out)
+        _print_json([to_jsonable(v) for v in values], out)
         return 0
     for i, v in enumerate(values):
         if args.kind == "subsets":
@@ -288,7 +277,7 @@ def _cmd_verify(args, out, parser) -> int:
                       "failed": sum(1 for r in failures if r.poset.n == n)})
     passed = not failures
     if args.json:
-        print(json.dumps(
+        _print_json(
             {
                 "max_n": args.max_n,
                 "directed_only": args.directed_only,
@@ -296,8 +285,8 @@ def _cmd_verify(args, out, parser) -> int:
                 "failures": [r.to_jsonable() for r in failures],
                 "passed": passed,
             },
-            sort_keys=True, separators=(",", ":"),
-        ), file=out)
+            out,
+        )
     else:
         for row in sizes:
             skipped = row["posets"] - row["verified"]
@@ -310,7 +299,7 @@ def _cmd_verify(args, out, parser) -> int:
     return 0 if passed else 1
 
 
-def _cmd_hasse(args, out) -> int:
+def _cmd_hasse(args, out, parser) -> int:
     print(export_hasse_dot(_read_poset(args.file)), end="", file=out)
     return 0
 
@@ -321,23 +310,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    out = sys.stdout
     try:
-        if args.command == "check":
-            return _cmd_check(args, out)
-        if args.command == "downsets":
-            return _cmd_downsets(args, out)
-        if args.command == "sieves":
-            return _cmd_sieves(args, out)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, out)
-        if args.command == "convert":
-            return _cmd_convert(args, out, parser)
-        if args.command == "verify":
-            return _cmd_verify(args, out, parser)
-        if args.command == "hasse":
-            return _cmd_hasse(args, out)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args, sys.stdout, parser)
     except SystemExit as exc:  # parser.error inside a command
         return exc.code if isinstance(exc.code, int) else 2
     except _LAW_ERRORS as exc:

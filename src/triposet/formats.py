@@ -1,6 +1,6 @@
-"""Poset text documents, canonical JSON, and DOT export.
+"""The ``poset v1`` text format, canonical JSON, and DOT export.
 
-The ``poset v1`` text format::
+:func:`load_poset` reads the text format::
 
     poset v1
     # anything after a hash is a comment
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 from .errors import (
     DuplicateLabelError,
@@ -30,61 +29,24 @@ from .errors import (
     UnknownLabelError,
 )
 from .nucleus import Nucleus, validate_nucleus
-from .poset import DownSet, Poset, Subset, build_poset
+from .poset import Poset, Subset, build_poset
 from .topology import GrothendieckTopology, validate_topology
 from .triangle import TriangleReport
 
 __all__ = [
-    "PosetDocument",
-    "document_from_poset",
     "export_hasse_dot",
     "load_poset",
     "nucleus_from_jsonable",
-    "parse_poset",
-    "poset_from_document",
-    "render_poset",
     "serialize",
     "subset_from_jsonable",
-    "to_jsonable",
     "topology_from_jsonable",
 ]
 
 _LABEL = re.compile(r"^[^\s<#]+$")
 
 
-def _check_label(label: str) -> None:
-    if not _LABEL.match(label):
-        raise ValueError(f"label {label!r} is not a bare token")
-
-
-@dataclass(frozen=True)
-class PosetDocument:
-    """Parsed form of a ``poset v1`` file; rendering it back round-trips."""
-
-    labels: tuple[str, ...] = ()
-    relations: tuple[tuple[str, str], ...] = ()
-    version: str = field(default="1")
-
-    def __post_init__(self):
-        if self.version != "1":
-            raise ValueError(f"unsupported format version {self.version!r}")
-        seen = set()
-        for lab in self.labels:
-            _check_label(lab)
-            if lab in seen:
-                raise DuplicateLabelError(lab)
-            seen.add(lab)
-        for x, y in self.relations:
-            if x not in seen:
-                raise UnknownLabelError(x)
-            if y not in seen:
-                raise UnknownLabelError(y)
-            if x == y:
-                raise ValueError(f"relation {x!r}<{y!r} relates a label to itself")
-
-
-def parse_poset(text: str) -> PosetDocument:
-    """Parse ``poset v1`` text into a document, reporting 1-based line numbers."""
+def load_poset(text: str) -> Poset:
+    """Parse ``poset v1`` text and build the poset, reporting 1-based line numbers."""
     labels: tuple[str, ...] | None = None
     relations: list[tuple[str, str]] = []
     header_seen = False
@@ -98,7 +60,8 @@ def parse_poset(text: str) -> PosetDocument:
                 raise PosetSyntaxError(lineno, "expected header 'poset v1'")
             header_seen = True
             continue
-        directive, _, rest = line.partition(" ")
+        directive, *tail = line.split(None, 1)
+        rest = tail[0] if tail else ""
         if directive == "elements":
             if labels is not None:
                 raise PosetSyntaxError(lineno, "second 'elements' line")
@@ -130,32 +93,7 @@ def parse_poset(text: str) -> PosetDocument:
         raise PosetSyntaxError(lineno + 1, "missing header 'poset v1'")
     if labels is None:
         raise PosetSyntaxError(lineno + 1, "missing 'elements' line")
-    return PosetDocument(labels=labels, relations=tuple(relations))
-
-
-def render_poset(doc: PosetDocument) -> str:
-    lines = ["poset v1", "elements " + " ".join(doc.labels) if doc.labels else "elements"]
-    lines.extend(f"rel {x}<{y}" for x, y in doc.relations)
-    return "\n".join(lines) + "\n"
-
-
-def poset_from_document(doc: PosetDocument) -> Poset:
-    return build_poset(doc.labels, doc.relations)
-
-
-def document_from_poset(poset: Poset) -> PosetDocument:
-    """A document whose relations are the covering pairs of the poset."""
-    return PosetDocument(
-        labels=poset.labels,
-        relations=tuple(
-            (poset.labels[p], poset.labels[q]) for p, q in poset.covers()
-        ),
-    )
-
-
-def load_poset(text: str) -> Poset:
-    """Parse and build in one step."""
-    return poset_from_document(parse_poset(text))
+    return build_poset(labels, relations)
 
 
 # -- canonical JSON ---------------------------------------------------------
@@ -177,21 +115,19 @@ def subset_from_jsonable(poset: Poset, data) -> Subset:
         raise ValueError("subset must be a JSON array of label strings")
     if len(set(data)) != len(data):
         raise ValueError("subset lists a label twice")
-    return Subset.from_members(poset, data)
+    return poset.subset(data)
 
 
 def nucleus_from_jsonable(poset: Poset, data) -> Nucleus:
     """Parse and validate a nucleus table given as [downset, image] pairs."""
     if not isinstance(data, list):
         raise ValueError("nucleus must be a JSON array of [downset, image] pairs")
-    table: list[tuple[DownSet, Subset]] = []
+    table: list[tuple[Subset, Subset]] = []
     for entry in data:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError("nucleus entries must be [downset, image] pairs")
-        dom = subset_from_jsonable(poset, entry[0])
-        if not dom.is_downset():
-            raise ValueError(f"table key {dom} is not a downset")
-        table.append((DownSet._wrap(poset, dom.mask), subset_from_jsonable(poset, entry[1])))
+        key, image = (subset_from_jsonable(poset, x) for x in entry)
+        table.append((key, image))
     return validate_nucleus(poset, table)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .poset import DownSet, Poset, Subset
 
-__all__ = ["bottom", "implication", "implication_mask", "is_downset", "join", "meet", "top"]
+__all__ = ["bottom", "implication", "join", "meet", "top"]
 
 
 def meet(a: DownSet, b: DownSet) -> DownSet:
@@ -57,7 +57,3 @@ def implication(x: Subset, s: DownSet) -> DownSet:
     """The downset of points whose cone meets ``x`` only inside ``s``."""
     x._check(s)
     return DownSet._wrap(x.poset, implication_mask(x.poset, x.mask, s.mask))
-
-
-def is_downset(x: Subset) -> bool:
-    return x.is_downset()

@@ -132,9 +132,6 @@ class Poset:
         except KeyError:
             raise UnknownLabelError(label) from None
 
-    def label(self, p: int) -> str:
-        return self.labels[p]
-
     def leq(self, p: int, q: int) -> bool:
         """True iff element ``p`` is below-or-equal to element ``q``."""
         return bool(self._down[q] >> p & 1)
@@ -144,10 +141,6 @@ class Poset:
 
     def principal_downset(self, p: int) -> DownSet:
         return DownSet._wrap(self, self._down[p])
-
-    def punctured_downset(self, p: int) -> DownSet:
-        """Everything strictly below ``p``; downward closed by antisymmetry."""
-        return DownSet._wrap(self, self._down[p] & ~(1 << p))
 
     def is_downward_directed(self) -> bool:
         """Nonempty, and every two elements share a lower bound."""
@@ -229,22 +222,6 @@ class Poset:
             self._covers = tuple(out)
         return self._covers
 
-    def restrict(self, elements: Iterable[int]) -> Poset:
-        """The induced sub-poset on the given element indices."""
-        elems = sorted(set(elements))
-        for e in elems:
-            if not 0 <= e < self.n:
-                raise ValueError(f"element index {e} out of range")
-        labels = tuple(self.labels[e] for e in elems)
-        down = []
-        for q in elems:
-            row = 0
-            for i, p in enumerate(elems):
-                if self._down[q] >> p & 1:
-                    row |= 1 << i
-            down.append(row)
-        return Poset(labels, down)
-
     # -- member construction ----------------------------------------------
 
     def _resolve_mask(self, members: Iterable[str | int]) -> int:
@@ -306,10 +283,6 @@ class Subset:
         obj.mask = mask
         return obj
 
-    @classmethod
-    def from_members(cls, poset: Poset, members: Iterable[str | int]):
-        return cls(poset, poset._resolve_mask(members))
-
     def _check(self, other: Subset) -> None:
         if self.poset is not other.poset and self.poset != other.poset:
             raise PosetMismatchError()
@@ -317,9 +290,6 @@ class Subset:
     def labels(self) -> tuple[str, ...]:
         """Member labels, sorted lexicographically."""
         return tuple(sorted(self.poset.labels[p] for p in _bits(self.mask)))
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
 
     def is_downset(self) -> bool:
         return self.poset.is_downset_mask(self.mask)

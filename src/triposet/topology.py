@@ -82,9 +82,6 @@ class GrothendieckTopology:
         obj.families = families
         return obj
 
-    def family_masks(self, p: int) -> tuple[int, ...]:
-        return self.families[p]
-
     def sieves_at(self, p: int) -> tuple[DownSet, ...]:
         """The covering family at ``p`` in canonical order."""
         return tuple(DownSet._wrap(self.poset, m) for m in self.families[p])

@@ -69,6 +69,12 @@ def powerset(labels):
             yield frozenset(combo)
 
 
+def sieves_in_cone(labels, le, p):
+    """Sieves on p: the subsets of p's cone that are closed downward."""
+    cone = sorted(down(labels, le, p))
+    return set(s for s in powerset(cone) if is_downclosed(labels, le, s))
+
+
 def downsets_by_filter(labels, le):
     return set(s for s in powerset(labels) if is_downclosed(labels, le, s))
 

@@ -5,17 +5,13 @@ import pytest
 import oracles
 from triposet import (
     DuplicateLabelError,
-    PosetDocument,
     PosetSyntaxError,
     UnknownLabelError,
     build_poset,
-    document_from_poset,
     enumerate_posets,
     export_hasse_dot,
     load_poset,
     nucleus_from_jsonable,
-    parse_poset,
-    render_poset,
     serialize,
     subset_from_jsonable,
     subset_to_nucleus,
@@ -26,105 +22,101 @@ from triposet import (
 )
 
 
+def poset_text(poset):
+    """``poset v1`` text listing the labels and one ``rel`` line per cover."""
+    lines = ["poset v1", " ".join(("elements", *poset.labels))]
+    lines += [f"rel {poset.labels[p]}<{poset.labels[q]}" for p, q in poset.covers()]
+    return "\n".join(lines) + "\n"
+
+
 class TestParse:
     def test_two_chain(self):
-        doc = parse_poset("poset v1\nelements a b\nrel a<b\n")
-        assert doc.labels == ("a", "b")
-        assert doc.relations == (("a", "b"),)
+        poset = load_poset("poset v1\nelements a b\nrel a<b\n")
+        assert poset.labels == ("a", "b")
+        assert poset.covers() == ((0, 1),)
 
     def test_singleton(self):
-        doc = parse_poset("poset v1\nelements a\n")
-        assert doc.labels == ("a",)
-        assert doc.relations == ()
+        poset = load_poset("poset v1\nelements a\n")
+        assert poset.labels == ("a",)
+        assert poset.covers() == ()
+
+    def test_tab_after_directive(self, chain2):
+        assert load_poset("poset v1\nelements\ta b\nrel\ta<b\n") == chain2
 
     def test_unknown_endpoint_with_line_number(self):
         with pytest.raises(UnknownLabelError) as exc:
-            parse_poset("poset v1\nelements a b\nrel a<c\n")
+            load_poset("poset v1\nelements a b\nrel a<c\n")
         assert exc.value.label == "c"
         assert exc.value.line == 3
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# leading note\n\nposet v1\n\nelements a b  # the carrier\nrel a<b # covers\n"
-        doc = parse_poset(text)
-        assert doc.labels == ("a", "b")
-        assert doc.relations == (("a", "b"),)
+        poset = load_poset(text)
+        assert poset.labels == ("a", "b")
+        assert poset.covers() == ((0, 1),)
 
     def test_missing_header(self):
         with pytest.raises(PosetSyntaxError) as exc:
-            parse_poset("elements a b\n")
+            load_poset("elements a b\n")
         assert exc.value.line == 1
 
     def test_empty_input_reports_missing_header(self):
-        with pytest.raises(PosetSyntaxError):
-            parse_poset("")
+        with pytest.raises(PosetSyntaxError) as exc:
+            load_poset("")
+        assert exc.value.line == 1
 
     def test_missing_elements_line(self):
-        with pytest.raises(PosetSyntaxError):
-            parse_poset("poset v1\n")
+        with pytest.raises(PosetSyntaxError) as exc:
+            load_poset("poset v1\n")
+        assert exc.value.line == 2
 
     def test_second_elements_line(self):
         with pytest.raises(PosetSyntaxError) as exc:
-            parse_poset("poset v1\nelements a\nelements b\n")
+            load_poset("poset v1\nelements a\nelements b\n")
         assert exc.value.line == 3
 
     def test_relation_before_elements(self):
         with pytest.raises(PosetSyntaxError) as exc:
-            parse_poset("poset v1\nrel a<b\nelements a b\n")
+            load_poset("poset v1\nrel a<b\nelements a b\n")
+        assert exc.value.line == 2
+
+    def test_bad_label(self):
+        with pytest.raises(PosetSyntaxError) as exc:
+            load_poset("poset v1\nelements a b<c\n")
         assert exc.value.line == 2
 
     def test_self_relation_rejected(self):
-        with pytest.raises(PosetSyntaxError):
-            parse_poset("poset v1\nelements a\nrel a<a\n")
+        with pytest.raises(PosetSyntaxError) as exc:
+            load_poset("poset v1\nelements a\nrel a<a\n")
+        assert exc.value.line == 3
 
     def test_malformed_relation(self):
-        with pytest.raises(PosetSyntaxError):
-            parse_poset("poset v1\nelements a b\nrel a b\n")
+        with pytest.raises(PosetSyntaxError) as exc:
+            load_poset("poset v1\nelements a b\nrel a b\n")
+        assert exc.value.line == 3
 
     def test_unknown_directive(self):
         with pytest.raises(PosetSyntaxError) as exc:
-            parse_poset("poset v1\nelements a\nedge a a\n")
+            load_poset("poset v1\nelements a\nedge a a\n")
         assert exc.value.line == 3
 
     def test_duplicate_label_with_line_number(self):
         with pytest.raises(DuplicateLabelError) as exc:
-            parse_poset("poset v1\nelements a a\n")
+            load_poset("poset v1\nelements a a\n")
         assert exc.value.line == 2
 
     def test_empty_elements_line_is_the_empty_poset(self):
-        doc = parse_poset("poset v1\nelements\n")
-        assert doc.labels == ()
-        assert load_poset("poset v1\nelements\n").n == 0
+        poset = load_poset("poset v1\nelements\n")
+        assert poset.labels == ()
+        assert poset.n == 0
 
     def test_load_applies_closure(self):
         poset = load_poset("poset v1\nelements a b c\nrel a<b\nrel b<c\n")
         assert poset.leq(poset.index("a"), poset.index("c"))
 
-
-class TestDocument:
-    def test_render_then_reparse_round_trip(self):
-        doc = PosetDocument(labels=("a", "b", "c"), relations=(("a", "b"), ("b", "c")))
-        assert parse_poset(render_poset(doc)) == doc
-
-    def test_empty_document_round_trip(self):
-        doc = PosetDocument()
-        assert parse_poset(render_poset(doc)) == doc
-
-    def test_document_from_poset_lists_covers(self, chain3):
-        doc = document_from_poset(chain3)
-        assert doc.relations == (("a", "b"), ("b", "c"))
-
-    def test_document_validates_on_construction(self):
-        with pytest.raises(DuplicateLabelError):
-            PosetDocument(labels=("a", "a"))
-        with pytest.raises(UnknownLabelError):
-            PosetDocument(labels=("a",), relations=(("a", "b"),))
-        with pytest.raises(ValueError):
-            PosetDocument(labels=("a",), version="2")
-
-    def test_round_trip_through_build(self, small_posets):
+    def test_covers_text_round_trip(self, small_posets):
         for poset in small_posets:
-            rebuilt = load_poset(render_poset(document_from_poset(poset)))
-            assert rebuilt == poset
+            assert load_poset(poset_text(poset)) == poset
 
 
 class TestSerialize:
@@ -188,7 +180,7 @@ class TestFromJsonable:
         with pytest.raises(ValueError):
             nucleus_from_jsonable(chain2, [[["a"]]])
         # a key that is not downward closed
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"table key \{b\} is not a downset"):
             nucleus_from_jsonable(
                 chain2, [[["b"], ["a", "b"]], [[], []], [["a"], ["a"]], [["a", "b"], ["a", "b"]]]
             )

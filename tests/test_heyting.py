@@ -9,7 +9,6 @@ from triposet import (
     PosetMismatchError,
     bottom,
     implication,
-    is_downset,
     join,
     meet,
     top,
@@ -93,11 +92,6 @@ class TestImplication:
     def test_rejects_cross_poset_arguments(self, chain2, antichain2):
         with pytest.raises(PosetMismatchError):
             implication(chain2.subset("a"), antichain2.downset("a"))
-
-    def test_is_downset_predicate(self, chain2):
-        assert is_downset(chain2.subset([]))
-        assert is_downset(chain2.subset("a"))
-        assert not is_downset(chain2.subset("b"))
 
 
 @given(posets(), st.data())

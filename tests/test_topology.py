@@ -164,7 +164,7 @@ class TestEnumerate:
         for poset in small_posets:
             for J in enumerate_topologies(poset):
                 for p in range(poset.n):
-                    family = set(J.family_masks(p))
+                    family = set(J.families[p])
                     for s in J.sieves_at(p):
                         for t in poset.sieves(p):
                             if s <= t:
