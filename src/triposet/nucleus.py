@@ -6,6 +6,13 @@ A nucleus is a self-map j of the downset lattice that is inflationary
 Tables are stored as total maps over the canonical downset order, one
 image index per downset.
 
+The downset lattice is distributive, and its meet-irreducibles are the n
+downsets M_p = P minus the up-set of p; every downset S is the meet of the
+M_p with p outside S.  A nucleus preserves meets, so it is fixed by its n
+values T_p = j(M_p), and j(S) is the meet of the T_p with p outside S (the
+empty meet being P).  The enumeration searches those n values instead of
+one image per downset.
+
 This module deliberately knows nothing about subsets-as-parameters or
 covering families; the enumeration here is an independent census of the
 axioms, usable as an oracle against any other construction of nuclei.
@@ -23,7 +30,7 @@ from .errors import (
     NotMeetPreservingError,
     PosetMismatchError,
 )
-from .poset import DownSet, Poset, Subset
+from .poset import DownSet, Poset, Subset, _bits
 
 __all__ = ["DEFAULT_NUCLEUS_CAP", "Nucleus", "enumerate_nuclei", "validate_nucleus"]
 
@@ -100,8 +107,7 @@ def validate_nucleus(
     items = table.items() if isinstance(table, Mapping) else table
     masks = poset.downset_masks()
     rank = poset._dmask_pos
-    d = len(masks)
-    images: list[int | None] = [None] * d
+    images: list[int | None] = [None] * len(masks)
     for key, value in items:
         if key.poset is not poset and key.poset != poset:
             raise PosetMismatchError("table key belongs to a different poset")
@@ -119,82 +125,117 @@ def validate_nucleus(
             f"table is missing {Subset._wrap(poset, masks[missing[0]])}"
             + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
         )
+    return Nucleus._wrap(poset, _check_nucleus(poset, images))
 
-    downs = poset.downsets()
+
+def _check_nucleus(poset: Poset, images: list[int]) -> tuple[int, ...]:
+    """The axiom checks of :func:`validate_nucleus` on image masks.
+
+    ``images[i]`` is the image of the ``i``-th downset in canonical order.
+    Raises what the public validator raises, with the same witnesses, and
+    returns the table as image ranks.
+    """
+    masks = poset.downset_masks()
+    rank = poset._dmask_pos
+    d = len(masks)
     for i in range(d):
         if images[i] not in rank:
-            raise ImageNotDownsetError(downs[i], Subset._wrap(poset, images[i]))
+            raise ImageNotDownsetError(
+                DownSet._wrap(poset, masks[i]), Subset._wrap(poset, images[i])
+            )
     for i in range(d):
         if masks[i] & ~images[i]:
-            raise NotInflationaryError(downs[i])
+            raise NotInflationaryError(DownSet._wrap(poset, masks[i]))
     for i in range(d):
         if images[rank[images[i]]] != images[i]:
-            raise NotIdempotentError(downs[i])
+            raise NotIdempotentError(DownSet._wrap(poset, masks[i]))
     for i in range(d):
         for k in range(i):
             if images[rank[masks[i] & masks[k]]] != images[i] & images[k]:
-                raise NotMeetPreservingError(downs[k], downs[i])
-    return Nucleus._wrap(poset, tuple(rank[img] for img in images))
+                raise NotMeetPreservingError(
+                    DownSet._wrap(poset, masks[k]), DownSet._wrap(poset, masks[i])
+                )
+    return tuple([rank[img] for img in images])
+
+
+def _require_nucleus_cap(poset: Poset, cap: int) -> None:
+    d = len(poset.downset_masks())
+    if d > cap:
+        raise CapExceededError(
+            f"{d} downsets exceeds the nucleus enumeration cap {cap}"
+        )
 
 
 def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucleus]:
     """Every nucleus on the downset lattice, in canonical table order.
 
-    Backtracking assigns images along the canonical (cardinality-ascending)
-    downset order.  Candidates are the supersets of each downset, so the
-    search never leaves inflationary territory.  Two facts keep the tree
-    small:
+    The search chooses T_p = j(M_p) for each point p.  Any choice of
+    downsets T_p containing M_p gives a map j(S) = meet of the T_p with p
+    outside S that is inflationary and preserves meets by construction.
+    That map is a nucleus exactly when two conditions hold:
 
-    * in cardinality-ascending order the meet of any two already-assigned
-      downsets is itself already assigned, so meet preservation can be
-      checked exactly against every earlier entry (this subsumes the
-      monotonicity pruning: A <= B forces j(A) = j(A) & j(B));
-    * an assignment j(S) = T with T != S forces j(T) = T, and T always sits
-      later in the order, so idempotence turns into forward constraints and
-      never needs a leaf check.
+    * it extends the choice, which is T_p <= T_q whenever p < q, so T_p is
+      searched only among the downsets between M_p and the meet of the T_q
+      strictly above p;
+    * it is idempotent, which holds once every T_p is a fixed point: the
+      meet of the T_q with q outside T_p is T_p.  A downset containing M_p
+      but not p is M_p itself, which is always a fixed point; otherwise
+      every q outside T_p lies strictly above p.
 
-    Both prunings are sound and complete for the axioms, so what falls out
-    of the leaves is exactly the set of nuclei, each one once, emitted in
-    lexicographic table order.
+    Points are taken tops first (ascending size of their up-set), so when
+    T_p is chosen every T_q with q above p is fixed and both conditions are
+    decided on the spot.  Every leaf is therefore a nucleus, each nucleus
+    is reached once, and the search runs over the n points instead of over
+    the downsets.  A leaf fills its table in reverse canonical order from
+    j(S) = T_p & j(S + p), with p a minimal point outside S and j(P) = P.
+    The tables are emitted in lexicographic order.
     """
+    _require_nucleus_cap(poset, cap)
     dmasks = poset.downset_masks()
     d = len(dmasks)
-    if d > cap:
-        raise CapExceededError(
-            f"{d} downsets exceeds the nucleus enumeration cap {cap}"
-        )
-    rank = poset.downset_rank
-    supersets = [
-        tuple(t for t in range(d) if not dmasks[i] & ~dmasks[t]) for i in range(d)
-    ]
-    meet_at = [[rank(dmasks[i] & dmasks[k]) for k in range(i)] for i in range(d)]
+    n = poset.n
+    full = poset.full_mask
+    down = poset._down
+    up = poset._up
+    rank = poset._dmask_pos
+    order = sorted(range(n), key=lambda p: (up[p].bit_count(), p))
+    strictly_above = [up[p] & ~(1 << p) for p in range(n)]
+    # the downsets containing M_p = full & ~up[p]
+    candidates = [tuple(t for t in dmasks if not full & ~up[p] & ~t) for p in range(n)]
+    # (i, p, rank of S_i + p) for every downset S_i but the last, which is P;
+    # larger downsets come first, so j(S_i + p) is filled before j(S_i)
+    steps = []
+    for i in range(d - 2, -1, -1):
+        s = dmasks[i]
+        p = next(q for q in _bits(full & ~s) if not down[q] & ~s & ~(1 << q))
+        steps.append((i, p, rank[s | 1 << p]))
 
-    assigned = [0] * d
-    fixed = bytearray(d)
-    out: list[Nucleus] = []
+    chosen = [0] * n
+    tables: list[tuple[int, ...]] = []
 
-    def rec(i: int) -> None:
-        if i == d:
-            out.append(Nucleus._wrap(poset, tuple(assigned)))
+    def rec(idx: int) -> None:
+        if idx == n:
+            img = [full] * d
+            for i, p, k in steps:
+                img[i] = chosen[p] & img[k]
+            tables.append(tuple([rank[m] for m in img]))
             return
-        row = meet_at[i]
-        for t in (i,) if fixed[i] else supersets[i]:
-            tm = dmasks[t]
-            ok = True
-            for k in range(i):
-                if dmasks[assigned[row[k]]] != tm & dmasks[assigned[k]]:
-                    ok = False
-                    break
-            if not ok:
+        p = order[idx]
+        bound = full
+        for q in _bits(strictly_above[p]):
+            bound &= chosen[q]
+        for t in candidates[p]:
+            if t & ~bound:
                 continue
-            did_fix = False
-            if t != i and not fixed[t]:
-                fixed[t] = 1
-                did_fix = True
-            assigned[i] = t
-            rec(i + 1)
-            if did_fix:
-                fixed[t] = 0
+            if t >> p & 1:
+                meet = full
+                for q in _bits(up[p] & ~t):
+                    meet &= chosen[q]
+                if meet != t:
+                    continue
+            chosen[p] = t
+            rec(idx + 1)
 
     rec(0)
-    return out
+    tables.sort()
+    return [Nucleus._wrap(poset, t) for t in tables]

@@ -141,18 +141,36 @@ def validate_topology(
             f"{len(families)} families for a poset with {poset.n} elements"
         )
 
-    poset.downset_masks()  # fills poset._dmask_pos
-    rank = poset._dmask_pos
-    down = poset._down
-    cones = [tuple(_bits(m)) for m in down]
-    fam_masks: list[tuple[int, ...]] = []
-    for p in range(poset.n):
+    def masks_at(p: int) -> tuple[int, ...]:
         entries = []
         for s in families[p]:
             if s.poset is not poset and s.poset != poset:
                 raise PosetMismatchError("sieve belongs to a different poset")
             entries.append(s.mask)
-        entries = _canon(entries)
+        return _canon(entries)
+
+    # lazily, so a foreign sieve at one point is still reported after the
+    # sieve checks of the points before it
+    return GrothendieckTopology._wrap(
+        poset, _check_topology(poset, (masks_at(p) for p in range(poset.n)))
+    )
+
+
+def _check_topology(
+    poset: Poset, families: Iterable[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """The axiom checks of :func:`validate_topology` on sieve masks.
+
+    ``families`` yields one canonically ordered tuple of masks per point.
+    Raises what the public validator raises, with the same witnesses, and
+    returns the families as a tuple.
+    """
+    poset.downset_masks()  # fills poset._dmask_pos
+    rank = poset._dmask_pos
+    down = poset._down
+    cones = [tuple(_bits(m)) for m in down]
+    fam_masks: list[tuple[int, ...]] = []
+    for p, entries in enumerate(families):
         for m in entries:
             if m & ~down[p] or m not in rank:
                 raise NotASieveError(poset.labels[p], Subset._wrap(poset, m))
@@ -181,7 +199,14 @@ def validate_topology(
                         DownSet._wrap(poset, s),
                         DownSet._wrap(poset, r),
                     )
-    return GrothendieckTopology._wrap(poset, tuple(fam_masks))
+    return tuple(fam_masks)
+
+
+def _require_topology_cap(poset: Poset, cap: int) -> None:
+    if poset.n > cap:
+        raise CapExceededError(
+            f"{poset.n} elements exceeds the topology enumeration cap {cap}"
+        )
 
 
 def enumerate_topologies(
@@ -207,11 +232,8 @@ def enumerate_topologies(
     it, and the same lower configuration recurs across branches, so the
     list is memoised within the call on that configuration.
     """
+    _require_topology_cap(poset, cap)
     n = poset.n
-    if n > cap:
-        raise CapExceededError(
-            f"{n} elements exceeds the topology enumeration cap {cap}"
-        )
     down = poset._down
     order = sorted(range(n), key=lambda p: (down[p].bit_count(), p))
     sieves = [poset.sieve_masks(p) for p in range(n)]

@@ -26,18 +26,28 @@ never from the conversions under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter
 from typing import Any
 
 from .errors import TriposetError
 from .heyting import implication_mask
-from .nucleus import DEFAULT_NUCLEUS_CAP, Nucleus, enumerate_nuclei, validate_nucleus
+from .nucleus import (
+    DEFAULT_NUCLEUS_CAP,
+    Nucleus,
+    _check_nucleus,
+    _require_nucleus_cap,
+    enumerate_nuclei,
+    validate_nucleus,  # noqa: F401 -- looked up here by tests and perfbench
+)
 from .poset import Poset, Subset
 from .topology import (
     DEFAULT_TOPOLOGY_CAP,
     GrothendieckTopology,
+    _check_topology,
+    _require_topology_cap,
     enumerate_topologies,
-    validate_topology,
+    validate_topology,  # noqa: F401 -- looked up here by tests and perfbench
 )
 
 __all__ = [
@@ -246,11 +256,15 @@ def verify_triangle(
     records a minimal witness and the remaining laws still run.
 
     Within one call every edge runs at most once per distinct input and
-    every distinct nucleus table or topology is validated at most once;
-    the laws read those results from per-call tables keyed by
-    ``Subset.mask``, ``Nucleus.table`` and ``GrothendieckTopology.families``.
+    every distinct nucleus table or topology is validated at most once,
+    on its masks; the laws read those results from per-call tables keyed
+    by ``Subset.mask``, ``Nucleus.table`` and
+    ``GrothendieckTopology.families``.  Both enumeration caps are checked
+    before any work starts.
     """
     t0 = perf_counter()
+    _require_nucleus_cap(poset, nucleus_cap)
+    _require_topology_cap(poset, topology_cap)
     n = poset.n
     subsets = poset.subsets()
     nuclei = enumerate_nuclei(poset, cap=nucleus_cap)
@@ -261,15 +275,9 @@ def verify_triangle(
         "topologies": len(topologies),
     }
 
-    def mask(x):
-        return x.mask
-
-    def table(j):
-        return j.table
-
-    def families(J):
-        return J.families
-
+    mask = attrgetter("mask")
+    table = attrgetter("table")
+    families = attrgetter("families")
     s2n = _memo(subset_to_nucleus, mask)
     s2t = _memo(subset_to_topology, mask)
     n2s = _memo(nucleus_to_subset, table)
@@ -286,11 +294,11 @@ def verify_triangle(
             return {"error": str(exc), "kind": type(exc).__name__}
         return None
 
-    nucleus_failure = _memo(lambda j: checked(validate_nucleus, dict(j.pairs())), table)
-    topology_failure = _memo(
-        lambda J: checked(validate_topology, [J.sieves_at(p) for p in range(n)]),
-        families,
+    dmasks = poset.downset_masks()
+    nucleus_failure = _memo(
+        lambda j: checked(_check_nucleus, [dmasks[t] for t in j.table]), table
     )
+    topology_failure = _memo(lambda J: checked(_check_topology, J.families), families)
 
     def roundtrip(values, there, back, key):
         for v in values:

@@ -4,9 +4,11 @@ These are :func:`enumerate_topologies`, :func:`validate_topology` and
 :func:`validate_nucleus` as they were before the mask rewrite: the
 enumerator checks transitivity only on completed assignments, and the
 validators test sieve-hood and downset-hood by walking bits and scan every
-sieve of a witness for transitivity.  They are kept so tests can check that
-the optimised oracles give the same lists, in the same order, and raise the
-same errors with the same witnesses.
+sieve of a witness for transitivity.  :func:`reference_enumerate_nuclei` is
+the nucleus search as it was before it moved to the meet-irreducible
+downsets: it assigns one image per downset in canonical order.  They are
+kept so tests can check that the optimised oracles give the same lists, in
+the same order, and raise the same errors with the same witnesses.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from triposet.errors import (
     StabilityFailError,
     TransitivityFailError,
 )
-from triposet.nucleus import Nucleus
+from triposet.nucleus import DEFAULT_NUCLEUS_CAP, Nucleus
 from triposet.poset import DownSet, Subset, _bits
 from triposet.topology import DEFAULT_TOPOLOGY_CAP, GrothendieckTopology
 
@@ -202,3 +204,66 @@ def reference_enumerate_topologies(poset, cap=DEFAULT_TOPOLOGY_CAP):
     rec_points(0)
     results.sort(key=lambda t: t.families)
     return results
+
+
+def reference_enumerate_nuclei(poset, cap=DEFAULT_NUCLEUS_CAP):
+    """Every nucleus on the downset lattice, in canonical table order.
+
+    Backtracking assigns images along the canonical (cardinality-ascending)
+    downset order.  Candidates are the supersets of each downset, so the
+    search never leaves inflationary territory.  Two facts keep the tree
+    small:
+
+    * in cardinality-ascending order the meet of any two already-assigned
+      downsets is itself already assigned, so meet preservation can be
+      checked exactly against every earlier entry (this subsumes the
+      monotonicity pruning: A <= B forces j(A) = j(A) & j(B));
+    * an assignment j(S) = T with T != S forces j(T) = T, and T always sits
+      later in the order, so idempotence turns into forward constraints and
+      never needs a leaf check.
+
+    Both prunings are sound and complete for the axioms, so what falls out
+    of the leaves is exactly the set of nuclei, each one once, emitted in
+    lexicographic table order.
+    """
+    dmasks = poset.downset_masks()
+    d = len(dmasks)
+    if d > cap:
+        raise CapExceededError(
+            f"{d} downsets exceeds the nucleus enumeration cap {cap}"
+        )
+    rank = poset.downset_rank
+    supersets = [
+        tuple(t for t in range(d) if not dmasks[i] & ~dmasks[t]) for i in range(d)
+    ]
+    meet_at = [[rank(dmasks[i] & dmasks[k]) for k in range(i)] for i in range(d)]
+
+    assigned = [0] * d
+    fixed = bytearray(d)
+    out = []
+
+    def rec(i):
+        if i == d:
+            out.append(Nucleus._wrap(poset, tuple(assigned)))
+            return
+        row = meet_at[i]
+        for t in (i,) if fixed[i] else supersets[i]:
+            tm = dmasks[t]
+            ok = True
+            for k in range(i):
+                if dmasks[assigned[row[k]]] != tm & dmasks[assigned[k]]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            did_fix = False
+            if t != i and not fixed[t]:
+                fixed[t] = 1
+                did_fix = True
+            assigned[i] = t
+            rec(i + 1)
+            if did_fix:
+                fixed[t] = 0
+
+    rec(0)
+    return out

@@ -1,20 +1,25 @@
 """The mask-based oracles against the slow references in ``reference_oracles.py``.
 
-The topology enumerator decides transitivity at each point and both
-validators test membership through the poset's rank dict.  These tests hold
-them to the pre-rewrite code: the same topology list in the same order, and
-for every one-entry change of a valid table or family set, the same
-exception with the same message and witnesses, or the same accepted value.
+The nucleus enumerator searches the values on the meet-irreducible
+downsets, the topology enumerator decides transitivity at each point, and
+both validators test membership through the poset's rank dict.  These tests
+hold them to the pre-rewrite code: the same nucleus and topology lists in
+the same order, and for every one-entry change of a valid table or family
+set, the same exception with the same message and witnesses, or the same
+accepted value.  The validators' mask cores, which ``verify_triangle``
+calls, are held to the public validators on the same changes.
 """
 
 import pytest
 
 from reference_oracles import (
+    reference_enumerate_nuclei,
     reference_enumerate_topologies,
     reference_validate_nucleus,
     reference_validate_topology,
 )
 from triposet import (
+    DEFAULT_NUCLEUS_CAP,
     GrothendieckTopology,
     Nucleus,
     Subset,
@@ -30,6 +35,8 @@ from triposet import (
     validate_topology,
 )
 from triposet.errors import TriposetError
+from triposet.nucleus import _check_nucleus
+from triposet.topology import _check_topology
 
 
 def chain(n):
@@ -52,12 +59,52 @@ def mutation_posets(diamond):
     yield diamond
 
 
+def canon(sieves):
+    """Masks of ``sieves`` in the canonical order the topology core takes."""
+    return tuple(sorted({s.mask for s in sieves}, key=lambda m: (m.bit_count(), m)))
+
+
 def outcome(validate, poset, value):
     """``("ok", value)`` or the raised error's type, message and witnesses."""
     try:
         return "ok", validate(poset, value)
     except (TriposetError, ValueError) as exc:
         return type(exc), str(exc), vars(exc)
+
+
+def cube():
+    labels = [format(i, "03b") for i in range(8)]
+    return build_poset(
+        labels,
+        [(a, b) for a in labels for b in labels if a != b and all(x <= y for x, y in zip(a, b))],
+    )
+
+
+def _nucleus_lists_match(poset, cap=DEFAULT_NUCLEUS_CAP):
+    """The same tables as the reference, in order, each a nucleus, none twice."""
+    nuclei = enumerate_nuclei(poset, cap=cap)
+    got = [j.table for j in nuclei]
+    assert got == [j.table for j in reference_enumerate_nuclei(poset, cap=cap)]
+    assert len(set(got)) == len(got)
+    for j in nuclei:
+        assert validate_nucleus(poset, dict(j.pairs())).table == j.table
+
+
+def test_enumerated_nuclei_match_the_reference_in_order():
+    checked = 0
+    for poset in enumeration_posets():
+        _nucleus_lists_match(poset)
+        checked += 1
+    assert checked == 243 + 142
+
+
+@pytest.mark.parametrize(
+    "poset, cap",
+    [(build_poset([f"a{i}" for i in range(7)]), 128), (chain(10), 32), (cube(), 32)],
+    ids=["antichain7", "chain10", "cube"],
+)
+def test_large_nucleus_lists_match_the_reference_in_order(poset, cap):
+    _nucleus_lists_match(poset, cap)
 
 
 def test_enumerated_topologies_match_the_reference_in_order():
@@ -90,12 +137,13 @@ def test_topology_validators_agree_on_every_one_sieve_change(diamond):
                         families[p].append(s)
                     got = outcome(validate_topology, poset, families)
                     want = outcome(reference_validate_topology, poset, families)
-                    assert got[0] == want[0]
+                    core = outcome(_check_topology, poset, [canon(f) for f in families])
+                    assert got[0] == want[0] == core[0]
                     if got[0] == "ok":
-                        assert got[1].families == want[1].families
+                        assert got[1].families == want[1].families == core[1]
                         accepted += 1
                     else:
-                        assert got == want
+                        assert got == want == core
                         rejected += 1
     assert accepted and rejected
 
@@ -114,12 +162,14 @@ def test_nucleus_validators_agree_on_every_one_entry_change(diamond):
                     table[key] = other
                     got = outcome(validate_nucleus, poset, table)
                     want = outcome(reference_validate_nucleus, poset, table)
-                    assert got[0] == want[0]
+                    images = [table[s].mask for s in poset.downsets()]
+                    core = outcome(_check_nucleus, poset, images)
+                    assert got[0] == want[0] == core[0]
                     if got[0] == "ok":
-                        assert got[1].table == want[1].table
+                        assert got[1].table == want[1].table == core[1]
                         accepted += 1
                     else:
-                        assert got == want
+                        assert got == want == core
                         rejected += 1
     assert accepted and rejected
 

@@ -1,10 +1,11 @@
 """The memoized ``verify_triangle`` against the law-by-law reference.
 
 The engine computes each edge once per distinct input and validates each
-distinct nucleus table or topology once.  These tests hold it to the slow
-reference in ``reference_triangle.py``: same reports on a fixed poset set,
-same failures when one edge is broken, and no edge or validator called
-twice on the same input.
+distinct nucleus table or topology once, on its masks.  These tests hold it
+to the slow reference in ``reference_triangle.py``: same reports on a fixed
+poset set, same failures when one edge is broken, and no edge or validator
+core called twice on the same input.  An oversize job is refused before
+anything is enumerated.
 """
 
 from collections import Counter
@@ -12,7 +13,8 @@ from collections import Counter
 import pytest
 
 from reference_triangle import reference_verify_triangle
-from triposet import Nucleus, Subset, enumerate_posets, triangle
+from triposet import Nucleus, Subset, build_poset, enumerate_posets, triangle
+from triposet.errors import CapExceededError
 
 EDGES = (
     "subset_to_nucleus",
@@ -24,6 +26,11 @@ EDGES = (
     "nucleus_to_subset_alt",
     "nucleus_to_subset_via_topology",
 )
+
+
+def chain(n):
+    labels = [f"c{i}" for i in range(n)]
+    return build_poset(labels, list(zip(labels, labels[1:])))
 
 
 def report_bytes(report):
@@ -127,7 +134,7 @@ def test_a_broken_edge_fails_the_same_laws(diamond, monkeypatch, edge, breaker, 
 
 
 def test_each_edge_and_validator_runs_once_per_distinct_input(diamond, monkeypatch):
-    calls = {name: Counter() for name in (*EDGES, "validate_nucleus", "validate_topology")}
+    calls = {name: Counter() for name in (*EDGES, "_check_nucleus", "_check_topology")}
 
     def counting(name, fn, key):
         def wrapper(*args):
@@ -140,21 +147,13 @@ def test_each_edge_and_validator_runs_once_per_distinct_input(diamond, monkeypat
         monkeypatch.setattr(triangle, name, counting(name, getattr(triangle, name), _key))
     monkeypatch.setattr(
         triangle,
-        "validate_nucleus",
-        counting(
-            "validate_nucleus",
-            triangle.validate_nucleus,
-            lambda poset, table: tuple((k.mask, v.mask) for k, v in table.items()),
-        ),
+        "_check_nucleus",
+        counting("_check_nucleus", triangle._check_nucleus, lambda poset, images: tuple(images)),
     )
     monkeypatch.setattr(
         triangle,
-        "validate_topology",
-        counting(
-            "validate_topology",
-            triangle.validate_topology,
-            lambda poset, fams: tuple(tuple(s.mask for s in f) for f in fams),
-        ),
+        "_check_topology",
+        counting("_check_topology", triangle._check_topology, lambda poset, fams: tuple(fams)),
     )
     assert triangle.verify_triangle(diamond).all_passed
     for name, counter in calls.items():
@@ -163,5 +162,23 @@ def test_each_edge_and_validator_runs_once_per_distinct_input(diamond, monkeypat
         assert most == 1, f"{name} ran {most} times on one input {key!r}"
     # 16 subsets, 16 nuclei and 16 topologies on the diamond
     assert len(calls["subset_to_nucleus"]) == 16
-    assert len(calls["validate_nucleus"]) == 16
-    assert len(calls["validate_topology"]) == 16
+    assert len(calls["_check_nucleus"]) == 16
+    assert len(calls["_check_topology"]) == 16
+
+
+def test_oversize_jobs_are_refused_before_any_enumeration(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before the caps were checked")
+
+    monkeypatch.setattr(triangle, "enumerate_nuclei", never)
+    monkeypatch.setattr(triangle, "enumerate_topologies", never)
+    monkeypatch.setattr(triangle.Poset, "subsets", never)
+    # 7 downsets fit the nucleus cap; 6 elements exceed the topology cap 5
+    with pytest.raises(
+        CapExceededError, match="6 elements exceeds the topology enumeration cap 5"
+    ):
+        triangle.verify_triangle(chain(6))
+    with pytest.raises(
+        CapExceededError, match="7 downsets exceeds the nucleus enumeration cap 6"
+    ):
+        triangle.verify_triangle(chain(6), nucleus_cap=6, topology_cap=4)
