@@ -21,6 +21,7 @@ axioms, usable as an oracle against any other construction of nuclei.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from functools import lru_cache
 
 from .errors import (
     CapExceededError,
@@ -60,14 +61,6 @@ class Nucleus:
         obj.poset = poset
         obj.table = table
         return obj
-
-    def apply(self, s: DownSet) -> DownSet:
-        if s.poset is not self.poset and s.poset != self.poset:
-            raise PosetMismatchError()
-        masks = self.poset.downset_masks()
-        return DownSet._wrap(self.poset, masks[self.table[self.poset.downset_rank(s.mask)]])
-
-    __call__ = apply
 
     def pairs(self) -> tuple[tuple[DownSet, DownSet], ...]:
         """(downset, image) rows in canonical order."""
@@ -149,13 +142,41 @@ def _check_nucleus(poset: Poset, images: list[int]) -> tuple[int, ...]:
     for i in range(d):
         if images[rank[images[i]]] != images[i]:
             raise NotIdempotentError(DownSet._wrap(poset, masks[i]))
-    for i in range(d):
-        for k in range(i):
-            if images[rank[masks[i] & masks[k]]] != images[i] & images[k]:
-                raise NotMeetPreservingError(
-                    DownSet._wrap(poset, masks[k]), DownSet._wrap(poset, masks[i])
-                )
+    # inflationary, so j(P) = P: j preserves meets exactly when every step
+    # has j(S) = T_p & j(S + p); only a failure needs the pair scan, which
+    # finds the first failing pair as the witness
+    full = poset.full_mask
+    tops = [images[rank[full & ~up]] for up in poset._up]
+    if any(images[i] != tops[p] & images[k] for i, p, k in _meet_steps(poset)):
+        for i in range(d):
+            for k in range(i):
+                if images[rank[masks[i] & masks[k]]] != images[i] & images[k]:
+                    raise NotMeetPreservingError(
+                        DownSet._wrap(poset, masks[k]), DownSet._wrap(poset, masks[i])
+                    )
     return tuple([rank[img] for img in images])
+
+
+@lru_cache(maxsize=1)
+def _meet_steps(poset: Poset) -> tuple[tuple[int, int, int], ...]:
+    """(i, p, rank of S_i + p) for every downset S_i but the last, which is P.
+
+    p is the least minimal point outside S_i, so S_i + p is a downset and
+    S_i is its meet with M_p = P minus the up-set of p.  A meet-preserving
+    j therefore has j(S_i) = j(M_p) & j(S_i + p), and conversely a map with
+    j(P) = P satisfying every step is the meet of its values on the M_p.
+    Larger downsets come first, so j(S_i + p) is known before j(S_i).
+    """
+    dmasks = poset.downset_masks()
+    rank = poset._dmask_pos
+    down = poset._down
+    full = poset.full_mask
+    steps = []
+    for i in range(len(dmasks) - 2, -1, -1):
+        s = dmasks[i]
+        p = next(q for q in _bits(full & ~s) if not down[q] & ~s & ~(1 << q))
+        steps.append((i, p, rank[s | 1 << p]))
+    return tuple(steps)
 
 
 def _require_nucleus_cap(poset: Poset, cap: int) -> None:
@@ -195,20 +216,13 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
     d = len(dmasks)
     n = poset.n
     full = poset.full_mask
-    down = poset._down
     up = poset._up
     rank = poset._dmask_pos
     order = sorted(range(n), key=lambda p: (up[p].bit_count(), p))
     strictly_above = [up[p] & ~(1 << p) for p in range(n)]
     # the downsets containing M_p = full & ~up[p]
     candidates = [tuple(t for t in dmasks if not full & ~up[p] & ~t) for p in range(n)]
-    # (i, p, rank of S_i + p) for every downset S_i but the last, which is P;
-    # larger downsets come first, so j(S_i + p) is filled before j(S_i)
-    steps = []
-    for i in range(d - 2, -1, -1):
-        s = dmasks[i]
-        p = next(q for q in _bits(full & ~s) if not down[q] & ~s & ~(1 << q))
-        steps.append((i, p, rank[s | 1 << p]))
+    steps = _meet_steps(poset)
 
     chosen = [0] * n
     tables: list[tuple[int, ...]] = []

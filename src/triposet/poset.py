@@ -14,7 +14,6 @@ poset the first time it is asked for.
 
 from __future__ import annotations
 
-import itertools
 import string
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -389,26 +388,18 @@ def build_poset(
     return Poset(labels, down)
 
 
-def _is_transitive(down: Sequence[int]) -> bool:
-    for q in range(len(down)):
-        m = down[q]
-        t = m
-        while t:
-            low = t & -t
-            if down[low.bit_length() - 1] & ~m:
-                return False
-            t ^= low
-    return True
-
-
 def enumerate_posets(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[Poset]:
     """Stream every labeled poset on ``n`` elements exactly once.
 
     Each unordered pair of elements is independently incomparable, ordered
-    one way, or ordered the other way; candidates failing transitivity are
-    dropped.  The iteration order of those 3**(n choose 2) states is fixed,
-    so the stream is deterministic.  Labels are the first ``n`` lowercase
-    letters.
+    one way, or ordered the other way, and a state is kept when it is
+    transitive.  The 3**(n choose 2) states are walked depth first, pairs
+    in lexicographic order and each pair's three choices in that order, so
+    the stream is deterministic.  Transitivity holds exactly when it holds
+    on every triple of elements, so each triple is checked as soon as its
+    last pair is set, and a branch is cut on the first failure; the states
+    come out in the order of the full product.  Labels are the first ``n``
+    lowercase letters.
     """
     if n < 0:
         raise ValueError("poset size must be nonnegative")
@@ -419,13 +410,34 @@ def enumerate_posets(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[Poset]:
         )
     labels = tuple(string.ascii_lowercase[:n])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    base = [1 << i for i in range(n)]
-    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        down = base.copy()
-        for (i, j), s in zip(pairs, states):
-            if s == 1:
-                down[j] |= 1 << i  # i below j
-            elif s == 2:
-                down[i] |= 1 << j  # j below i
-        if _is_transitive(down):
+    down = [1 << i for i in range(n)]
+    up = down.copy()
+
+    def rec(k: int) -> Iterator[Poset]:
+        if k == len(pairs):
             yield Poset(labels, down)
+            return
+        # the triples {a, b, c} with a < b are those whose last pair is (b, c)
+        b, c = pairs[k]
+        earlier = (1 << b) - 1
+        db, ub = down[b] & earlier, up[b] & earlier
+        dc, uc = down[c] & earlier, up[c] & earlier
+        # incomparable: no a with b <= a <= c or c <= a <= b
+        if not ub & dc and not uc & db:
+            yield from rec(k + 1)
+        # b below c: a <= b forces a <= c, and c <= a forces b <= a
+        if not db & ~dc and not uc & ~ub:
+            down[c] |= 1 << b
+            up[b] |= 1 << c
+            yield from rec(k + 1)
+            down[c] ^= 1 << b
+            up[b] ^= 1 << c
+        # c below b: the same with b and c swapped
+        if not dc & ~db and not ub & ~uc:
+            down[b] |= 1 << c
+            up[c] |= 1 << b
+            yield from rec(k + 1)
+            down[b] ^= 1 << c
+            up[c] ^= 1 << b
+
+    yield from rec(0)

@@ -18,6 +18,12 @@ composite route through topologies in closed form (for every sieve S on p,
 p lands in j(S) exactly when S is the whole cone) and an alternate form
 comparing j on the cone of p with and without p.
 
+Each edge is a private kernel on raw values -- a subset mask, a nucleus
+table (image ranks in canonical downset order) or a topology's family
+tuple -- wrapped by a public function that takes and returns objects.  The
+kernels read rank arrays built once per poset by :func:`_edge_ranks`, which
+keeps only the most recent poset.
+
 :func:`verify_triangle` runs the whole law suite on one poset and returns a
 :class:`TriangleReport`; counts come only from the independent enumerators,
 never from the conversions under test.
@@ -26,12 +32,12 @@ never from the conversions under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import lru_cache
 from time import perf_counter
 from typing import Any
 
 from .errors import TriposetError
-from .heyting import implication_mask
+from .heyting import implication_mask  # noqa: F401 -- looked up here by perfbench
 from .nucleus import (
     DEFAULT_NUCLEUS_CAP,
     Nucleus,
@@ -64,43 +70,136 @@ __all__ = [
     "verify_triangle",
 ]
 
+Table = tuple[int, ...]
+Families = tuple[tuple[int, ...], ...]
 
-# -- the six edges ---------------------------------------------------------
+
+class _EdgeRanks:
+    """Per-poset arrays the edge kernels read; downsets are named by rank."""
+
+    __slots__ = ("dmasks", "rank", "imp", "cone", "punctured", "sieves", "cuts")
+
+    def __init__(self, poset: Poset):
+        dmasks = self.dmasks = poset.downset_masks()
+        rank = self.rank = poset._dmask_pos
+        n = poset.n
+        down = poset._down
+        # m -> {} holds the points whose cone misses m: the meet over the
+        # bits b of m of the points outside the up-set of b
+        imp_masks = [poset.full_mask] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            imp_masks[m] = imp_masks[m ^ low] & ~poset._up[low.bit_length() - 1]
+        # imp[m]: rank of m -> {}, so X -> S is imp[X & ~S]
+        self.imp = [rank[m] for m in imp_masks]
+        # rank of the principal downset of p, and of it minus p
+        self.cone = [rank[down[p]] for p in range(n)]
+        self.punctured = [rank[down[p] & ~(1 << p)] for p in range(n)]
+        # (sieve mask, rank) pairs of the sieves on p
+        self.sieves = [tuple((s, rank[s]) for s in poset.sieve_masks(p)) for p in range(n)]
+        # cuts[p][i]: the i-th downset meet the cone of p
+        self.cuts = [tuple([s & c for s in dmasks]) for c in down]
+
+
+# one entry, so the arrays of a poset live only until the next poset's are built
+_edge_ranks = lru_cache(maxsize=1)(_EdgeRanks)
+
+
+# -- the edge kernels ------------------------------------------------------
+
+
+def _subset_to_table(poset: Poset, x: int) -> Table:
+    r = _edge_ranks(poset)
+    imp = r.imp
+    return tuple([imp[x & ~s] for s in r.dmasks])
+
+
+def _table_to_subset(poset: Poset, table: Table) -> int:
+    r = _edge_ranks(poset)
+    dmasks = r.dmasks
+    out = 0
+    for p, k in enumerate(r.punctured):
+        if not dmasks[table[k]] >> p & 1:
+            out |= 1 << p
+    return out
+
+
+def _table_to_subset_alt(poset: Poset, table: Table) -> int:
+    r = _edge_ranks(poset)
+    out = 0
+    for p, k in enumerate(r.punctured):
+        if table[r.cone[p]] != table[k]:
+            out |= 1 << p
+    return out
+
+
+def _table_to_subset_via_topology(poset: Poset, table: Table) -> int:
+    r = _edge_ranks(poset)
+    dmasks = r.dmasks
+    down = poset._down
+    out = 0
+    for p, pairs in enumerate(r.sieves):
+        bit = 1 << p
+        if [s for s, k in pairs if dmasks[table[k]] & bit] == [down[p]]:
+            out |= bit
+    return out
+
+
+def _subset_to_families(poset: Poset, x: int) -> Families:
+    down = poset._down
+    fams = []
+    for p, pairs in enumerate(_edge_ranks(poset).sieves):
+        need = x & down[p]
+        fams.append(tuple([s for s, _ in pairs if not need & ~s]))
+    return tuple(fams)
+
+
+def _families_to_subset(poset: Poset, families: Families) -> int:
+    down = poset._down
+    out = 0
+    for p, fam in enumerate(families):
+        if fam == (down[p],):
+            out |= 1 << p
+    return out
+
+
+def _table_to_families(poset: Poset, table: Table) -> Families:
+    r = _edge_ranks(poset)
+    dmasks = r.dmasks
+    fams = []
+    for p, pairs in enumerate(r.sieves):
+        bit = 1 << p
+        fams.append(tuple([s for s, k in pairs if dmasks[table[k]] & bit]))
+    return tuple(fams)
+
+
+def _families_to_table(poset: Poset, families: Families) -> Table:
+    r = _edge_ranks(poset)
+    images = [0] * len(r.dmasks)
+    for p, fam in enumerate(families):
+        covers = set(fam)
+        bit = 1 << p
+        images = [m | bit if c in covers else m for m, c in zip(images, r.cuts[p])]
+    rank = r.rank
+    return tuple([rank[m] for m in images])
+
+
+# -- the public edges ------------------------------------------------------
 
 
 def subset_to_nucleus(x: Subset) -> Nucleus:
     """The nucleus S |-> (x -> S)."""
-    poset = x.poset
-    dmasks = poset.downset_masks()
-    rank = poset._dmask_pos
-    table = tuple(rank[implication_mask(poset, x.mask, s)] for s in dmasks)
-    return Nucleus._wrap(poset, table)
+    return Nucleus._wrap(x.poset, _subset_to_table(x.poset, x.mask))
 
 
 def nucleus_to_subset(j: Nucleus) -> Subset:
     """The points p not swallowed by j applied to everything strictly below p."""
-    poset = j.poset
-    dmasks = poset.downset_masks()
-    rank = poset._dmask_pos
-    out = 0
-    for p in range(poset.n):
-        punctured = poset._down[p] & ~(1 << p)
-        if not dmasks[j.table[rank[punctured]]] >> p & 1:
-            out |= 1 << p
-    return Subset._wrap(poset, out)
+    return Subset._wrap(j.poset, _table_to_subset(j.poset, j.table))
 
 
 def nucleus_to_subset_alt(j: Nucleus) -> Subset:
     """Alternate extraction: p where j separates the cone of p from the punctured cone."""
-    poset = j.poset
-    poset.downset_masks()  # fills poset._dmask_pos
-    rank = poset._dmask_pos
-    out = 0
-    for p in range(poset.n):
-        cone = poset._down[p]
-        if j.table[rank[cone]] != j.table[rank[cone & ~(1 << p)]]:
-            out |= 1 << p
-    return Subset._wrap(poset, out)
+    return Subset._wrap(j.poset, _table_to_subset_alt(j.poset, j.table))
 
 
 def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
@@ -110,69 +209,27 @@ def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
     principal downset be the only sieve S on p with p in j(S); this
     evaluates that condition directly.
     """
-    poset = j.poset
-    dmasks = poset.downset_masks()
-    rank = poset._dmask_pos
-    out = 0
-    for p in range(poset.n):
-        cone = poset._down[p]
-        bit = 1 << p
-        if all(
-            bool(dmasks[j.table[rank[s]]] & bit) == (s == cone)
-            for s in poset.sieve_masks(p)
-        ):
-            out |= bit
-    return Subset._wrap(poset, out)
+    return Subset._wrap(j.poset, _table_to_subset_via_topology(j.poset, j.table))
 
 
 def subset_to_topology(x: Subset) -> GrothendieckTopology:
     """Covers at p are the sieves containing x cut down to the cone of p."""
-    poset = x.poset
-    fams = []
-    for p in range(poset.n):
-        need = x.mask & poset._down[p]
-        fams.append(tuple(s for s in poset.sieve_masks(p) if not need & ~s))
-    return GrothendieckTopology._wrap(poset, tuple(fams))
+    return GrothendieckTopology._wrap(x.poset, _subset_to_families(x.poset, x.mask))
 
 
 def topology_to_subset(J: GrothendieckTopology) -> Subset:
     """The points covered by nothing but their own principal downset."""
-    poset = J.poset
-    out = 0
-    for p in range(poset.n):
-        if J.families[p] == (poset._down[p],):
-            out |= 1 << p
-    return Subset._wrap(poset, out)
+    return Subset._wrap(J.poset, _families_to_subset(J.poset, J.families))
 
 
 def nucleus_to_topology(j: Nucleus) -> GrothendieckTopology:
     """Covers at p are the sieves sent over p by the nucleus."""
-    poset = j.poset
-    dmasks = poset.downset_masks()
-    rank = poset._dmask_pos
-    fams = []
-    for p in range(poset.n):
-        bit = 1 << p
-        fams.append(
-            tuple(s for s in poset.sieve_masks(p) if dmasks[j.table[rank[s]]] & bit)
-        )
-    return GrothendieckTopology._wrap(poset, tuple(fams))
+    return GrothendieckTopology._wrap(j.poset, _table_to_families(j.poset, j.table))
 
 
 def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
     """j(S) collects the points where S pulls back to a covering sieve."""
-    poset = J.poset
-    fam_sets = [set(f) for f in J.families]
-    dmasks = poset.downset_masks()
-    rank = poset._dmask_pos
-    table = []
-    for s in dmasks:
-        m = 0
-        for p in range(poset.n):
-            if s & poset._down[p] in fam_sets[p]:
-                m |= 1 << p
-        table.append(rank[m])
-    return Nucleus._wrap(poset, tuple(table))
+    return Nucleus._wrap(J.poset, _families_to_table(J.poset, J.families))
 
 
 # -- the verifier ----------------------------------------------------------
@@ -202,9 +259,6 @@ class TriangleReport:
     def all_passed(self) -> bool:
         return all(law.passed for law in self.laws)
 
-    def failures(self) -> tuple[LawResult, ...]:
-        return tuple(law for law in self.laws if not law.passed)
-
     def to_jsonable(self) -> dict[str, Any]:
         poset = self.poset
         return {
@@ -227,19 +281,28 @@ def _law(name: str, witness: dict[str, Any] | None) -> LawResult:
     return LawResult(name, witness is None, witness)
 
 
-def _memo(compute, key):
-    """``compute`` cached on ``key(value)``: each distinct key is computed once."""
-    seen = {}
+class _Lazy(dict):
+    """``fn(poset, key)`` for each key read, computed the first time it is read."""
 
-    def get(value):
-        k = key(value)
-        try:
-            return seen[k]
-        except KeyError:
-            out = seen[k] = compute(value)
-            return out
+    __slots__ = ("fn", "poset")
 
-    return get
+    def __init__(self, fn, poset: Poset):
+        super().__init__()
+        self.fn = fn
+        self.poset = poset
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(self.poset, key)
+        return value
+
+
+def _failure(check, poset: Poset, value) -> dict[str, Any] | None:
+    """The witness of a failed validator core, or None if ``value`` passes."""
+    try:
+        check(poset, value)
+    except TriposetError as exc:
+        return {"error": str(exc), "kind": type(exc).__name__}
+    return None
 
 
 def verify_triangle(
@@ -255,80 +318,78 @@ def verify_triangle(
     against the independent axiom-census enumerators.  A failing law
     records a minimal witness and the remaining laws still run.
 
-    Within one call every edge runs at most once per distinct input and
-    every distinct nucleus table or topology is validated at most once,
-    on its masks; the laws read those results from per-call tables keyed
-    by ``Subset.mask``, ``Nucleus.table`` and
-    ``GrothendieckTopology.families``.  Both enumeration caps are checked
-    before any work starts.
+    The laws run on raw values: subset masks, nucleus tables and family
+    tuples.  Each edge kernel and each validator core fills one table that
+    lasts this call, so within a call it runs at most once per distinct
+    input, first for the same law as in a law-by-law check.  Subset,
+    Nucleus and GrothendieckTopology objects are built only to serialize a
+    witness.  Both enumeration caps are checked before any work starts.
     """
     t0 = perf_counter()
     _require_nucleus_cap(poset, nucleus_cap)
     _require_topology_cap(poset, topology_cap)
     n = poset.n
-    subsets = poset.subsets()
-    nuclei = enumerate_nuclei(poset, cap=nucleus_cap)
-    topologies = enumerate_topologies(poset, cap=topology_cap)
-    counts = {
-        "subsets": len(subsets),
-        "nuclei": len(nuclei),
-        "topologies": len(topologies),
-    }
+    xs = [x.mask for x in poset.subsets()]
+    tables = [j.table for j in enumerate_nuclei(poset, cap=nucleus_cap)]
+    fams = [J.families for J in enumerate_topologies(poset, cap=topology_cap)]
+    counts = {"subsets": len(xs), "nuclei": len(tables), "topologies": len(fams)}
 
-    mask = attrgetter("mask")
-    table = attrgetter("table")
-    families = attrgetter("families")
-    s2n = _memo(subset_to_nucleus, mask)
-    s2t = _memo(subset_to_topology, mask)
-    n2s = _memo(nucleus_to_subset, table)
-    n2t = _memo(nucleus_to_topology, table)
-    t2s = _memo(topology_to_subset, families)
-    t2n = _memo(topology_to_nucleus, families)
-    alt = _memo(nucleus_to_subset_alt, table)
-    via = _memo(nucleus_to_subset_via_topology, table)
-
-    def checked(validate, arg):
-        try:
-            validate(poset, arg)
-        except TriposetError as exc:
-            return {"error": str(exc), "kind": type(exc).__name__}
-        return None
-
+    s2n = _Lazy(_subset_to_table, poset)
+    s2t = _Lazy(_subset_to_families, poset)
+    n2s = _Lazy(_table_to_subset, poset)
+    n2t = _Lazy(_table_to_families, poset)
+    t2s = _Lazy(_families_to_subset, poset)
+    t2n = _Lazy(_families_to_table, poset)
+    alt = _Lazy(_table_to_subset_alt, poset)
+    via = _Lazy(_table_to_subset_via_topology, poset)
     dmasks = poset.downset_masks()
-    nucleus_failure = _memo(
-        lambda j: checked(_check_nucleus, [dmasks[t] for t in j.table]), table
+    nucleus_failure = _Lazy(
+        lambda poset, t: _failure(_check_nucleus, poset, [dmasks[i] for i in t]), poset
     )
-    topology_failure = _memo(lambda J: checked(_check_topology, J.families), families)
+    topology_failure = _Lazy(lambda poset, f: _failure(_check_topology, poset, f), poset)
 
-    def roundtrip(values, there, back, key):
+    def subset_json(x):
+        return Subset._wrap(poset, x).to_jsonable()
+
+    def nucleus_json(t):
+        return Nucleus._wrap(poset, t).to_jsonable()
+
+    def topology_json(f):
+        return GrothendieckTopology._wrap(poset, f).to_jsonable()
+
+    # (values, witness key, serializer) for each corner of the triangle
+    subsets = (xs, "subset", subset_json)
+    nuclei = (tables, "nucleus", nucleus_json)
+    topologies = (fams, "topology", topology_json)
+
+    def roundtrip(kind, there, back):
+        values, key, show = kind
         for v in values:
-            got = back(there(v))
+            got = back[there[v]]
             if got != v:
-                return {key: v.to_jsonable(), "got": got.to_jsonable()}
+                return {key: show(v), "got": show(got)}
         return None
 
-    def agree(values, key, name_a, a, name_b, b):
+    def agree(kind, target, name_a, a, name_b, b):
+        values, key, show_in = kind
+        show = target[2]
         for v in values:
             got_a, got_b = a(v), b(v)
             if got_a != got_b:
-                return {
-                    key: v.to_jsonable(),
-                    name_a: got_a.to_jsonable(),
-                    name_b: got_b.to_jsonable(),
-                }
+                return {key: show_in(v), name_a: show(got_a), name_b: show(got_b)}
         return None
 
     def extraction_agreement(other):
-        for i, j in enumerate(nuclei):
-            direct = n2s(j)
-            got = other(j)
+        for i, t in enumerate(tables):
+            direct = n2s[t]
+            got = other[t]
             if got != direct:
-                diff = direct.mask ^ got.mask
+                diff = direct ^ got
                 p = (diff & -diff).bit_length() - 1
                 return {
-                    "nucleus": j.to_jsonable(),
-                    "direct": direct.to_jsonable(),
-                    "other": got.to_jsonable(),
+                    "nucleus": nucleus_json(t),
+                    "direct": subset_json(direct),
+                    "other": subset_json(got),
                     "first_difference": poset.labels[p],
                     "nucleus_index": i,
                 }
@@ -340,47 +401,51 @@ def verify_triangle(
         return None
 
     def bijection(edge, census):
-        image = {edge(x) for x in subsets}
-        if len(image) != len(subsets):
+        image = {edge[x] for x in xs}
+        if len(image) != len(xs):
             return {"reason": "not injective", "image_size": len(image)}
         if image != set(census):
             return {"reason": "image differs from enumeration"}
         return None
 
-    def validity(values, edge, failure):
+    def validity(kind, edge, failure):
+        values, _, show = kind
         for v in values:
-            witness = failure(edge(v))
+            witness = failure[edge[v]]
             if witness is not None:
-                return {"input": v.to_jsonable(), **witness}
+                return {"input": show(v), **witness}
         return None
 
-    # evaluated in order: the tables fill as the laws run, so an edge or a
-    # validator is first called by the same law as in a law-by-law check
+    # evaluated in order: the tables fill as the laws run, so a kernel or a
+    # validator core is first called by the same law as in a law-by-law check
     laws = (
-        _law("subset_nucleus_roundtrip", roundtrip(subsets, s2n, n2s, "subset")),
-        _law("subset_topology_roundtrip", roundtrip(subsets, s2t, t2s, "subset")),
-        _law("nucleus_roundtrip", roundtrip(nuclei, n2s, s2n, "nucleus")),
-        _law("topology_roundtrip", roundtrip(topologies, t2s, s2t, "topology")),
-        _law("nucleus_topology_roundtrip", roundtrip(nuclei, n2t, t2n, "nucleus")),
-        _law("topology_nucleus_roundtrip", roundtrip(topologies, t2n, n2t, "topology")),
+        _law("subset_nucleus_roundtrip", roundtrip(subsets, s2n, n2s)),
+        _law("subset_topology_roundtrip", roundtrip(subsets, s2t, t2s)),
+        _law("nucleus_roundtrip", roundtrip(nuclei, n2s, s2n)),
+        _law("topology_roundtrip", roundtrip(topologies, t2s, s2t)),
+        _law("nucleus_topology_roundtrip", roundtrip(nuclei, n2t, t2n)),
+        _law("topology_nucleus_roundtrip", roundtrip(topologies, t2n, n2t)),
         _law(
             "triangle_commutes_via_nucleus",
-            agree(subsets, "subset", "via_nucleus", lambda x: n2t(s2n(x)), "direct", s2t),
+            agree(subsets, topologies, "via_nucleus", lambda x: n2t[s2n[x]],
+                  "direct", s2t.__getitem__),
         ),
         _law(
             "triangle_commutes_via_topology",
-            agree(subsets, "subset", "via_topology", lambda x: t2n(s2t(x)), "direct", s2n),
+            agree(subsets, nuclei, "via_topology", lambda x: t2n[s2t[x]],
+                  "direct", s2n.__getitem__),
         ),
         _law("identity_composite", extraction_agreement(via)),
         _law("identity_alt", extraction_agreement(alt)),
         _law(
             "composite_cross_check",
-            agree(nuclei, "nucleus", "literal", lambda j: t2s(n2t(j)), "closed_form", via),
+            agree(nuclei, subsets, "literal", lambda t: t2s[n2t[t]],
+                  "closed_form", via.__getitem__),
         ),
-        _law("nucleus_count", count(len(nuclei))),
-        _law("topology_count", count(len(topologies))),
-        _law("nucleus_bijection", bijection(s2n, nuclei)),
-        _law("topology_bijection", bijection(s2t, topologies)),
+        _law("nucleus_count", count(len(tables))),
+        _law("topology_count", count(len(fams))),
+        _law("nucleus_bijection", bijection(s2n, tables)),
+        _law("topology_bijection", bijection(s2t, fams)),
         _law("subset_to_nucleus_valid", validity(subsets, s2n, nucleus_failure)),
         _law("subset_to_topology_valid", validity(subsets, s2t, topology_failure)),
         _law("nucleus_to_topology_valid", validity(nuclei, n2t, topology_failure)),

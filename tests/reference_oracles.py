@@ -6,13 +6,18 @@ enumerator checks transitivity only on completed assignments, and the
 validators test sieve-hood and downset-hood by walking bits and scan every
 sieve of a witness for transitivity.  :func:`reference_enumerate_nuclei` is
 the nucleus search as it was before it moved to the meet-irreducible
-downsets: it assigns one image per downset in canonical order.  They are
-kept so tests can check that the optimised oracles give the same lists, in
-the same order, and raise the same errors with the same witnesses.
+downsets: it assigns one image per downset in canonical order.
+:func:`reference_enumerate_posets` is the labeled-poset stream as it was
+before it pruned by triples: every state of the full product, filtered for
+transitivity.  They are kept so tests can check that the optimised oracles
+give the same lists, in the same order, and raise the same errors with the
+same witnesses.
 """
 
 from __future__ import annotations
 
+import itertools
+import string
 from collections.abc import Mapping
 
 from triposet.errors import (
@@ -28,7 +33,7 @@ from triposet.errors import (
     TransitivityFailError,
 )
 from triposet.nucleus import DEFAULT_NUCLEUS_CAP, Nucleus
-from triposet.poset import DownSet, Subset, _bits
+from triposet.poset import DownSet, Poset, Subset, _bits
 from triposet.topology import DEFAULT_TOPOLOGY_CAP, GrothendieckTopology
 
 
@@ -267,3 +272,31 @@ def reference_enumerate_nuclei(poset, cap=DEFAULT_NUCLEUS_CAP):
 
     rec(0)
     return out
+
+
+def _is_transitive(down):
+    for q in range(len(down)):
+        m = down[q]
+        t = m
+        while t:
+            low = t & -t
+            if down[low.bit_length() - 1] & ~m:
+                return False
+            t ^= low
+    return True
+
+
+def reference_enumerate_posets(n):
+    """Every labeled poset on ``n`` elements: all 3**(n choose 2) states, filtered."""
+    labels = tuple(string.ascii_lowercase[:n])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    base = [1 << i for i in range(n)]
+    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+        down = base.copy()
+        for (i, j), s in zip(pairs, states):
+            if s == 1:
+                down[j] |= 1 << i  # i below j
+            elif s == 2:
+                down[i] |= 1 << j  # j below i
+        if _is_transitive(down):
+            yield Poset(labels, down)

@@ -1,13 +1,18 @@
-"""Slow reference for :func:`triposet.triangle.verify_triangle`.
+"""Slow references for :mod:`triposet.triangle`.
 
-This is the law suite written one law at a time, each law recomputing the
-conversions it needs and validating every value it meets.  It is kept only
-so tests can check that the memoized engine reports the same laws, in the
-same order, with the same witnesses.
-
-Edges and validators are looked up on the ``triangle`` module at call
-time, so a test that monkeypatches ``triangle.<edge>`` changes this
+:func:`reference_verify_triangle` is the law suite written one law at a
+time, each law recomputing the conversions it needs through the public
+edges and validating every value it meets.  It is kept only so tests can
+check that the table-driven engine reports the same laws, in the same
+order, with the same witnesses.  Edges and validators are looked up on the
+``triangle`` module at call time, and each public edge looks up its kernel
+there, so a test that monkeypatches ``triangle.<kernel>`` changes this
 reference and the engine alike.
+
+:data:`REFERENCE_EDGES` holds the eight edges as they were before they
+moved onto per-poset rank arrays: object in, object out, recomputing
+every implication, rank and sieve list on each call.  Tests hold the
+kernels to them.
 """
 
 from __future__ import annotations
@@ -16,8 +21,106 @@ from time import perf_counter
 
 from triposet import triangle as T
 from triposet.errors import NucleusAxiomError, TopologyAxiomError, TriposetError
-from triposet.nucleus import DEFAULT_NUCLEUS_CAP, enumerate_nuclei
-from triposet.topology import DEFAULT_TOPOLOGY_CAP, enumerate_topologies
+from triposet.heyting import implication_mask
+from triposet.nucleus import DEFAULT_NUCLEUS_CAP, Nucleus, enumerate_nuclei
+from triposet.poset import Subset
+from triposet.topology import DEFAULT_TOPOLOGY_CAP, GrothendieckTopology, enumerate_topologies
+
+
+def _subset_to_nucleus(x):
+    poset = x.poset
+    rank = poset.downset_rank
+    return Nucleus._wrap(
+        poset,
+        tuple(rank(implication_mask(poset, x.mask, s)) for s in poset.downset_masks()),
+    )
+
+
+def _image(j, s):
+    poset = j.poset
+    return poset.downset_masks()[j.table[poset.downset_rank(s)]]
+
+
+def _nucleus_to_subset(j):
+    poset = j.poset
+    out = 0
+    for p in range(poset.n):
+        if not _image(j, poset._down[p] & ~(1 << p)) >> p & 1:
+            out |= 1 << p
+    return Subset._wrap(poset, out)
+
+
+def _nucleus_to_subset_alt(j):
+    poset = j.poset
+    out = 0
+    for p in range(poset.n):
+        cone = poset._down[p]
+        if _image(j, cone) != _image(j, cone & ~(1 << p)):
+            out |= 1 << p
+    return Subset._wrap(poset, out)
+
+
+def _nucleus_to_subset_via_topology(j):
+    poset = j.poset
+    out = 0
+    for p in range(poset.n):
+        cone = poset._down[p]
+        if all(
+            bool(_image(j, s) >> p & 1) == (s == cone) for s in poset.sieve_masks(p)
+        ):
+            out |= 1 << p
+    return Subset._wrap(poset, out)
+
+
+def _subset_to_topology(x):
+    poset = x.poset
+    fams = []
+    for p in range(poset.n):
+        need = x.mask & poset._down[p]
+        fams.append(tuple(s for s in poset.sieve_masks(p) if not need & ~s))
+    return GrothendieckTopology._wrap(poset, tuple(fams))
+
+
+def _topology_to_subset(J):
+    poset = J.poset
+    out = 0
+    for p in range(poset.n):
+        if J.families[p] == (poset._down[p],):
+            out |= 1 << p
+    return Subset._wrap(poset, out)
+
+
+def _nucleus_to_topology(j):
+    poset = j.poset
+    fams = tuple(
+        tuple(s for s in poset.sieve_masks(p) if _image(j, s) >> p & 1)
+        for p in range(poset.n)
+    )
+    return GrothendieckTopology._wrap(poset, fams)
+
+
+def _topology_to_nucleus(J):
+    poset = J.poset
+    table = []
+    for s in poset.downset_masks():
+        m = 0
+        for p in range(poset.n):
+            if s & poset._down[p] in J.families[p]:
+                m |= 1 << p
+        table.append(poset.downset_rank(m))
+    return Nucleus._wrap(poset, tuple(table))
+
+
+REFERENCE_EDGES = {
+    "subset_to_nucleus": _subset_to_nucleus,
+    "nucleus_to_subset": _nucleus_to_subset,
+    "subset_to_topology": _subset_to_topology,
+    "topology_to_subset": _topology_to_subset,
+    "nucleus_to_topology": _nucleus_to_topology,
+    "topology_to_nucleus": _topology_to_nucleus,
+    "nucleus_to_subset_alt": _nucleus_to_subset_alt,
+    "nucleus_to_subset_via_topology": _nucleus_to_subset_via_topology,
+}
 
 
 def _law(name, finder):

@@ -7,13 +7,15 @@ hold them to the pre-rewrite code: the same nucleus and topology lists in
 the same order, and for every one-entry change of a valid table or family
 set, the same exception with the same message and witnesses, or the same
 accepted value.  The validators' mask cores, which ``verify_triangle``
-calls, are held to the public validators on the same changes.
+calls, are held to the public validators on the same changes.  The
+pruned labeled-poset stream is held to the filtered product, in order.
 """
 
 import pytest
 
 from reference_oracles import (
     reference_enumerate_nuclei,
+    reference_enumerate_posets,
     reference_enumerate_topologies,
     reference_validate_nucleus,
     reference_validate_topology,
@@ -34,7 +36,7 @@ from triposet import (
     validate_nucleus,
     validate_topology,
 )
-from triposet.errors import TriposetError
+from triposet.errors import NotMeetPreservingError, TriposetError
 from triposet.nucleus import _check_nucleus
 from triposet.topology import _check_topology
 
@@ -107,6 +109,12 @@ def test_large_nucleus_lists_match_the_reference_in_order(poset, cap):
     _nucleus_lists_match(poset, cap)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_poset_stream_matches_the_filtered_product_in_order(n):
+    got = [(p.labels, p._down) for p in enumerate_posets(n, cap=5)]
+    assert got == [(p.labels, p._down) for p in reference_enumerate_posets(n)]
+
+
 def test_enumerated_topologies_match_the_reference_in_order():
     checked = 0
     for poset in enumeration_posets():
@@ -172,6 +180,25 @@ def test_nucleus_validators_agree_on_every_one_entry_change(diamond):
                         assert got == want == core
                         rejected += 1
     assert accepted and rejected
+
+
+@pytest.mark.parametrize(
+    "validate",
+    [
+        validate_nucleus,
+        reference_validate_nucleus,
+        lambda poset, table: _check_nucleus(poset, [table[s].mask for s in poset.downsets()]),
+    ],
+    ids=["public", "reference", "core"],
+)
+def test_inflationary_idempotent_map_that_breaks_meets(antichain2, validate):
+    # j({}) = {} and everything else to P: j({a} & {b}) = {} but j({a}) & j({b}) = P
+    full = antichain2.downset("ab")
+    table = {d: d if not d else full for d in antichain2.downsets()}
+    with pytest.raises(NotMeetPreservingError) as exc:
+        validate(antichain2, table)
+    assert exc.value.left == antichain2.downset("a")
+    assert exc.value.right == antichain2.downset("b")
 
 
 def test_trusted_values_equal_what_the_checking_constructors_build(diamond):

@@ -1,31 +1,43 @@
-"""The memoized ``verify_triangle`` against the law-by-law reference.
+"""The table-driven ``verify_triangle`` against the law-by-law reference.
 
-The engine computes each edge once per distinct input and validates each
+The engine runs each edge kernel once per distinct input and validates each
 distinct nucleus table or topology once, on its masks.  These tests hold it
 to the slow reference in ``reference_triangle.py``: same reports on a fixed
-poset set, same failures when one edge is broken, and no edge or validator
-core called twice on the same input.  An oversize job is refused before
-anything is enumerated.
+poset set, same failures when one kernel is broken, and no kernel or
+validator core called twice on the same input.  The kernels are held to the
+object-level edges they replaced, and each public edge to its wrapped
+kernel.  An oversize job is refused before anything is enumerated.
 """
 
 from collections import Counter
 
 import pytest
 
-from reference_triangle import reference_verify_triangle
-from triposet import Nucleus, Subset, build_poset, enumerate_posets, triangle
+from reference_triangle import REFERENCE_EDGES, reference_verify_triangle
+from triposet import (
+    GrothendieckTopology,
+    Nucleus,
+    Subset,
+    build_poset,
+    enumerate_nuclei,
+    enumerate_posets,
+    enumerate_topologies,
+    triangle,
+)
 from triposet.errors import CapExceededError
 
-EDGES = (
-    "subset_to_nucleus",
-    "nucleus_to_subset",
-    "subset_to_topology",
-    "topology_to_subset",
-    "nucleus_to_topology",
-    "topology_to_nucleus",
-    "nucleus_to_subset_alt",
-    "nucleus_to_subset_via_topology",
-)
+# public edge -> (kernel, input attribute, class of the result)
+EDGES = {
+    "subset_to_nucleus": ("_subset_to_table", "mask", Nucleus),
+    "nucleus_to_subset": ("_table_to_subset", "table", Subset),
+    "subset_to_topology": ("_subset_to_families", "mask", GrothendieckTopology),
+    "topology_to_subset": ("_families_to_subset", "families", Subset),
+    "nucleus_to_topology": ("_table_to_families", "table", GrothendieckTopology),
+    "topology_to_nucleus": ("_families_to_table", "families", Nucleus),
+    "nucleus_to_subset_alt": ("_table_to_subset_alt", "table", Subset),
+    "nucleus_to_subset_via_topology": ("_table_to_subset_via_topology", "table", Subset),
+}
+KERNELS = tuple(kernel for kernel, _, _ in EDGES.values())
 
 
 def chain(n):
@@ -58,39 +70,66 @@ def test_engine_matches_reference_on_the_sample():
     assert checked == 243 + 142
 
 
-def _key(value):
-    for attr in ("mask", "table", "families"):
-        if hasattr(value, attr):
-            return getattr(value, attr)
-    raise TypeError(value)
+def _inputs(poset):
+    return {
+        "mask": poset.subsets(),
+        "table": enumerate_nuclei(poset),
+        "families": enumerate_topologies(poset),
+    }
+
+
+def _result(cls, value):
+    return value.mask if cls is Subset else value.table if cls is Nucleus else value.families
+
+
+def test_each_public_edge_is_its_wrapped_kernel(diamond):
+    posets = [p for n in range(4) for p in enumerate_posets(n)] + [diamond]
+    for poset in posets:
+        inputs = _inputs(poset)
+        for edge, (kernel, attr, cls) in EDGES.items():
+            for value in inputs[attr]:
+                got = getattr(triangle, edge)(value)
+                assert type(got) is cls and got.poset is poset
+                assert _result(cls, got) == getattr(triangle, kernel)(poset, getattr(value, attr))
+
+
+def test_kernels_match_the_object_level_edges(diamond):
+    posets = [p for n in range(5) for p in enumerate_posets(n)] + [diamond]
+    for poset in posets:
+        inputs = _inputs(poset)
+        for edge, (kernel, attr, cls) in EDGES.items():
+            reference = REFERENCE_EDGES[edge]
+            for value in inputs[attr]:
+                want = _result(cls, reference(value))
+                assert getattr(triangle, kernel)(poset, getattr(value, attr)) == want, edge
 
 
 def _break_nucleus_to_subset(poset, original):
-    target = triangle.subset_to_nucleus(poset.subset(["a"])).table
+    target = triangle._subset_to_table(poset, poset.subset(["a"]).mask)
 
-    def broken(j):
-        got = original(j)
-        return Subset._wrap(poset, got.mask ^ 1) if j.table == target else got
+    def broken(p, table):
+        got = original(p, table)
+        return got ^ 1 if table == target else got
 
     return broken
 
 
 def _break_subset_to_topology(poset, original):
-    target, other = poset.subset(["a"]).mask, poset.subset(["b"])
+    target, other = poset.subset(["a"]).mask, poset.subset(["b"]).mask
 
-    def broken(x):
-        return original(other if x.mask == target else x)
+    def broken(p, x):
+        return original(p, other if x == target else x)
 
     return broken
 
 
 def _break_topology_to_nucleus(poset, original):
-    target = triangle.subset_to_topology(poset.subset(["a"])).families
+    target = triangle._subset_to_families(poset, poset.subset(["a"]).mask)
     # everything to the empty downset: not inflationary, so not a nucleus
-    bad = Nucleus(poset, [0] * len(poset.downset_masks()))
+    bad = (0,) * len(poset.downset_masks())
 
-    def broken(J):
-        return bad if J.families == target else original(J)
+    def broken(p, families):
+        return bad if families == target else original(p, families)
 
     return broken
 
@@ -127,41 +166,34 @@ def _break_topology_to_nucleus(poset, original):
     ],
 )
 def test_a_broken_edge_fails_the_same_laws(diamond, monkeypatch, edge, breaker, failing):
-    monkeypatch.setattr(triangle, edge, breaker(diamond, getattr(triangle, edge)))
+    kernel = EDGES[edge][0]
+    monkeypatch.setattr(triangle, kernel, breaker(diamond, getattr(triangle, kernel)))
     engine = triangle.verify_triangle(diamond)
-    assert [law.name for law in engine.failures()] == failing
+    assert [law.name for law in engine.laws if not law.passed] == failing
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
 def test_each_edge_and_validator_runs_once_per_distinct_input(diamond, monkeypatch):
-    calls = {name: Counter() for name in (*EDGES, "_check_nucleus", "_check_topology")}
+    calls = {name: Counter() for name in (*KERNELS, "_check_nucleus", "_check_topology")}
 
     def counting(name, fn, key):
-        def wrapper(*args):
-            calls[name][key(*args)] += 1
-            return fn(*args)
+        def wrapper(poset, value):
+            calls[name][key(value)] += 1
+            return fn(poset, value)
 
         return wrapper
 
-    for name in EDGES:
-        monkeypatch.setattr(triangle, name, counting(name, getattr(triangle, name), _key))
-    monkeypatch.setattr(
-        triangle,
-        "_check_nucleus",
-        counting("_check_nucleus", triangle._check_nucleus, lambda poset, images: tuple(images)),
-    )
-    monkeypatch.setattr(
-        triangle,
-        "_check_topology",
-        counting("_check_topology", triangle._check_topology, lambda poset, fams: tuple(fams)),
-    )
+    for name in KERNELS:
+        monkeypatch.setattr(triangle, name, counting(name, getattr(triangle, name), lambda v: v))
+    for name in ("_check_nucleus", "_check_topology"):
+        monkeypatch.setattr(triangle, name, counting(name, getattr(triangle, name), tuple))
     assert triangle.verify_triangle(diamond).all_passed
     for name, counter in calls.items():
         assert counter, f"{name} was never called"
         key, most = counter.most_common(1)[0]
         assert most == 1, f"{name} ran {most} times on one input {key!r}"
     # 16 subsets, 16 nuclei and 16 topologies on the diamond
-    assert len(calls["subset_to_nucleus"]) == 16
+    assert len(calls["_subset_to_table"]) == 16
     assert len(calls["_check_nucleus"]) == 16
     assert len(calls["_check_topology"]) == 16
 
