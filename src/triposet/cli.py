@@ -166,26 +166,25 @@ def _cmd_sieves(args, out, parser) -> int:
     return _print_downsets(poset.sieves(poset.index(args.point)), args, out)
 
 
+# kind: (values of a poset, heading of each value or None, print one value);
+# the enumerators are looked up when called, so a wrapped cli.enumerate_* is seen
+_ENUMERATIONS = {
+    "subsets": (lambda poset: poset.subsets(), None, lambda x, out: print(x, file=out)),
+    "nuclei": (lambda poset: enumerate_nuclei(poset), "nucleus", _print_nucleus),
+    "topologies": (lambda poset: enumerate_topologies(poset), "topology", _print_topology),
+}
+
+
 def _cmd_enumerate(args, out, parser) -> int:
-    poset = _read_poset(args.file)
-    if args.kind == "subsets":
-        values = list(poset.subsets())
-    elif args.kind == "nuclei":
-        values = enumerate_nuclei(poset)
-    else:
-        values = enumerate_topologies(poset)
+    values_of, heading, print_value = _ENUMERATIONS[args.kind]
+    values = values_of(_read_poset(args.file))
     if args.json:
         _print_json([to_jsonable(v) for v in values], out)
         return 0
     for i, v in enumerate(values):
-        if args.kind == "subsets":
-            print(v, file=out)
-        elif args.kind == "nuclei":
-            print(f"nucleus {i}:", file=out)
-            _print_nucleus(v, out)
-        else:
-            print(f"topology {i}:", file=out)
-            _print_topology(v, out)
+        if heading:
+            print(f"{heading} {i}:", file=out)
+        print_value(v, out)
     return 0
 
 

@@ -15,7 +15,7 @@ and is intentionally independent of any conversion routines.
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
     CapExceededError,
@@ -34,26 +34,11 @@ __all__ = [
     "validate_topology",
 ]
 
-DEFAULT_TOPOLOGY_CAP = 5  # poset size; the family product explodes beyond this
+DEFAULT_TOPOLOGY_CAP = 5  # poset size; the result holds 2**n topologies, one per subset
 
 
 def _canon(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
-
-
-def _covered(
-    r: int, points: Iterable[int], down: Sequence[int], fams: Sequence[Container[int]]
-) -> int:
-    """The mask of the ``points`` q where the sieve ``r`` pulls back into ``fams[q]``.
-
-    With the points of the cone of p, a sieve R on p outside J(p) breaks
-    transitivity exactly when some S in J(p) lies inside this mask.
-    """
-    covered = 0
-    for q in points:
-        if r & down[q] in fams[q]:
-            covered |= 1 << q
-    return covered
 
 
 class GrothendieckTopology:
@@ -191,7 +176,12 @@ def _check_topology(
         for r in poset.sieve_masks(p):
             if r in fam_sets[p]:
                 continue
-            covered = _covered(r, cones[p], down, fam_sets)
+            # the points where r pulls back to a cover: r breaks
+            # transitivity exactly when some S in J(p) lies inside them
+            covered = 0
+            for q in cones[p]:
+                if r & down[q] in fam_sets[q]:
+                    covered |= 1 << q
             for s in fam_masks[p]:
                 if not s & ~covered:
                     raise TransitivityFailError(
@@ -214,91 +204,59 @@ def enumerate_topologies(
 ) -> list[GrothendieckTopology]:
     """Every Grothendieck topology on the poset, in canonical order.
 
-    Points are processed along a linear extension (everything below a point
-    first), so when a family is chosen for ``p`` every J(q) with q < p is
-    already fixed.  Stability and transitivity at ``p`` read only those
-    families and J(p) itself (a witness sieve lies in the cone of ``p``, and
-    its pullbacks land on points below ``p``), so both axioms are decided on
-    the spot: only sieves whose pullbacks are all covered remain candidates,
-    and only candidate families that are transitive at ``p`` are kept.
-    Every assignment that reaches a leaf is therefore a topology.
+    Covering sieves are closed under intersection: if R and S cover p, then
+    for each q in R the pullback of R & S to q is that of S, which covers q
+    by stability, so transitivity along R makes R & S cover p.  On a finite
+    poset J(p) therefore has a least sieve m_p, and it is exactly the sieves
+    on p that contain m_p: such a sieve pulls back to the whole principal
+    downset of each q in m_p, which covers q.  So the search chooses one
+    generator m_p per point, along a linear extension (everything below a
+    point first), and keeps it when
 
-    Within a point, families are the upward-closed subsets of the allowed
-    sieves that contain the maximal sieve.  Upward closure is forced by the
-    axioms (a superset of a covering sieve pulls back to whole principal
-    downsets, which maximality covers), so restricting to it loses nothing;
-    it just keeps the family count near the answer instead of near the
-    powerset.  The families kept at ``p`` depend only on the families below
-    it, and the same lower configuration recurs across branches, so the
-    list is memoised within the call on that configuration.
+    * stability holds: m_q is inside m_p for every q < p, because m_p pulls
+      back to m_p & (down q), which must contain m_q;
+    * transitivity holds: m_p is the principal downset of p, or m_p lies in
+      the union of the m_q over the points q of m_p.  That union is the
+      least sieve whose pullback to every q in m_p covers q, so it must
+      cover p.
+
+    Both conditions read only generators already chosen below p, so every
+    assignment that reaches a leaf is a topology, and every topology is
+    reached once.
     """
     _require_topology_cap(poset, cap)
     n = poset.n
     down = poset._down
     order = sorted(range(n), key=lambda p: (down[p].bit_count(), p))
-    sieves = [poset.sieve_masks(p) for p in range(n)]
-    fam: list[frozenset[int] | None] = [None] * n
-    canon: list[tuple[int, ...]] = [()] * n
-    memo: dict[tuple, list[tuple[frozenset[int], tuple[int, ...]]]] = {}
+    # per point, each sieve m on it with the sieves on it that contain m
+    covering = []
+    for p in range(n):
+        sieves = poset.sieve_masks(p)
+        covering.append([(m, tuple(s for s in sieves if not m & ~s)) for m in sieves])
+    gen = [0] * n
+    fams: list[tuple[int, ...]] = [()] * n
     results: list[GrothendieckTopology] = []
 
-    def families_at(p: int) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-        full = down[p]
-        below = full & ~(1 << p)
-        lower = tuple(_bits(below))
-        key = (p, *(fam[q] for q in lower))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        # points below p only: a sieve outside J(p) never pulls back into J(p)
-        covered = {r: _covered(r, lower, down, fam) for r in sieves[p]}
-        allowed = [s for s in sieves[p] if s == full or not below & ~covered[s]]
-        # supersets first, so including a sieve can insist on its strict supersets
-        elems = sorted(allowed, key=lambda m: (-m.bit_count(), m))
-        m = len(elems)
-        need = [
-            [a for a in range(k) if elems[a] != elems[k] and not elems[k] & ~elems[a]]
-            for k in range(m)
-        ]
-        chosen = [False] * m
-        fams: list[tuple[frozenset[int], tuple[int, ...]]] = []
-
-        def transitive(f: frozenset[int]) -> bool:
-            for r in sieves[p]:
-                if r not in f:
-                    c = covered[r]
-                    for s in f:
-                        if not s & ~c:
-                            return False
-            return True
-
-        def rec(k: int) -> None:
-            if k == m:
-                f = frozenset(e for e, c in zip(elems, chosen) if c)
-                if transitive(f):
-                    fams.append((f, tuple(s for s in sieves[p] if s in f)))
-                return
-            if all(chosen[a] for a in need[k]):
-                chosen[k] = True
-                rec(k + 1)
-                chosen[k] = False
-            if elems[k] != full:  # the maximal sieve is mandatory
-                rec(k + 1)
-
-        rec(0)
-        memo[key] = fams
-        return fams
-
-    def rec_points(idx: int) -> None:
+    def rec(idx: int) -> None:
         if idx == n:
-            results.append(GrothendieckTopology._wrap(poset, tuple(canon)))
+            results.append(GrothendieckTopology._wrap(poset, tuple(fams)))
             return
         p = order[idx]
-        for f, c in families_at(p):
-            fam[p] = f
-            canon[p] = c
-            rec_points(idx + 1)
+        full = down[p]
+        lower = [gen[q] for q in _bits(full & ~(1 << p))]
+        for m, fam in covering[p]:
+            if any(g & ~m for g in lower):
+                continue
+            if m != full:
+                reach = 0
+                for q in _bits(m):
+                    reach |= gen[q]
+                if m & ~reach:
+                    continue
+            gen[p] = m
+            fams[p] = fam
+            rec(idx + 1)
 
-    rec_points(0)
+    rec(0)
     results.sort(key=lambda t: t.families)
     return results

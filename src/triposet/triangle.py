@@ -31,7 +31,6 @@ never from the conversions under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
 from typing import Any
@@ -235,25 +234,38 @@ def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
 # -- the verifier ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LawResult:
-    name: str
-    passed: bool
-    witness: dict[str, Any] | None = None
+    """One law's outcome; ``witness`` names a counterexample when it failed."""
+
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: dict[str, Any] | None = None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
 
     def to_jsonable(self) -> dict[str, Any]:
         return {"name": self.name, "passed": self.passed, "witness": self.witness}
 
 
-@dataclass(frozen=True)
 class TriangleReport:
     """Outcome of the full law suite on one poset."""
 
-    poset: Poset
-    directed: bool
-    counts: dict[str, int]
-    laws: tuple[LawResult, ...]
-    elapsed_seconds: float
+    __slots__ = ("poset", "directed", "counts", "laws", "elapsed_seconds")
+
+    def __init__(
+        self,
+        poset: Poset,
+        directed: bool,
+        counts: dict[str, int],
+        laws: tuple[LawResult, ...],
+        elapsed_seconds: float,
+    ):
+        self.poset = poset
+        self.directed = directed
+        self.counts = counts
+        self.laws = laws
+        self.elapsed_seconds = elapsed_seconds
 
     @property
     def all_passed(self) -> bool:

@@ -1,14 +1,16 @@
 """The mask-based oracles against the slow references in ``reference_oracles.py``.
 
 The nucleus enumerator searches the values on the meet-irreducible
-downsets, the topology enumerator decides transitivity at each point, and
-both validators test membership through the poset's rank dict.  These tests
-hold them to the pre-rewrite code: the same nucleus and topology lists in
-the same order, and for every one-entry change of a valid table or family
-set, the same exception with the same message and witnesses, or the same
-accepted value.  The validators' mask cores, which ``verify_triangle``
-calls, are held to the public validators on the same changes.  The
-pruned labeled-poset stream is held to the filtered product, in order.
+downsets, the topology enumerator chooses the least covering sieve of each
+point, and both validators test membership through the poset's rank dict.
+These tests hold them to the pre-rewrite code: the same nucleus and
+topology lists in the same order, and for every one-entry change of a valid
+table or family set, the same exception with the same message and
+witnesses, or the same accepted value.  The validators' mask cores, which
+``verify_triangle`` calls, are held to the public validators on the same
+changes.  The pruned labeled-poset stream is held to the filtered product,
+in order, and the reference topologies are held to the one-generator form
+the topology enumerator assumes.
 """
 
 import pytest
@@ -38,6 +40,7 @@ from triposet import (
 )
 from triposet.errors import NotMeetPreservingError, TriposetError
 from triposet.nucleus import _check_nucleus
+from triposet.poset import _bits
 from triposet.topology import _check_topology
 
 
@@ -124,11 +127,36 @@ def test_enumerated_topologies_match_the_reference_in_order():
     assert checked == 243 + 142
 
 
-def test_chain6_topologies_match_the_reference_in_order():
-    poset = chain(6)
-    got = [J.families for J in enumerate_topologies(poset, cap=6)]
-    assert got == [J.families for J in reference_enumerate_topologies(poset, cap=6)]
-    assert len(got) == 64
+@pytest.mark.parametrize(
+    "poset, cap",
+    [(chain(6), 6), (cube(), 8), (build_poset([f"a{i}" for i in range(7)]), 7), (chain(8), 8)],
+    ids=["chain6", "cube", "antichain7", "chain8"],
+)
+def test_large_topology_lists_match_the_reference_in_order(poset, cap):
+    got = [J.families for J in enumerate_topologies(poset, cap=cap)]
+    assert got == [J.families for J in reference_enumerate_topologies(poset, cap=cap)]
+    assert len(got) == 2**poset.n
+
+
+def test_reference_topologies_are_generated_by_one_sieve_per_point():
+    """J(p) is the sieves on p that contain its least sieve m_p, and the m_p
+    meet the two conditions ``enumerate_topologies`` chooses them by."""
+    checked = 0
+    for poset in [*(p for n in range(5) for p in enumerate_posets(n)), cube()]:
+        down = poset._down
+        for J in reference_enumerate_topologies(poset, cap=8):
+            gen = [f[0] for f in J.families]
+            for p, m in enumerate(gen):
+                assert J.families[p] == tuple(s for s in poset.sieve_masks(p) if not m & ~s)
+                # stability: the generator of each point below p lies inside m_p
+                assert all(not gen[q] & ~m for q in _bits(down[p]) if q != p)
+                # transitivity: the generators of the points of m_p cover m_p
+                reach = 0
+                for q in _bits(m):
+                    reach |= gen[q]
+                assert m == down[p] or not m & ~reach
+            checked += 1
+    assert checked == 1 + 2 + 3 * 4 + 19 * 8 + 219 * 16 + 256
 
 
 def test_topology_validators_agree_on_every_one_sieve_change(diamond):

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import triposet
 
@@ -28,3 +32,17 @@ def test_every_package_export_resolves():
     assert len(set(triposet.__all__)) == len(triposet.__all__)
     unresolved = [name for name in triposet.__all__ if not hasattr(triposet, name)]
     assert unresolved == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """A cold CLI process pays for every module it imports."""
+    src = Path(triposet.__file__).resolve().parent.parent
+    probe = (
+        "import sys, triposet.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
