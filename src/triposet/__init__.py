@@ -1,121 +1,18 @@
 """Finite posets, downset Heyting algebras, nuclei, Grothendieck topologies,
 and the triangle of bijections between subsets, nuclei, and topologies."""
 
-from .errors import (
-    CapExceededError,
-    CycleDetectedError,
-    DuplicateLabelError,
-    ImageNotDownsetError,
-    MissingMaximalError,
-    NotASieveError,
-    NotIdempotentError,
-    NotInflationaryError,
-    NotMeetPreservingError,
-    NucleusAxiomError,
-    PosetMismatchError,
-    PosetSyntaxError,
-    StabilityFailError,
-    TopologyAxiomError,
-    TransitivityFailError,
-    TriposetError,
-    UnknownLabelError,
-)
-from .formats import (
-    export_hasse_dot,
-    load_poset,
-    nucleus_from_jsonable,
-    serialize,
-    subset_from_jsonable,
-    topology_from_jsonable,
-)
-from .heyting import bottom, implication, join, meet, top
-from .nucleus import DEFAULT_NUCLEUS_CAP, Nucleus, enumerate_nuclei, validate_nucleus
-from .poset import (
-    DEFAULT_STREAM_CAP,
-    DownSet,
-    HARD_STREAM_CAP,
-    LATTICE_CAP,
-    Poset,
-    Subset,
-    build_poset,
-    enumerate_posets,
-)
-from .topology import (
-    DEFAULT_TOPOLOGY_CAP,
-    GrothendieckTopology,
-    enumerate_topologies,
-    validate_topology,
-)
-from .triangle import (
-    LawResult,
-    TriangleReport,
-    nucleus_to_subset,
-    nucleus_to_subset_alt,
-    nucleus_to_subset_via_topology,
-    nucleus_to_topology,
-    subset_to_nucleus,
-    subset_to_topology,
-    topology_to_nucleus,
-    topology_to_subset,
-    verify_triangle,
-)
+from .errors import *
+from .formats import *
+from .heyting import *
+from .nucleus import *
+from .poset import *
+from .topology import *
+from .triangle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceededError",
-    "CycleDetectedError",
-    "DEFAULT_NUCLEUS_CAP",
-    "DEFAULT_STREAM_CAP",
-    "DEFAULT_TOPOLOGY_CAP",
-    "DownSet",
-    "DuplicateLabelError",
-    "GrothendieckTopology",
-    "HARD_STREAM_CAP",
-    "ImageNotDownsetError",
-    "LATTICE_CAP",
-    "LawResult",
-    "MissingMaximalError",
-    "NotASieveError",
-    "NotIdempotentError",
-    "NotInflationaryError",
-    "NotMeetPreservingError",
-    "Nucleus",
-    "NucleusAxiomError",
-    "Poset",
-    "PosetMismatchError",
-    "PosetSyntaxError",
-    "StabilityFailError",
-    "Subset",
-    "TopologyAxiomError",
-    "TransitivityFailError",
-    "TriangleReport",
-    "TriposetError",
-    "UnknownLabelError",
-    "bottom",
-    "build_poset",
-    "enumerate_nuclei",
-    "enumerate_posets",
-    "enumerate_topologies",
-    "export_hasse_dot",
-    "implication",
-    "join",
-    "load_poset",
-    "meet",
-    "nucleus_from_jsonable",
-    "nucleus_to_subset",
-    "nucleus_to_subset_alt",
-    "nucleus_to_subset_via_topology",
-    "nucleus_to_topology",
-    "serialize",
-    "subset_from_jsonable",
-    "subset_to_nucleus",
-    "subset_to_topology",
-    "top",
-    "topology_from_jsonable",
-    "topology_to_nucleus",
-    "topology_to_subset",
-    "validate_nucleus",
-    "validate_topology",
-    "verify_triangle",
-]
+__all__ = sorted(
+    name
+    for module in (errors, formats, heyting, nucleus, poset, topology, triangle)
+    for name in module.__all__
+)

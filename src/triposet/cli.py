@@ -19,6 +19,7 @@ from .errors import (
     TriposetError,
 )
 from .formats import (
+    _canonical_json,
     export_hasse_dot,
     load_poset,
     nucleus_from_jsonable,
@@ -73,14 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = add("enumerate", _cmd_enumerate, "enumerate subsets, nuclei, or topologies")
-    p.add_argument("--kind", required=True, choices=("subsets", "nuclei", "topologies"))
+    p.add_argument("--kind", required=True, choices=tuple(_ENUMERATIONS))
     p.add_argument("--json", action="store_true")
 
     p = add("convert", _cmd_convert, "convert between subset, nucleus, and topology")
-    p.add_argument("--from", dest="source", required=True,
-                   choices=("subset", "nucleus", "topology"))
-    p.add_argument("--to", dest="target", required=True,
-                   choices=("subset", "nucleus", "topology"))
+    p.add_argument("--from", dest="source", required=True, choices=tuple(_KINDS))
+    p.add_argument("--to", dest="target", required=True, choices=tuple(_KINDS))
     p.add_argument("--input", required=True, metavar="JSON",
                    help="the value to convert, in canonical JSON")
     p.add_argument("--alt", action="store_true",
@@ -105,8 +104,7 @@ def _read_poset(path: str) -> Poset:
 
 
 def _print_json(data, out) -> None:
-    """Canonical JSON, the same bytes as ``serialize``."""
-    print(json.dumps(data, sort_keys=True, separators=(",", ":")), file=out)
+    print(_canonical_json(data), file=out)
 
 
 def _print_nucleus(j, out) -> None:
@@ -119,6 +117,14 @@ def _print_topology(J, out) -> None:
     for p in range(poset.n):
         sieves = " ".join(str(s) for s in J.sieves_at(p))
         print(f"  {poset.labels[p]}: {sieves}", file=out)
+
+
+# kind: (parse its canonical JSON on a poset, print one value for humans)
+_KINDS = {
+    "subset": (subset_from_jsonable, lambda x, out: print(x, file=out)),
+    "nucleus": (nucleus_from_jsonable, _print_nucleus),
+    "topology": (topology_from_jsonable, _print_topology),
+}
 
 
 def _cmd_check(args, out, parser) -> int:
@@ -166,24 +172,25 @@ def _cmd_sieves(args, out, parser) -> int:
     return _print_downsets(poset.sieves(poset.index(args.point)), args, out)
 
 
-# kind: (values of a poset, heading of each value or None, print one value);
+# kind: (values of a poset, kind of each value, whether each gets a heading);
 # the enumerators are looked up when called, so a wrapped cli.enumerate_* is seen
 _ENUMERATIONS = {
-    "subsets": (lambda poset: poset.subsets(), None, lambda x, out: print(x, file=out)),
-    "nuclei": (lambda poset: enumerate_nuclei(poset), "nucleus", _print_nucleus),
-    "topologies": (lambda poset: enumerate_topologies(poset), "topology", _print_topology),
+    "subsets": (lambda poset: poset.subsets(), "subset", False),
+    "nuclei": (lambda poset: enumerate_nuclei(poset), "nucleus", True),
+    "topologies": (lambda poset: enumerate_topologies(poset), "topology", True),
 }
 
 
 def _cmd_enumerate(args, out, parser) -> int:
-    values_of, heading, print_value = _ENUMERATIONS[args.kind]
+    values_of, kind, headed = _ENUMERATIONS[args.kind]
     values = values_of(_read_poset(args.file))
     if args.json:
         _print_json([to_jsonable(v) for v in values], out)
         return 0
+    print_value = _KINDS[kind][1]
     for i, v in enumerate(values):
-        if heading:
-            print(f"{heading} {i}:", file=out)
+        if headed:
+            print(f"{kind} {i}:", file=out)
         print_value(v, out)
     return 0
 
@@ -205,23 +212,13 @@ def _cmd_convert(args, out, parser) -> int:
     if args.alt and (args.source, args.target) != ("nucleus", "subset"):
         parser.error("--alt only applies to --from nucleus --to subset")
     poset = _read_poset(args.file)
-    data = json.loads(args.input)
-    if args.source == "subset":
-        value = subset_from_jsonable(poset, data)
-    elif args.source == "nucleus":
-        value = nucleus_from_jsonable(poset, data)
-    else:
-        value = topology_from_jsonable(poset, data)
+    value = _KINDS[args.source][0](poset, json.loads(args.input))
     convert = nucleus_to_subset_alt if args.alt else _CONVERTERS[(args.source, args.target)]
     result = convert(value)
     if args.json:
         print(serialize(result), file=out)
-    elif args.target == "subset":
-        print(result, file=out)
-    elif args.target == "nucleus":
-        _print_nucleus(result, out)
     else:
-        _print_topology(result, out)
+        _KINDS[args.target][1](result, out)
     return 0
 
 

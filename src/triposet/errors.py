@@ -7,6 +7,26 @@ programmatically; the message renders the same witness with labels.
 
 from __future__ import annotations
 
+__all__ = [
+    "CapExceededError",
+    "CycleDetectedError",
+    "DuplicateLabelError",
+    "ImageNotDownsetError",
+    "MissingMaximalError",
+    "NotASieveError",
+    "NotIdempotentError",
+    "NotInflationaryError",
+    "NotMeetPreservingError",
+    "NucleusAxiomError",
+    "PosetMismatchError",
+    "PosetSyntaxError",
+    "StabilityFailError",
+    "TopologyAxiomError",
+    "TransitivityFailError",
+    "TriposetError",
+    "UnknownLabelError",
+]
+
 
 class TriposetError(Exception):
     """Base class for every error raised by this package."""

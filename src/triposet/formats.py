@@ -105,9 +105,14 @@ def to_jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _canonical_json(data) -> str:
+    """Sorted keys, no whitespace: equal data gives the same bytes."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def serialize(value) -> str:
-    """Canonical JSON text: sorted keys, no whitespace, deterministic."""
-    return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON text of a subset, nucleus, topology or report."""
+    return _canonical_json(to_jsonable(value))
 
 
 def subset_from_jsonable(poset: Poset, data) -> Subset:

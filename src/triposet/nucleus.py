@@ -39,7 +39,8 @@ DEFAULT_NUCLEUS_CAP = 32  # largest |D(P)| the enumerator will search
 
 
 class Nucleus:
-    """A validated-or-trusted nucleus table over the canonical downset order."""
+    """A nucleus table over the canonical downset order; the constructor checks
+    only its shape, and :func:`validate_nucleus` checks the axioms."""
 
     __slots__ = ("poset", "table")
 

@@ -16,6 +16,7 @@ and is intentionally independent of any conversion routines.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from functools import lru_cache
 
 from .errors import (
     CapExceededError,
@@ -141,6 +142,12 @@ def validate_topology(
     )
 
 
+@lru_cache(maxsize=1)
+def _cones(poset: Poset) -> tuple[tuple[int, ...], ...]:
+    """The points of each principal downset, ascending."""
+    return tuple(tuple(_bits(m)) for m in poset._down)
+
+
 def _check_topology(
     poset: Poset, families: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
@@ -153,7 +160,7 @@ def _check_topology(
     poset.downset_masks()  # fills poset._dmask_pos
     rank = poset._dmask_pos
     down = poset._down
-    cones = [tuple(_bits(m)) for m in down]
+    cones = _cones(poset)
     fam_masks: list[tuple[int, ...]] = []
     for p, entries in enumerate(families):
         for m in entries:

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -6,6 +8,9 @@ import sys
 from pathlib import Path
 
 import triposet
+from triposet import errors
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def submodules_with_all():
@@ -31,6 +36,49 @@ def test_every_submodule_export_is_a_package_export():
 def test_every_package_export_resolves():
     assert len(set(triposet.__all__)) == len(triposet.__all__)
     unresolved = [name for name in triposet.__all__ if not hasattr(triposet, name)]
+    assert unresolved == []
+
+
+def test_every_error_class_is_in_errors_all():
+    defined = [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+        and obj.__module__ == errors.__name__
+    ]
+    assert sorted(defined) == sorted(errors.__all__)
+
+
+def test_package_all_is_the_sorted_union_of_the_submodule_alls():
+    names = [name for m in submodules_with_all() for name in m.__all__]
+    assert triposet.__all__ == sorted(names)
+
+
+def test_every_perfbench_wrap_site_resolves():
+    """Each attribute the benchmark's tracer wraps must exist where it looks.
+
+    ``WRAPS`` comes from ``perfbench/tracing.py``, which imports only the
+    standard library; ``MODULES`` is read from ``perfbench/workloads.py``
+    without running it.
+    """
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    [modules] = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["MODULES"]
+    ]
+    mods = {m: importlib.import_module(f"triposet.{m}") for m in modules}
+    sites = [site for _, _, sites, _ in tracing.WRAPS for site in sites]
+    unresolved = []
+    for site in sites:
+        module, *path, attr = site.split(".")
+        owner = mods.get(module)
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            unresolved.append(site)
+    assert len(sites) > 20
     assert unresolved == []
 
 
