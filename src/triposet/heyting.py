@@ -1,8 +1,8 @@
 """Heyting-algebra structure on the downsets of a finite poset.
 
-Downsets ordered by inclusion form a complete lattice with intersection as
-meet and union as join; the empty set and the whole carrier are bottom and
-top.  Implication is pointwise:
+Downsets ordered by inclusion form a complete lattice: ``a & b`` (or
+:func:`meet`) is meet and ``a | b`` is join, with bottom ``poset.downset([])``
+and top ``poset.downset(poset.labels)``.  Implication is pointwise:
 
     X -> S  =  {p : (principal downset of p) intersect X  is contained in S}
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .poset import DownSet, Poset, Subset
 
-__all__ = ["bottom", "implication", "join", "meet", "top"]
+__all__ = ["implication", "meet"]
 
 
 def meet(a: DownSet, b: DownSet) -> DownSet:
@@ -23,21 +23,6 @@ def meet(a: DownSet, b: DownSet) -> DownSet:
     if not isinstance(a, DownSet) or not isinstance(b, DownSet):
         raise TypeError("meet is defined on downsets")
     return a & b
-
-
-def join(a: DownSet, b: DownSet) -> DownSet:
-    """Union of two downsets of the same poset."""
-    if not isinstance(a, DownSet) or not isinstance(b, DownSet):
-        raise TypeError("join is defined on downsets")
-    return a | b
-
-
-def bottom(poset: Poset) -> DownSet:
-    return DownSet._wrap(poset, 0)
-
-
-def top(poset: Poset) -> DownSet:
-    return DownSet._wrap(poset, poset.full_mask)
 
 
 def implication_mask(poset: Poset, x_mask: int, s_mask: int) -> int:

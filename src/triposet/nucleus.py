@@ -50,6 +50,8 @@ class Nucleus:
         if len(table) != d:
             raise ValueError(f"table has {len(table)} entries, expected {d}")
         for t in table:
+            if not isinstance(t, int):
+                raise TypeError(f"table entry {t!r} is not an int")
             if not 0 <= t < d:
                 raise ValueError(f"table entry {t} out of range")
         self.poset = poset

@@ -49,6 +49,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
+    """The distinct ``masks`` in canonical (cardinality, mask) order."""
+    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
+
+
 class Poset:
     """A finite partial order on labeled elements.
 
@@ -66,6 +71,7 @@ class Poset:
         "labels",
         "_down",
         "_up",
+        "_cones",
         "_index",
         "_hash",
         "_downsets",
@@ -95,22 +101,24 @@ class Poset:
                 raise ValueError(f"relation row for {labels[p]!r} is out of range")
             if not row >> p & 1:
                 raise ValueError(f"relation is not reflexive at {labels[p]!r}")
+        up = [0] * n
+        cones = []
         for p in range(n):
-            for q in _bits(down[p]):
+            cone = tuple(_bits(down[p]))
+            for q in cone:
                 if q != p and down[q] >> p & 1:
                     raise CycleDetectedError(labels[min(p, q)], labels[max(p, q)])
                 if down[q] & ~down[p]:
                     raise ValueError(
                         f"relation is not transitive at {labels[q]!r} <= {labels[p]!r}"
                     )
-        up = [0] * n
-        for q in range(n):
-            for p in _bits(down[q]):
-                up[p] |= 1 << q
+                up[q] |= 1 << p
+            cones.append(cone)
         self.n = n
         self.labels = labels
         self._down = down
         self._up = tuple(up)
+        self._cones = tuple(cones)  # the points of each principal downset, ascending
         self._index = index
         self._hash = hash((labels, down))
         self._downsets = None
@@ -134,9 +142,6 @@ class Poset:
     def leq(self, p: int, q: int) -> bool:
         """True iff element ``p`` is below-or-equal to element ``q``."""
         return bool(self._down[q] >> p & 1)
-
-    def down_mask(self, p: int) -> int:
-        return self._down[p]
 
     def principal_downset(self, p: int) -> DownSet:
         return DownSet._wrap(self, self._down[p])
@@ -173,10 +178,8 @@ class Poset:
         """All downset bitmasks in canonical (cardinality, mask) order."""
         if self._downsets is None:
             self._require_lattice_cap()
-            masks = [m for m in range(1 << self.n) if self.is_downset_mask(m)]
-            masks.sort(key=lambda m: (m.bit_count(), m))
-            self._downsets = tuple(masks)
-            self._dmask_pos = {m: i for i, m in enumerate(masks)}
+            self._downsets = _canonical(filter(self.is_downset_mask, range(1 << self.n)))
+            self._dmask_pos = {m: i for i, m in enumerate(self._downsets)}
         return self._downsets
 
     def downset_rank(self, mask: int) -> int:
@@ -206,8 +209,7 @@ class Poset:
     def subsets(self) -> tuple[Subset, ...]:
         """Every subset of the carrier in canonical (cardinality, mask) order."""
         self._require_lattice_cap()
-        order = sorted(range(1 << self.n), key=lambda m: (m.bit_count(), m))
-        return tuple(Subset._wrap(self, m) for m in order)
+        return tuple(Subset._wrap(self, m) for m in _canonical(range(1 << self.n)))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The covering relation (transitive reduction) as index pairs (lower, upper)."""
@@ -269,6 +271,8 @@ class Subset:
     __slots__ = ("poset", "mask")
 
     def __init__(self, poset: Poset, mask: int):
+        if not isinstance(mask, int):
+            raise TypeError(f"mask {mask!r} is not an int")
         if not 0 <= mask <= poset.full_mask:
             raise ValueError(f"mask {mask:#x} out of range for n={poset.n}")
         self.poset = poset
@@ -365,7 +369,7 @@ def build_poset(
             raise DuplicateLabelError(lab)
         index[lab] = i
     n = len(labels)
-    up = [1 << i for i in range(n)]
+    down = [1 << i for i in range(n)]
     for x, y in relations:
         try:
             i = index[x]
@@ -375,16 +379,12 @@ def build_poset(
             j = index[y]
         except KeyError:
             raise UnknownLabelError(y) from None
-        up[i] |= 1 << j
+        down[j] |= 1 << i
     for k in range(n):
         bit = 1 << k
         for i in range(n):
-            if up[i] & bit:
-                up[i] |= up[k]
-    down = [0] * n
-    for p in range(n):
-        for q in _bits(up[p]):
-            down[q] |= 1 << p
+            if down[i] & bit:
+                down[i] |= down[k]
     return Poset(labels, down)
 
 

@@ -16,7 +16,6 @@ and is intentionally independent of any conversion routines.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from functools import lru_cache
 
 from .errors import (
     CapExceededError,
@@ -26,7 +25,7 @@ from .errors import (
     StabilityFailError,
     TransitivityFailError,
 )
-from .poset import DownSet, Poset, Subset, _bits
+from .poset import DownSet, Poset, Subset, _bits, _canonical
 
 __all__ = [
     "DEFAULT_TOPOLOGY_CAP",
@@ -36,10 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_TOPOLOGY_CAP = 5  # poset size; the result holds 2**n topologies, one per subset
-
-
-def _canon(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
 
 
 class GrothendieckTopology:
@@ -58,7 +53,7 @@ class GrothendieckTopology:
                 f"{len(families)} families for a poset with {poset.n} elements"
             )
         self.poset = poset
-        self.families = tuple(_canon(f) for f in families)
+        self.families = tuple(_canonical(f) for f in families)
 
     @classmethod
     def _wrap(cls, poset: Poset, families: tuple[tuple[int, ...], ...]):
@@ -114,10 +109,7 @@ def validate_topology(
     if isinstance(families, Mapping):
         seq: list[Iterable[Subset]] = [None] * poset.n  # type: ignore[list-item]
         for label, fam in families.items():
-            i = poset.index(label)
-            if seq[i] is not None:
-                raise ValueError(f"family for {label!r} listed twice")
-            seq[i] = fam
+            seq[poset.index(label)] = fam
         missing = [poset.labels[i] for i, f in enumerate(seq) if f is None]
         if missing:
             raise ValueError(f"no covering family for {missing[0]!r}")
@@ -133,19 +125,13 @@ def validate_topology(
             if s.poset is not poset and s.poset != poset:
                 raise PosetMismatchError("sieve belongs to a different poset")
             entries.append(s.mask)
-        return _canon(entries)
+        return _canonical(entries)
 
     # lazily, so a foreign sieve at one point is still reported after the
     # sieve checks of the points before it
     return GrothendieckTopology._wrap(
         poset, _check_topology(poset, (masks_at(p) for p in range(poset.n)))
     )
-
-
-@lru_cache(maxsize=1)
-def _cones(poset: Poset) -> tuple[tuple[int, ...], ...]:
-    """The points of each principal downset, ascending."""
-    return tuple(tuple(_bits(m)) for m in poset._down)
 
 
 def _check_topology(
@@ -160,7 +146,7 @@ def _check_topology(
     poset.downset_masks()  # fills poset._dmask_pos
     rank = poset._dmask_pos
     down = poset._down
-    cones = _cones(poset)
+    cones = poset._cones
     fam_masks: list[tuple[int, ...]] = []
     for p, entries in enumerate(families):
         for m in entries:

@@ -9,6 +9,7 @@ from triposet import cli
 from triposet.cli import main
 
 CHAIN2 = "poset v1\nelements a b\nrel a<b\n"
+ANTICHAIN17 = "poset v1\nelements " + " ".join("abcdefghijklmnopq") + "\n"
 
 
 @pytest.fixture
@@ -63,6 +64,11 @@ class TestCheck:
         assert main(["check", str(tmp_path / "nope.poset")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_past_the_lattice_cap_the_downset_count_is_null(self, tmp_path, capsys):
+        path = write(tmp_path, "anti17.poset", ANTICHAIN17)
+        assert main(["check", path, "--json"]) == 0
+        assert '"downset_count":null' in capsys.readouterr().out
+
 
 class TestListing:
     def test_downsets_human(self, chain2_file, capsys):
@@ -76,6 +82,13 @@ class TestListing:
     def test_sieves(self, chain2_file, capsys):
         assert main(["sieves", chain2_file, "-p", "b", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == [[], ["a"], ["a", "b"]]
+
+    def test_downsets_past_the_lattice_cap_are_refused(self, tmp_path, capsys):
+        path = write(tmp_path, "anti17.poset", ANTICHAIN17)
+        assert main(["downsets", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 17 elements exceeds the lattice-operation cap 16\n"
 
     def test_sieves_unknown_point(self, chain2_file, capsys):
         assert main(["sieves", chain2_file, "-p", "z"]) == 2
@@ -105,6 +118,15 @@ class TestEnumerate:
         out = capsys.readouterr().out
         assert "nucleus 0:" in out
         assert "->" in out
+
+    def test_topologies_human(self, chain2_file, capsys):
+        assert main(["enumerate", chain2_file, "--kind", "topologies"]) == 0
+        assert capsys.readouterr().out == (
+            "topology 0:\n  a: {} {a}\n  b: {} {a} {a b}\n"
+            "topology 1:\n  a: {} {a}\n  b: {a b}\n"
+            "topology 2:\n  a: {a}\n  b: {a} {a b}\n"
+            "topology 3:\n  a: {a}\n  b: {a b}\n"
+        )
 
     def test_kind_is_required(self, chain2_file, capsys):
         assert main(["enumerate", chain2_file]) == 2
@@ -164,6 +186,13 @@ class TestConvert:
             "--input", '["b"]',
         ]) == 0
         assert capsys.readouterr().out.strip() == "{b}"
+
+    def test_human_output_for_topologies(self, chain2_file, capsys):
+        assert main([
+            "convert", chain2_file, "--from", "subset", "--to", "topology",
+            "--input", '["b"]',
+        ]) == 0
+        assert capsys.readouterr().out == "  a: {} {a}\n  b: {a b}\n"
 
     def test_alt_requires_nucleus_to_subset(self, chain2_file, capsys):
         assert main([

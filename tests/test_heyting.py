@@ -7,11 +7,8 @@ from conftest import posets
 from triposet import (
     DownSet,
     PosetMismatchError,
-    bottom,
     implication,
-    join,
     meet,
-    top,
 )
 
 
@@ -21,44 +18,45 @@ class TestLattice:
         assert meet(a, a) == a
 
     def test_meet_with_bottom(self, chain2):
-        assert meet(chain2.downset("ab"), bottom(chain2)) == bottom(chain2)
+        assert meet(chain2.downset("ab"), chain2.downset([])) == chain2.downset([])
 
     def test_meet_on_chain(self, chain2):
         assert meet(chain2.downset("a"), chain2.downset("ab")) == chain2.downset("a")
 
     def test_join_with_bottom(self, vee):
         a = vee.downset(["a", "c"])
-        assert join(a, bottom(vee)) == a
+        assert a | vee.downset([]) == a
 
     def test_join_on_antichain(self, antichain2):
-        got = join(antichain2.downset("a"), antichain2.downset("b"))
+        got = antichain2.downset("a") | antichain2.downset("b")
         assert got == antichain2.downset("ab")
 
     def test_join_with_top(self, chain3):
-        assert join(chain3.downset("a"), top(chain3)) == top(chain3)
+        top = chain3.downset(chain3.labels)
+        assert chain3.downset("a") | top == top
 
     def test_bounds(self, vee):
-        assert bottom(vee).labels() == ()
-        assert top(vee).labels() == ("a", "b", "c")
+        assert vee.downset([]).labels() == ()
+        assert vee.downset(vee.labels).labels() == ("a", "b", "c")
 
     def test_results_stay_downsets(self, diamond):
         for a in diamond.downsets():
             for b in diamond.downsets():
                 assert isinstance(meet(a, b), DownSet)
-                assert isinstance(join(a, b), DownSet)
+                assert isinstance(a | b, DownSet)
 
     def test_distributivity(self, diamond):
         ds = diamond.downsets()
         for a in ds:
             for b in ds:
                 for c in ds:
-                    assert meet(a, join(b, c)) == join(meet(a, b), meet(a, c))
+                    assert meet(a, b | c) == meet(a, b) | meet(a, c)
 
     def test_cross_poset_operands_rejected(self, chain2, antichain2):
         with pytest.raises(PosetMismatchError):
             meet(chain2.downset("a"), antichain2.downset("a"))
         with pytest.raises(PosetMismatchError):
-            join(chain2.downset("a"), antichain2.downset("a"))
+            chain2.downset("a") | antichain2.downset("a")
 
 
 class TestImplication:
@@ -69,7 +67,7 @@ class TestImplication:
 
     def test_empty_left_argument_gives_top(self, diamond):
         for s in diamond.downsets():
-            assert implication(diamond.subset([]), s) == top(diamond)
+            assert implication(diamond.subset([]), s) == diamond.downset(diamond.labels)
 
     def test_chain_example(self, chain2):
         got = implication(chain2.subset("b"), chain2.downset([]))

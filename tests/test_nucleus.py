@@ -13,7 +13,6 @@ from triposet import (
     Nucleus,
     PosetMismatchError,
     enumerate_nuclei,
-    top,
     validate_nucleus,
 )
 
@@ -23,7 +22,7 @@ def identity_table(poset):
 
 
 def constant_top_table(poset):
-    t = top(poset)
+    t = poset.downset(poset.labels)
     return {d: t for d in poset.downsets()}
 
 
@@ -39,7 +38,7 @@ class TestValidate:
 
     def test_constant_top_is_a_nucleus(self, vee):
         j = validate_nucleus(vee, constant_top_table(vee))
-        assert image(j, vee.downset([])) == top(vee)
+        assert image(j, vee.downset([])) == vee.downset(vee.labels)
 
     def test_shrinking_entry_flags_inflationarity(self, chain2):
         table = identity_table(chain2)
@@ -112,7 +111,7 @@ class TestApply:
     def test_constant_top_application(self, chain3):
         j = validate_nucleus(chain3, constant_top_table(chain3))
         for d in chain3.downsets():
-            assert image(j, d) == top(chain3)
+            assert image(j, d) == chain3.downset(chain3.labels)
 
     def test_closure_toward_a_marked_point(self, chain2):
         # the nucleus fixing everything that already contains a
@@ -134,6 +133,15 @@ class TestApply:
         c = validate_nucleus(chain2, constant_top_table(chain2))
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+    def test_constructor_rejects_a_non_int_entry(self, chain2, diamond):
+        # [0.0, 1, 2] == [0, 1, 2] and hashes alike, so it would pass the range check
+        for poset in (chain2, diamond):
+            table = list(range(len(poset.downset_masks())))
+            table[0] = 0.0
+            with pytest.raises(TypeError, match="table entry 0.0 is not an int"):
+                Nucleus(poset, table)
+            assert Nucleus(poset, range(len(table))).table == tuple(range(len(table)))
 
 
 class TestEnumerate:
@@ -158,7 +166,7 @@ class TestEnumerate:
     def test_top_is_always_fixed(self, small_posets):
         for poset in small_posets:
             for j in enumerate_nuclei(poset):
-                assert image(j, top(poset)) == top(poset)
+                assert image(j, poset.downset(poset.labels)) == poset.downset(poset.labels)
 
     def test_monotone_as_a_consequence(self, small_posets):
         for poset in small_posets:

@@ -1,5 +1,8 @@
+import string
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import posets
@@ -81,7 +84,7 @@ class TestOrder:
         # the punctured cone is downward closed by antisymmetry
         for poset in small_posets:
             for p in range(poset.n):
-                assert poset.is_downset_mask(poset.down_mask(p) & ~(1 << p))
+                assert poset.is_downset_mask(poset.principal_downset(p).mask & ~(1 << p))
 
     def test_directedness(self, chain2, antichain2, vee, empty):
         assert chain2.is_downward_directed()
@@ -119,6 +122,13 @@ class TestDownsets:
                     assert (a & b).mask in all_masks
                     assert (a | b).mask in all_masks
 
+    def test_lattice_operations_refuse_past_the_cap(self):
+        antichain17 = build_poset(string.ascii_lowercase[:17])
+        for operation in (antichain17.downset_masks, antichain17.subsets):
+            with pytest.raises(CapExceededError) as exc:
+                operation()
+            assert str(exc.value) == "17 elements exceeds the lattice-operation cap 16"
+
     def test_sieves_on_chain_top(self, chain2):
         b = chain2.index("b")
         assert [s.labels() for s in chain2.sieves(b)] == [(), ("a",), ("a", "b")]
@@ -130,7 +140,7 @@ class TestDownsets:
     def test_punctured_is_a_proper_sieve(self, small_posets):
         for poset in small_posets:
             for p in range(poset.n):
-                punct = DownSet(poset, poset.down_mask(p) & ~(1 << p))
+                punct = DownSet(poset, poset.principal_downset(p).mask & ~(1 << p))
                 assert punct in poset.sieves(p)
                 assert punct != poset.principal_downset(p)
 
@@ -190,6 +200,13 @@ class TestSubsets:
         assert len(vee.subsets()) == 8
         assert len({s.mask for s in vee.subsets()}) == 8
 
+    def test_constructor_rejects_a_non_int_mask(self, chain2, diamond):
+        # 1.0 == 1 and hashes alike, so it would pass the range check
+        for poset in (chain2, diamond):
+            for cls in (Subset, DownSet):
+                with pytest.raises(TypeError, match="mask 1.0 is not an int"):
+                    cls(poset, 1.0)
+
 
 class TestEnumeration:
     def test_tiny_counts(self):
@@ -209,8 +226,8 @@ class TestEnumeration:
         assert oracles.count_posets_brute(n) == count
 
     def test_stream_is_deterministic(self):
-        first = [p.down_mask(2) for p in enumerate_posets(3)]
-        second = [p.down_mask(2) for p in enumerate_posets(3)]
+        first = [p.principal_downset(2).mask for p in enumerate_posets(3)]
+        second = [p.principal_downset(2).mask for p in enumerate_posets(3)]
         assert first == second
 
     def test_default_cap(self):
@@ -270,3 +287,61 @@ def test_every_downset_is_downward_closed(poset):
             for q in range(poset.n):
                 if poset.leq(q, p):
                     assert q in d
+
+
+def closure_by_search(n, pairs):
+    """``below[p]``: the set of q with q <= p, by a search along the pairs."""
+    above = {i: {j for x, j in pairs if x == i} for i in range(n)}
+    below = [set() for _ in range(n)]
+    for q in range(n):
+        seen, frontier = {q}, [q]
+        while frontier:
+            for r in above[frontier.pop()] - seen:
+                seen.add(r)
+                frontier.append(r)
+        for p in seen:
+            below[p].add(q)
+    return below
+
+
+@st.composite
+def relation_lists(draw):
+    """Up to 6 labels and any list of pairs over them, cycles included."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    index = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(index, index), max_size=12)) if n else []
+    return n, pairs
+
+
+@given(relation_lists())
+@settings(max_examples=300)
+def test_build_poset_matches_a_searched_closure(case):
+    n, pairs = case
+    labels = list(string.ascii_lowercase[:n])
+    below = closure_by_search(n, pairs)
+    # the constructor scans points ascending and each cone ascending
+    cycle = next(
+        ((p, q) for p in range(n) for q in sorted(below[p]) if q != p and p in below[q]),
+        None,
+    )
+    relations = [(labels[x], labels[y]) for x, y in pairs]
+    if cycle is not None:
+        with pytest.raises(CycleDetectedError) as exc:
+            build_poset(labels, relations)
+        assert (exc.value.first, exc.value.second) == (
+            labels[min(cycle)], labels[max(cycle)]
+        )
+        return
+    poset = build_poset(labels, relations)
+    assert poset._down == tuple(sum(1 << q for q in below[p]) for p in range(n))
+    assert poset._up == tuple(
+        sum(1 << p for p in range(n) if q in below[p]) for q in range(n)
+    )
+
+
+def test_cones_list_each_principal_downset_ascending():
+    for n in range(5):
+        for poset in enumerate_posets(n):
+            assert poset._cones == tuple(
+                tuple(q for q in range(n) if poset._down[p] >> q & 1) for p in range(n)
+            )

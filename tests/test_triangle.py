@@ -16,7 +16,6 @@ from triposet import (
     nucleus_to_topology,
     subset_to_nucleus,
     subset_to_topology,
-    top,
     topology_to_nucleus,
     topology_to_subset,
     validate_nucleus,
@@ -52,7 +51,7 @@ def identity_nucleus(poset):
 
 
 def constant_top_nucleus(poset):
-    t = top(poset)
+    t = poset.downset(poset.labels)
     return validate_nucleus(poset, {d: t for d in poset.downsets()})
 
 

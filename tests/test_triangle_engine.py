@@ -6,13 +6,17 @@ to the slow reference in ``reference_triangle.py``: same reports on a fixed
 poset set, same failures when one kernel is broken, and no kernel or
 validator core called twice on the same input.  The kernels are held to the
 object-level edges they replaced, and each public edge to its wrapped
-kernel.  An oversize job is refused before anything is enumerated.
+kernel.  A broken kernel fails ``verify --max-n`` the same way, and a
+short enumeration fails the census laws.  An oversize job is refused
+before anything is enumerated.
 """
 
+import json
 from collections import Counter
 
 import pytest
 
+import reference_triangle
 from reference_triangle import REFERENCE_EDGES, reference_verify_triangle
 from triposet import (
     GrothendieckTopology,
@@ -22,6 +26,7 @@ from triposet import (
     enumerate_nuclei,
     enumerate_posets,
     enumerate_topologies,
+    cli,
     triangle,
 )
 from triposet.errors import CapExceededError
@@ -170,6 +175,58 @@ def test_a_broken_edge_fails_the_same_laws(diamond, monkeypatch, edge, breaker, 
     monkeypatch.setattr(triangle, kernel, breaker(diamond, getattr(triangle, kernel)))
     engine = triangle.verify_triangle(diamond)
     assert [law.name for law in engine.laws if not law.passed] == failing
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+def _break_nucleus_to_subset_on_two_points(monkeypatch):
+    original = triangle._table_to_subset
+
+    def broken(poset, table):
+        got = original(poset, table)
+        return got ^ 1 if poset.n == 2 and table == triangle._subset_to_table(poset, 1) else got
+
+    monkeypatch.setattr(triangle, "_table_to_subset", broken)
+
+
+def test_a_failing_sweep_reports_each_failure_and_exits_1(monkeypatch, capsys):
+    _break_nucleus_to_subset_on_two_points(monkeypatch)
+    failing = ["subset_nucleus_roundtrip", "nucleus_roundtrip", "identity_composite", "identity_alt"]
+
+    assert cli.main(["verify", "--max-n", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "n=0: 1 posets, 1 verified, 0 failed",
+        "n=1: 1 posets, 1 verified, 0 failed",
+        "n=2: 3 posets, 3 verified, 3 failed",
+        "result: FAIL",
+    ]
+    fails = [line.split(":")[0] for line in lines if line.startswith("  FAIL ")]
+    assert fails == [f"  FAIL {name}" for name in failing] * 3
+    assert sum(line.startswith("result: FAIL (") for line in lines) == 3
+
+    assert cli.main(["verify", "--max-n", "2", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is False
+    assert [row["failed"] for row in data["sizes"]] == [0, 0, 3]
+    for report in data["failures"]:
+        del report["elapsed_seconds"]
+    want = [report_bytes(triangle.verify_triangle(p)) for p in enumerate_posets(2)]
+    assert data["failures"] == json.loads(json.dumps(want))
+
+
+def test_a_short_nucleus_census_fails_the_count_and_the_bijection(diamond, monkeypatch):
+    original = triangle.enumerate_nuclei
+
+    def short(poset, cap):
+        return original(poset, cap=cap)[:-1]
+
+    monkeypatch.setattr(triangle, "enumerate_nuclei", short)
+    monkeypatch.setattr(reference_triangle, "enumerate_nuclei", short)
+    engine = triangle.verify_triangle(diamond)
+    assert {law.name: law.witness for law in engine.laws if not law.passed} == {
+        "nucleus_count": {"expected": 16, "got": 15},
+        "nucleus_bijection": {"reason": "image differs from enumeration"},
+    }
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
