@@ -4,7 +4,7 @@ A nucleus is a self-map j of the downset lattice that is inflationary
 (S <= j(S)), idempotent (j(j(S)) = j(S)), and preserves binary meets
 (j(A & B) = j(A) & j(B)); monotonicity follows from meet preservation.
 Tables are stored as total maps over the canonical downset order, one
-image index per downset.
+image rank per downset; outside this module a nucleus is its image masks.
 
 The downset lattice is distributive, and its meet-irreducibles are the n
 downsets M_p = P minus the up-set of p; every downset S is the meet of the
@@ -40,7 +40,9 @@ DEFAULT_NUCLEUS_CAP = 32  # largest |D(P)| the enumerator will search
 
 class Nucleus:
     """A nucleus table over the canonical downset order; the constructor checks
-    only its shape, and :func:`validate_nucleus` checks the axioms."""
+    only its shape, and :func:`validate_nucleus` checks the axioms.  The
+    conversions take and give the image masks (:meth:`_images`,
+    :meth:`_from_images`) instead of the image ranks in ``table``."""
 
     __slots__ = ("poset", "table")
 
@@ -58,12 +60,24 @@ class Nucleus:
         self.table = table
 
     @classmethod
-    def _wrap(cls, poset: Poset, table: tuple[int, ...]):
-        """Trusted constructor: ``table`` is already a tuple of in-range ranks."""
+    def _from_images(cls, poset: Poset, images: Sequence[int]):
+        """Trusted constructor from image masks in canonical downset order;
+        raises :class:`ImageNotDownsetError` at the first non-downset image."""
+        rank = poset._downset_ranks()
+        for i, m in enumerate(images):
+            if m not in rank:
+                raise ImageNotDownsetError(
+                    DownSet._wrap(poset, poset.downset_masks()[i]), Subset._wrap(poset, m)
+                )
         obj = object.__new__(cls)
         obj.poset = poset
-        obj.table = table
+        obj.table = tuple([rank[m] for m in images])
         return obj
+
+    def _images(self) -> tuple[int, ...]:
+        """The image masks, in canonical downset order."""
+        dmasks = self.poset.downset_masks()
+        return tuple([dmasks[t] for t in self.table])
 
     def pairs(self) -> tuple[tuple[DownSet, DownSet], ...]:
         """(downset, image) rows in canonical order."""
@@ -102,7 +116,7 @@ def validate_nucleus(
     """
     items = table.items() if isinstance(table, Mapping) else table
     masks = poset.downset_masks()
-    rank = poset._dmask_pos
+    rank = poset._downset_ranks()
     images: list[int | None] = [None] * len(masks)
     for key, value in items:
         if key.poset is not poset and key.poset != poset:
@@ -121,29 +135,25 @@ def validate_nucleus(
             f"table is missing {Subset._wrap(poset, masks[missing[0]])}"
             + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
         )
-    return Nucleus._wrap(poset, _check_nucleus(poset, images))
+    return _check_nucleus(poset, images)
 
 
-def _check_nucleus(poset: Poset, images: list[int]) -> tuple[int, ...]:
+def _check_nucleus(poset: Poset, images: Sequence[int]) -> Nucleus:
     """The axiom checks of :func:`validate_nucleus` on image masks.
 
-    ``images[i]`` is the image of the ``i``-th downset in canonical order.
-    Raises what the public validator raises, with the same witnesses, and
-    returns the table as image ranks.
+    ``images[i]`` is the image mask of the ``i``-th downset in canonical
+    order; it need not be a downset.  Raises what the public validator
+    raises, with the same witnesses, and returns the nucleus.
     """
     masks = poset.downset_masks()
-    rank = poset._dmask_pos
+    rank = poset._downset_ranks()
     d = len(masks)
-    for i in range(d):
-        if images[i] not in rank:
-            raise ImageNotDownsetError(
-                DownSet._wrap(poset, masks[i]), Subset._wrap(poset, images[i])
-            )
+    j = Nucleus._from_images(poset, images)  # the first axiom: every image is a downset
     for i in range(d):
         if masks[i] & ~images[i]:
             raise NotInflationaryError(DownSet._wrap(poset, masks[i]))
     for i in range(d):
-        if images[rank[images[i]]] != images[i]:
+        if images[j.table[i]] != images[i]:
             raise NotIdempotentError(DownSet._wrap(poset, masks[i]))
     # inflationary, so j(P) = P: j preserves meets exactly when every step
     # has j(S) = T_p & j(S + p); only a failure needs the pair scan, which
@@ -157,7 +167,7 @@ def _check_nucleus(poset: Poset, images: list[int]) -> tuple[int, ...]:
                     raise NotMeetPreservingError(
                         DownSet._wrap(poset, masks[k]), DownSet._wrap(poset, masks[i])
                     )
-    return tuple([rank[img] for img in images])
+    return j
 
 
 @lru_cache(maxsize=1)
@@ -171,7 +181,7 @@ def _meet_steps(poset: Poset) -> tuple[tuple[int, int, int], ...]:
     Larger downsets come first, so j(S_i + p) is known before j(S_i).
     """
     dmasks = poset.downset_masks()
-    rank = poset._dmask_pos
+    rank = poset._downset_ranks()
     down = poset._down
     full = poset.full_mask
     steps = []
@@ -220,7 +230,6 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
     n = poset.n
     full = poset.full_mask
     up = poset._up
-    rank = poset._dmask_pos
     order = sorted(range(n), key=lambda p: (up[p].bit_count(), p))
     strictly_above = [up[p] & ~(1 << p) for p in range(n)]
     # the downsets containing M_p = full & ~up[p]
@@ -228,14 +237,14 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
     steps = _meet_steps(poset)
 
     chosen = [0] * n
-    tables: list[tuple[int, ...]] = []
+    nuclei: list[Nucleus] = []
 
     def rec(idx: int) -> None:
         if idx == n:
             img = [full] * d
             for i, p, k in steps:
                 img[i] = chosen[p] & img[k]
-            tables.append(tuple([rank[m] for m in img]))
+            nuclei.append(Nucleus._from_images(poset, img))
             return
         p = order[idx]
         bound = full
@@ -254,5 +263,5 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
             rec(idx + 1)
 
     rec(0)
-    tables.sort()
-    return [Nucleus._wrap(poset, t) for t in tables]
+    nuclei.sort(key=lambda j: j.table)
+    return nuclei

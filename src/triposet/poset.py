@@ -182,10 +182,14 @@ class Poset:
             self._dmask_pos = {m: i for i, m in enumerate(self._downsets)}
         return self._downsets
 
+    def _downset_ranks(self) -> dict[int, int]:
+        """Each downset mask's position in the canonical order."""
+        self.downset_masks()
+        return self._dmask_pos
+
     def downset_rank(self, mask: int) -> int:
         """Position of a downset mask in the canonical order."""
-        self.downset_masks()
-        return self._dmask_pos[mask]
+        return self._downset_ranks()[mask]
 
     def downsets(self) -> tuple[DownSet, ...]:
         if self._downset_objs is None:

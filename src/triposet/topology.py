@@ -41,8 +41,9 @@ class GrothendieckTopology:
     """Per-point covering families over a fixed poset.
 
     ``families[p]`` holds the sieve masks covering point ``p``, canonically
-    ordered.  Instances are normalized on construction; axiom checking
-    lives in :func:`validate_topology`.
+    ordered.  The constructor normalizes them and rejects a mask as
+    ``Subset(poset, mask)`` does; masks that are not sieves pass, and
+    :func:`validate_topology` checks them with the other axioms.
     """
 
     __slots__ = ("poset", "families")
@@ -53,7 +54,7 @@ class GrothendieckTopology:
                 f"{len(families)} families for a poset with {poset.n} elements"
             )
         self.poset = poset
-        self.families = tuple(_canonical(f) for f in families)
+        self.families = tuple(_canonical(Subset(poset, m).mask for m in f) for f in families)
 
     @classmethod
     def _wrap(cls, poset: Poset, families: tuple[tuple[int, ...], ...]):
@@ -143,8 +144,7 @@ def _check_topology(
     Raises what the public validator raises, with the same witnesses, and
     returns the families as a tuple.
     """
-    poset.downset_masks()  # fills poset._dmask_pos
-    rank = poset._dmask_pos
+    rank = poset._downset_ranks()
     down = poset._down
     cones = poset._cones
     fam_masks: list[tuple[int, ...]] = []

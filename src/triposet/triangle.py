@@ -19,9 +19,9 @@ p lands in j(S) exactly when S is the whole cone) and an alternate form
 comparing j on the cone of p with and without p.
 
 Each edge is a private kernel on raw values -- a subset mask, a nucleus
-table (image ranks in canonical downset order) or a topology's family
+table (image masks in canonical downset order) or a topology's family
 tuple -- wrapped by a public function that takes and returns objects.  The
-kernels read rank arrays built once per poset by :func:`_edge_ranks`, which
+kernels read arrays built once per poset by :func:`_edge_ranks`, which
 keeps only the most recent poset.
 
 :func:`verify_triangle` runs the whole law suite on one poset and returns a
@@ -45,7 +45,7 @@ from .nucleus import (
     enumerate_nuclei,
     validate_nucleus,  # noqa: F401 -- looked up here by tests and perfbench
 )
-from .poset import Poset, Subset
+from .poset import Poset, Subset, _canonical
 from .topology import (
     DEFAULT_TOPOLOGY_CAP,
     GrothendieckTopology,
@@ -69,28 +69,26 @@ __all__ = [
     "verify_triangle",
 ]
 
-Table = tuple[int, ...]
+Table = tuple[int, ...]  # image masks in canonical downset order
 Families = tuple[tuple[int, ...], ...]
 
 
 class _EdgeRanks:
     """Per-poset arrays the edge kernels read; downsets are named by rank."""
 
-    __slots__ = ("dmasks", "rank", "imp", "cone", "punctured", "sieves", "cuts")
+    __slots__ = ("dmasks", "imp", "cone", "punctured", "sieves", "cuts")
 
     def __init__(self, poset: Poset):
         dmasks = self.dmasks = poset.downset_masks()
-        rank = self.rank = poset._dmask_pos
+        rank = poset._downset_ranks()
         n = poset.n
         down = poset._down
-        # m -> {} holds the points whose cone misses m: the meet over the
-        # bits b of m of the points outside the up-set of b
-        imp_masks = [poset.full_mask] * (1 << n)
+        # imp[m] = m -> {}, so X -> S is imp[X & ~S]: the points whose cone
+        # misses m, the meet over the bits b of m of the points outside up(b)
+        imp = self.imp = [poset.full_mask] * (1 << n)
         for m in range(1, 1 << n):
             low = m & -m
-            imp_masks[m] = imp_masks[m ^ low] & ~poset._up[low.bit_length() - 1]
-        # imp[m]: rank of m -> {}, so X -> S is imp[X & ~S]
-        self.imp = [rank[m] for m in imp_masks]
+            imp[m] = imp[m ^ low] & ~poset._up[low.bit_length() - 1]
         # rank of the principal downset of p, and of it minus p
         self.cone = [rank[down[p]] for p in range(n)]
         self.punctured = [rank[down[p] & ~(1 << p)] for p in range(n)]
@@ -114,11 +112,9 @@ def _subset_to_table(poset: Poset, x: int) -> Table:
 
 
 def _table_to_subset(poset: Poset, table: Table) -> int:
-    r = _edge_ranks(poset)
-    dmasks = r.dmasks
     out = 0
-    for p, k in enumerate(r.punctured):
-        if not dmasks[table[k]] >> p & 1:
+    for p, k in enumerate(_edge_ranks(poset).punctured):
+        if not table[k] >> p & 1:
             out |= 1 << p
     return out
 
@@ -133,13 +129,11 @@ def _table_to_subset_alt(poset: Poset, table: Table) -> int:
 
 
 def _table_to_subset_via_topology(poset: Poset, table: Table) -> int:
-    r = _edge_ranks(poset)
-    dmasks = r.dmasks
     down = poset._down
     out = 0
-    for p, pairs in enumerate(r.sieves):
+    for p, pairs in enumerate(_edge_ranks(poset).sieves):
         bit = 1 << p
-        if [s for s, k in pairs if dmasks[table[k]] & bit] == [down[p]]:
+        if [s for s, k in pairs if table[k] & bit] == [down[p]]:
             out |= bit
     return out
 
@@ -163,12 +157,10 @@ def _families_to_subset(poset: Poset, families: Families) -> int:
 
 
 def _table_to_families(poset: Poset, table: Table) -> Families:
-    r = _edge_ranks(poset)
-    dmasks = r.dmasks
     fams = []
-    for p, pairs in enumerate(r.sieves):
+    for p, pairs in enumerate(_edge_ranks(poset).sieves):
         bit = 1 << p
-        fams.append(tuple([s for s, k in pairs if dmasks[table[k]] & bit]))
+        fams.append(tuple([s for s, k in pairs if table[k] & bit]))
     return tuple(fams)
 
 
@@ -179,8 +171,7 @@ def _families_to_table(poset: Poset, families: Families) -> Table:
         covers = set(fam)
         bit = 1 << p
         images = [m | bit if c in covers else m for m, c in zip(images, r.cuts[p])]
-    rank = r.rank
-    return tuple([rank[m] for m in images])
+    return tuple(images)
 
 
 # -- the public edges ------------------------------------------------------
@@ -188,17 +179,17 @@ def _families_to_table(poset: Poset, families: Families) -> Table:
 
 def subset_to_nucleus(x: Subset) -> Nucleus:
     """The nucleus S |-> (x -> S)."""
-    return Nucleus._wrap(x.poset, _subset_to_table(x.poset, x.mask))
+    return Nucleus._from_images(x.poset, _subset_to_table(x.poset, x.mask))
 
 
 def nucleus_to_subset(j: Nucleus) -> Subset:
     """The points p not swallowed by j applied to everything strictly below p."""
-    return Subset._wrap(j.poset, _table_to_subset(j.poset, j.table))
+    return Subset._wrap(j.poset, _table_to_subset(j.poset, j._images()))
 
 
 def nucleus_to_subset_alt(j: Nucleus) -> Subset:
     """Alternate extraction: p where j separates the cone of p from the punctured cone."""
-    return Subset._wrap(j.poset, _table_to_subset_alt(j.poset, j.table))
+    return Subset._wrap(j.poset, _table_to_subset_alt(j.poset, j._images()))
 
 
 def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
@@ -208,7 +199,7 @@ def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
     principal downset be the only sieve S on p with p in j(S); this
     evaluates that condition directly.
     """
-    return Subset._wrap(j.poset, _table_to_subset_via_topology(j.poset, j.table))
+    return Subset._wrap(j.poset, _table_to_subset_via_topology(j.poset, j._images()))
 
 
 def subset_to_topology(x: Subset) -> GrothendieckTopology:
@@ -223,12 +214,12 @@ def topology_to_subset(J: GrothendieckTopology) -> Subset:
 
 def nucleus_to_topology(j: Nucleus) -> GrothendieckTopology:
     """Covers at p are the sieves sent over p by the nucleus."""
-    return GrothendieckTopology._wrap(j.poset, _table_to_families(j.poset, j.table))
+    return GrothendieckTopology._wrap(j.poset, _table_to_families(j.poset, j._images()))
 
 
 def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
     """j(S) collects the points where S pulls back to a covering sieve."""
-    return Nucleus._wrap(J.poset, _families_to_table(J.poset, J.families))
+    return Nucleus._from_images(J.poset, _families_to_table(J.poset, J.families))
 
 
 # -- the verifier ----------------------------------------------------------
@@ -330,19 +321,20 @@ def verify_triangle(
     against the independent axiom-census enumerators.  A failing law
     records a minimal witness and the remaining laws still run.
 
-    The laws run on raw values: subset masks, nucleus tables and family
-    tuples.  Each edge kernel and each validator core fills one table that
-    lasts this call, so within a call it runs at most once per distinct
-    input, first for the same law as in a law-by-law check.  Subset,
-    Nucleus and GrothendieckTopology objects are built only to serialize a
-    witness.  Both enumeration caps are checked before any work starts.
+    The laws run on raw values: subset masks, nucleus image masks and
+    family tuples.  Each edge kernel and each validator core fills one
+    table that lasts this call, so within a call it runs at most once per
+    distinct input, first for the same law as in a law-by-law check.  Apart
+    from the enumerated values and the nuclei the validator core returns,
+    objects are built only to serialize a witness.  Both enumeration caps
+    are checked before any work starts.
     """
     t0 = perf_counter()
     _require_nucleus_cap(poset, nucleus_cap)
     _require_topology_cap(poset, topology_cap)
     n = poset.n
-    xs = [x.mask for x in poset.subsets()]
-    tables = [j.table for j in enumerate_nuclei(poset, cap=nucleus_cap)]
+    xs = _canonical(range(1 << n))
+    tables = [j._images() for j in enumerate_nuclei(poset, cap=nucleus_cap)]
     fams = [J.families for J in enumerate_topologies(poset, cap=topology_cap)]
     counts = {"subsets": len(xs), "nuclei": len(tables), "topologies": len(fams)}
 
@@ -354,17 +346,15 @@ def verify_triangle(
     t2n = _Lazy(_families_to_table, poset)
     alt = _Lazy(_table_to_subset_alt, poset)
     via = _Lazy(_table_to_subset_via_topology, poset)
-    dmasks = poset.downset_masks()
-    nucleus_failure = _Lazy(
-        lambda poset, t: _failure(_check_nucleus, poset, [dmasks[i] for i in t]), poset
-    )
+    nucleus_failure = _Lazy(lambda poset, t: _failure(_check_nucleus, poset, t), poset)
     topology_failure = _Lazy(lambda poset, f: _failure(_check_topology, poset, f), poset)
 
     def subset_json(x):
         return Subset._wrap(poset, x).to_jsonable()
 
     def nucleus_json(t):
-        return Nucleus._wrap(poset, t).to_jsonable()
+        # as Nucleus.to_jsonable, but an image need not be a downset
+        return [[subset_json(s), subset_json(m)] for s, m in zip(poset.downset_masks(), t)]
 
     def topology_json(f):
         return GrothendieckTopology._wrap(poset, f).to_jsonable()

@@ -44,7 +44,7 @@ def _canon(masks):
 def reference_validate_nucleus(poset, table):
     items = table.items() if isinstance(table, Mapping) else table
     masks = poset.downset_masks()
-    rank = poset._dmask_pos
+    rank = poset._downset_ranks()
     d = len(masks)
     images = [None] * d
     for key, value in items:
@@ -249,7 +249,7 @@ def reference_enumerate_nuclei(poset, cap=DEFAULT_NUCLEUS_CAP):
 
     def rec(i):
         if i == d:
-            out.append(Nucleus._wrap(poset, tuple(assigned)))
+            out.append(Nucleus(poset, tuple(assigned)))
             return
         row = meet_at[i]
         for t in (i,) if fixed[i] else supersets[i]:

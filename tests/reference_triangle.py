@@ -30,7 +30,7 @@ from triposet.topology import DEFAULT_TOPOLOGY_CAP, GrothendieckTopology, enumer
 def _subset_to_nucleus(x):
     poset = x.poset
     rank = poset.downset_rank
-    return Nucleus._wrap(
+    return Nucleus(
         poset,
         tuple(rank(implication_mask(poset, x.mask, s)) for s in poset.downset_masks()),
     )
@@ -108,7 +108,7 @@ def _topology_to_nucleus(J):
             if s & poset._down[p] in J.families[p]:
                 m |= 1 << p
         table.append(poset.downset_rank(m))
-    return Nucleus._wrap(poset, tuple(table))
+    return Nucleus(poset, tuple(table))
 
 
 REFERENCE_EDGES = {

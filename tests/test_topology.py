@@ -130,6 +130,14 @@ class TestFamilies:
         J = validate_topology(singleton, [[d, d]])
         assert J.sieves_at(0) == (d,)
 
+    def test_constructor_rejects_a_non_int_mask(self, chain2):
+        with pytest.raises(TypeError, match=r"mask 1\.0 is not an int"):
+            GrothendieckTopology(chain2, [[1.0], [3]])
+
+    def test_constructor_rejects_an_out_of_range_mask(self, chain2):
+        with pytest.raises(ValueError, match="mask 0x7 out of range for n=2"):
+            GrothendieckTopology(chain2, [[7], [99]])
+
     def test_equality_is_per_point_families(self, chain2):
         small = validate_topology(chain2, smallest_families(chain2))
         large = validate_topology(chain2, largest_families(chain2))

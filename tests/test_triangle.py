@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from conftest import posets
 from triposet import (
     CapExceededError,
+    GrothendieckTopology,
+    ImageNotDownsetError,
     build_poset,
     enumerate_nuclei,
     enumerate_topologies,
@@ -150,11 +152,35 @@ class TestNucleusTopologyEdge:
         j = topology_to_nucleus(J)
         assert dict(j.pairs())[chain2.downset([])] == chain2.downset("a")
 
+    def test_a_non_topology_is_not_a_nucleus(self, chain2):
+        # j({}) = {b}: {} covers b but not a
+        J = GrothendieckTopology(chain2, [[1], [0, 3]])
+        with pytest.raises(ImageNotDownsetError, match=r"image \{b\} of \{\}"):
+            topology_to_nucleus(J)
+
     def test_edge_round_trips(self, vee):
         for j in enumerate_nuclei(vee):
             assert topology_to_nucleus(nucleus_to_topology(j)) == j
         for J in enumerate_topologies(vee):
             assert nucleus_to_topology(topology_to_nucleus(J)) == J
+
+
+def test_equal_posets_convert_alike_through_every_edge():
+    # the second poset is equal to the first but a distinct object, so the
+    # edges read the arrays cached for the first before it has any of its own
+    first, second = (build_poset("abc", [("a", "b"), ("b", "c")]) for _ in range(2))
+    for poset in (first, second):
+        for x in poset.subsets():
+            j, J = subset_to_nucleus(x), subset_to_topology(x)
+            assert j.poset is poset and J.poset is poset
+            for y in (
+                nucleus_to_subset(j),
+                nucleus_to_subset_alt(j),
+                nucleus_to_subset_via_topology(j),
+                topology_to_subset(J),
+            ):
+                assert y == x and y.poset is poset
+            assert nucleus_to_topology(j) == J and topology_to_nucleus(J) == j
 
 
 class TestExtractionIdentities:

@@ -31,16 +31,16 @@ from triposet import (
 )
 from triposet.errors import CapExceededError
 
-# public edge -> (kernel, input attribute, class of the result)
+# public edge -> (kernel, class of the argument, class of the result)
 EDGES = {
-    "subset_to_nucleus": ("_subset_to_table", "mask", Nucleus),
-    "nucleus_to_subset": ("_table_to_subset", "table", Subset),
-    "subset_to_topology": ("_subset_to_families", "mask", GrothendieckTopology),
-    "topology_to_subset": ("_families_to_subset", "families", Subset),
-    "nucleus_to_topology": ("_table_to_families", "table", GrothendieckTopology),
-    "topology_to_nucleus": ("_families_to_table", "families", Nucleus),
-    "nucleus_to_subset_alt": ("_table_to_subset_alt", "table", Subset),
-    "nucleus_to_subset_via_topology": ("_table_to_subset_via_topology", "table", Subset),
+    "subset_to_nucleus": ("_subset_to_table", Subset, Nucleus),
+    "nucleus_to_subset": ("_table_to_subset", Nucleus, Subset),
+    "subset_to_topology": ("_subset_to_families", Subset, GrothendieckTopology),
+    "topology_to_subset": ("_families_to_subset", GrothendieckTopology, Subset),
+    "nucleus_to_topology": ("_table_to_families", Nucleus, GrothendieckTopology),
+    "topology_to_nucleus": ("_families_to_table", GrothendieckTopology, Nucleus),
+    "nucleus_to_subset_alt": ("_table_to_subset_alt", Nucleus, Subset),
+    "nucleus_to_subset_via_topology": ("_table_to_subset_via_topology", Nucleus, Subset),
 }
 KERNELS = tuple(kernel for kernel, _, _ in EDGES.values())
 
@@ -77,36 +77,39 @@ def test_engine_matches_reference_on_the_sample():
 
 def _inputs(poset):
     return {
-        "mask": poset.subsets(),
-        "table": enumerate_nuclei(poset),
-        "families": enumerate_topologies(poset),
+        Subset: poset.subsets(),
+        Nucleus: enumerate_nuclei(poset),
+        GrothendieckTopology: enumerate_topologies(poset),
     }
 
 
-def _result(cls, value):
-    return value.mask if cls is Subset else value.table if cls is Nucleus else value.families
+def _raw(value):
+    """What a kernel takes or returns: a mask, the image masks or the families."""
+    if isinstance(value, Nucleus):
+        return value._images()
+    return value.mask if isinstance(value, Subset) else value.families
 
 
 def test_each_public_edge_is_its_wrapped_kernel(diamond):
     posets = [p for n in range(4) for p in enumerate_posets(n)] + [diamond]
     for poset in posets:
         inputs = _inputs(poset)
-        for edge, (kernel, attr, cls) in EDGES.items():
-            for value in inputs[attr]:
+        for edge, (kernel, source, cls) in EDGES.items():
+            for value in inputs[source]:
                 got = getattr(triangle, edge)(value)
                 assert type(got) is cls and got.poset is poset
-                assert _result(cls, got) == getattr(triangle, kernel)(poset, getattr(value, attr))
+                assert _raw(got) == getattr(triangle, kernel)(poset, _raw(value))
 
 
 def test_kernels_match_the_object_level_edges(diamond):
     posets = [p for n in range(5) for p in enumerate_posets(n)] + [diamond]
     for poset in posets:
         inputs = _inputs(poset)
-        for edge, (kernel, attr, cls) in EDGES.items():
+        for edge, (kernel, source, _) in EDGES.items():
             reference = REFERENCE_EDGES[edge]
-            for value in inputs[attr]:
-                want = _result(cls, reference(value))
-                assert getattr(triangle, kernel)(poset, getattr(value, attr)) == want, edge
+            for value in inputs[source]:
+                want = _raw(reference(value))
+                assert getattr(triangle, kernel)(poset, _raw(value)) == want, edge
 
 
 def _break_nucleus_to_subset(poset, original):
@@ -176,6 +179,45 @@ def test_a_broken_edge_fails_the_same_laws(diamond, monkeypatch, edge, breaker, 
     engine = triangle.verify_triangle(diamond)
     assert [law.name for law in engine.laws if not law.passed] == failing
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+def test_a_non_topology_from_an_edge_fails_its_laws(chain2, monkeypatch):
+    # not a topology: {} covers b but not a, so j({}) = {b} is not a downset
+    monkeypatch.setattr(triangle, "_subset_to_families", lambda poset, x: ((1,), (0, 3)))
+    report = triangle.verify_triangle(chain2)
+    assert [law.name for law in report.laws if not law.passed] == [
+        "subset_topology_roundtrip",
+        "topology_roundtrip",
+        "triangle_commutes_via_nucleus",
+        "triangle_commutes_via_topology",
+        "topology_bijection",
+        "subset_to_topology_valid",
+    ]
+    witness = {law.name: law.witness for law in report.laws}["triangle_commutes_via_topology"]
+    assert witness["via_topology"][0] == [[], ["b"]]
+
+
+def test_a_non_downset_image_fails_the_nucleus_validity_law(chain2, monkeypatch):
+    original = triangle._families_to_table
+    target = triangle._subset_to_families(chain2, chain2.full_mask)
+
+    def broken(poset, families):
+        images = original(poset, families)
+        return (0b10, *images[1:]) if families == target else images
+
+    monkeypatch.setattr(triangle, "_families_to_table", broken)
+    report = triangle.verify_triangle(chain2)
+    witness = {law.name: law.witness for law in report.laws}["topology_to_nucleus_valid"]
+    assert witness["kind"] == "ImageNotDownsetError"
+    assert witness["error"] == "image {b} of {} is not downward closed"
+
+
+def test_a_passing_verify_builds_no_subsets(diamond, monkeypatch):
+    def never(cls, poset, mask):
+        raise AssertionError(f"built {cls.__name__} {mask:#x}")
+
+    monkeypatch.setattr(Subset, "_wrap", classmethod(never))
+    assert triangle.verify_triangle(diamond).all_passed
 
 
 def _break_nucleus_to_subset_on_two_points(monkeypatch):
