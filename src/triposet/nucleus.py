@@ -3,8 +3,8 @@
 A nucleus is a self-map j of the downset lattice that is inflationary
 (S <= j(S)), idempotent (j(j(S)) = j(S)), and preserves binary meets
 (j(A & B) = j(A) & j(B)); monotonicity follows from meet preservation.
-Tables are stored as total maps over the canonical downset order, one
-image rank per downset; outside this module a nucleus is its image masks.
+A nucleus is stored as its image masks, one per downset in the canonical
+downset order, so "is p in j(S)?" is a bit test.
 
 The downset lattice is distributive, and its meet-irreducibles are the n
 downsets M_p = P minus the up-set of p; every downset S is the meet of the
@@ -39,50 +39,41 @@ DEFAULT_NUCLEUS_CAP = 32  # largest |D(P)| the enumerator will search
 
 
 class Nucleus:
-    """A nucleus table over the canonical downset order; the constructor checks
-    only its shape, and :func:`validate_nucleus` checks the axioms.  The
-    conversions take and give the image masks (:meth:`_images`,
-    :meth:`_from_images`) instead of the image ranks in ``table``."""
+    """A nucleus as its image masks: ``images[i]`` is j of the ``i``-th
+    downset in canonical order.  The constructor checks that there is one
+    image per downset and that each is a downset mask, as the first axiom
+    asks; :func:`validate_nucleus` checks the other axioms."""
 
-    __slots__ = ("poset", "table")
+    __slots__ = ("poset", "images")
 
-    def __init__(self, poset: Poset, table: Sequence[int]):
-        table = tuple(table)
-        d = len(poset.downset_masks())
-        if len(table) != d:
-            raise ValueError(f"table has {len(table)} entries, expected {d}")
-        for t in table:
-            if not isinstance(t, int):
-                raise TypeError(f"table entry {t!r} is not an int")
-            if not 0 <= t < d:
-                raise ValueError(f"table entry {t} out of range")
+    def __init__(self, poset: Poset, images: Sequence[int]):
+        images = tuple(images)
+        dmasks = poset.downset_masks()
+        if len(images) != len(dmasks):
+            raise ValueError(f"{len(images)} images, expected {len(dmasks)}")
+        for m in images:
+            Subset(poset, m)  # an int in range, with Subset's errors, before any rank lookup
+        rank = poset._downset_ranks()
+        for s, m in zip(dmasks, images):
+            if m not in rank:
+                raise ImageNotDownsetError(DownSet._wrap(poset, s), Subset._wrap(poset, m))
         self.poset = poset
-        self.table = table
+        self.images = images
 
     @classmethod
-    def _from_images(cls, poset: Poset, images: Sequence[int]):
-        """Trusted constructor from image masks in canonical downset order;
-        raises :class:`ImageNotDownsetError` at the first non-downset image."""
-        rank = poset._downset_ranks()
-        for i, m in enumerate(images):
-            if m not in rank:
-                raise ImageNotDownsetError(
-                    DownSet._wrap(poset, poset.downset_masks()[i]), Subset._wrap(poset, m)
-                )
+    def _wrap(cls, poset: Poset, images: tuple[int, ...]):
+        """Trusted constructor: every image is already a downset."""
         obj = object.__new__(cls)
         obj.poset = poset
-        obj.table = tuple([rank[m] for m in images])
+        obj.images = images
         return obj
-
-    def _images(self) -> tuple[int, ...]:
-        """The image masks, in canonical downset order."""
-        dmasks = self.poset.downset_masks()
-        return tuple([dmasks[t] for t in self.table])
 
     def pairs(self) -> tuple[tuple[DownSet, DownSet], ...]:
         """(downset, image) rows in canonical order."""
-        ds = self.poset.downsets()
-        return tuple((ds[i], ds[t]) for i, t in enumerate(self.table))
+        poset = self.poset
+        return tuple(
+            (s, DownSet._wrap(poset, m)) for s, m in zip(poset.downsets(), self.images)
+        )
 
     def to_jsonable(self) -> list[list[list[str]]]:
         return [[s.to_jsonable(), img.to_jsonable()] for s, img in self.pairs()]
@@ -90,12 +81,12 @@ class Nucleus:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Nucleus):
             return NotImplemented
-        return self.table == other.table and (
+        return self.images == other.images and (
             self.poset is other.poset or self.poset == other.poset
         )
 
     def __hash__(self) -> int:
-        return hash((self.poset._hash, self.table))
+        return hash((self.poset._hash, self.images))
 
     def __repr__(self) -> str:
         rows = ", ".join(f"{s}->{img}" for s, img in self.pairs())
@@ -135,25 +126,27 @@ def validate_nucleus(
             f"table is missing {Subset._wrap(poset, masks[missing[0]])}"
             + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
         )
-    return _check_nucleus(poset, images)
+    return Nucleus._wrap(poset, _check_nucleus(poset, images))
 
 
-def _check_nucleus(poset: Poset, images: Sequence[int]) -> Nucleus:
+def _check_nucleus(poset: Poset, images: Sequence[int]) -> tuple[int, ...]:
     """The axiom checks of :func:`validate_nucleus` on image masks.
 
     ``images[i]`` is the image mask of the ``i``-th downset in canonical
     order; it need not be a downset.  Raises what the public validator
-    raises, with the same witnesses, and returns the nucleus.
+    raises, with the same witnesses, and returns the images as a tuple.
     """
     masks = poset.downset_masks()
     rank = poset._downset_ranks()
     d = len(masks)
-    j = Nucleus._from_images(poset, images)  # the first axiom: every image is a downset
+    for s, m in zip(masks, images):
+        if m not in rank:
+            raise ImageNotDownsetError(DownSet._wrap(poset, s), Subset._wrap(poset, m))
     for i in range(d):
         if masks[i] & ~images[i]:
             raise NotInflationaryError(DownSet._wrap(poset, masks[i]))
     for i in range(d):
-        if images[j.table[i]] != images[i]:
+        if images[rank[images[i]]] != images[i]:
             raise NotIdempotentError(DownSet._wrap(poset, masks[i]))
     # inflationary, so j(P) = P: j preserves meets exactly when every step
     # has j(S) = T_p & j(S + p); only a failure needs the pair scan, which
@@ -167,7 +160,7 @@ def _check_nucleus(poset: Poset, images: Sequence[int]) -> Nucleus:
                     raise NotMeetPreservingError(
                         DownSet._wrap(poset, masks[k]), DownSet._wrap(poset, masks[i])
                     )
-    return j
+    return tuple(images)
 
 
 @lru_cache(maxsize=1)
@@ -201,7 +194,7 @@ def _require_nucleus_cap(poset: Poset, cap: int) -> None:
 
 
 def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucleus]:
-    """Every nucleus on the downset lattice, in canonical table order.
+    """Every nucleus on the downset lattice, in canonical order.
 
     The search chooses T_p = j(M_p) for each point p.  Any choice of
     downsets T_p containing M_p gives a map j(S) = meet of the T_p with p
@@ -220,9 +213,10 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
     T_p is chosen every T_q with q above p is fixed and both conditions are
     decided on the spot.  Every leaf is therefore a nucleus, each nucleus
     is reached once, and the search runs over the n points instead of over
-    the downsets.  A leaf fills its table in reverse canonical order from
+    the downsets.  A leaf fills its images in reverse canonical order from
     j(S) = T_p & j(S + p), with p a minimal point outside S and j(P) = P.
-    The tables are emitted in lexicographic order.
+    The nuclei are emitted in the lexicographic order of their images'
+    downset ranks.
     """
     _require_nucleus_cap(poset, cap)
     dmasks = poset.downset_masks()
@@ -244,7 +238,7 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
             img = [full] * d
             for i, p, k in steps:
                 img[i] = chosen[p] & img[k]
-            nuclei.append(Nucleus._from_images(poset, img))
+            nuclei.append(Nucleus._wrap(poset, tuple(img)))
             return
         p = order[idx]
         bound = full
@@ -263,5 +257,6 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
             rec(idx + 1)
 
     rec(0)
-    nuclei.sort(key=lambda j: j.table)
+    rank = poset._downset_ranks()
+    nuclei.sort(key=lambda j: [rank[m] for m in j.images])
     return nuclei

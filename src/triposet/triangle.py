@@ -18,11 +18,11 @@ composite route through topologies in closed form (for every sieve S on p,
 p lands in j(S) exactly when S is the whole cone) and an alternate form
 comparing j on the cone of p with and without p.
 
-Each edge is a private kernel on raw values -- a subset mask, a nucleus
-table (image masks in canonical downset order) or a topology's family
-tuple -- wrapped by a public function that takes and returns objects.  The
-kernels read arrays built once per poset by :func:`_edge_ranks`, which
-keeps only the most recent poset.
+Each edge is a private kernel on raw values -- a subset mask, a nucleus's
+``images`` (one image mask per downset, in canonical order) or a
+topology's ``families`` -- wrapped by a public function that takes and
+returns objects.  The kernels read arrays built once per poset by
+:func:`_edge_ranks`, which keeps only the most recent poset.
 
 :func:`verify_triangle` runs the whole law suite on one poset and returns a
 :class:`TriangleReport`; counts come only from the independent enumerators,
@@ -179,17 +179,17 @@ def _families_to_table(poset: Poset, families: Families) -> Table:
 
 def subset_to_nucleus(x: Subset) -> Nucleus:
     """The nucleus S |-> (x -> S)."""
-    return Nucleus._from_images(x.poset, _subset_to_table(x.poset, x.mask))
+    return Nucleus._wrap(x.poset, _subset_to_table(x.poset, x.mask))
 
 
 def nucleus_to_subset(j: Nucleus) -> Subset:
     """The points p not swallowed by j applied to everything strictly below p."""
-    return Subset._wrap(j.poset, _table_to_subset(j.poset, j._images()))
+    return Subset._wrap(j.poset, _table_to_subset(j.poset, j.images))
 
 
 def nucleus_to_subset_alt(j: Nucleus) -> Subset:
     """Alternate extraction: p where j separates the cone of p from the punctured cone."""
-    return Subset._wrap(j.poset, _table_to_subset_alt(j.poset, j._images()))
+    return Subset._wrap(j.poset, _table_to_subset_alt(j.poset, j.images))
 
 
 def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
@@ -199,7 +199,7 @@ def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
     principal downset be the only sieve S on p with p in j(S); this
     evaluates that condition directly.
     """
-    return Subset._wrap(j.poset, _table_to_subset_via_topology(j.poset, j._images()))
+    return Subset._wrap(j.poset, _table_to_subset_via_topology(j.poset, j.images))
 
 
 def subset_to_topology(x: Subset) -> GrothendieckTopology:
@@ -214,12 +214,12 @@ def topology_to_subset(J: GrothendieckTopology) -> Subset:
 
 def nucleus_to_topology(j: Nucleus) -> GrothendieckTopology:
     """Covers at p are the sieves sent over p by the nucleus."""
-    return GrothendieckTopology._wrap(j.poset, _table_to_families(j.poset, j._images()))
+    return GrothendieckTopology._wrap(j.poset, _table_to_families(j.poset, j.images))
 
 
 def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
     """j(S) collects the points where S pulls back to a covering sieve."""
-    return Nucleus._from_images(J.poset, _families_to_table(J.poset, J.families))
+    return Nucleus(J.poset, _families_to_table(J.poset, J.families))
 
 
 # -- the verifier ----------------------------------------------------------
@@ -325,16 +325,15 @@ def verify_triangle(
     family tuples.  Each edge kernel and each validator core fills one
     table that lasts this call, so within a call it runs at most once per
     distinct input, first for the same law as in a law-by-law check.  Apart
-    from the enumerated values and the nuclei the validator core returns,
-    objects are built only to serialize a witness.  Both enumeration caps
-    are checked before any work starts.
+    from the enumerated values, objects are built only to serialize a
+    witness.  Both enumeration caps are checked before any work starts.
     """
     t0 = perf_counter()
     _require_nucleus_cap(poset, nucleus_cap)
     _require_topology_cap(poset, topology_cap)
     n = poset.n
     xs = _canonical(range(1 << n))
-    tables = [j._images() for j in enumerate_nuclei(poset, cap=nucleus_cap)]
+    tables = [j.images for j in enumerate_nuclei(poset, cap=nucleus_cap)]
     fams = [J.families for J in enumerate_topologies(poset, cap=topology_cap)]
     counts = {"subsets": len(xs), "nuclei": len(tables), "topologies": len(fams)}
 

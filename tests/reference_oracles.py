@@ -79,7 +79,7 @@ def reference_validate_nucleus(poset, table):
         for k in range(i):
             if images[rank[masks[i] & masks[k]]] != images[i] & images[k]:
                 raise NotMeetPreservingError(downs[k], downs[i])
-    return Nucleus(poset, tuple(rank[img] for img in images))
+    return Nucleus(poset, images)
 
 
 def reference_validate_topology(poset, families):
@@ -249,7 +249,7 @@ def reference_enumerate_nuclei(poset, cap=DEFAULT_NUCLEUS_CAP):
 
     def rec(i):
         if i == d:
-            out.append(Nucleus(poset, tuple(assigned)))
+            out.append(Nucleus(poset, [dmasks[t] for t in assigned]))
             return
         row = meet_at[i]
         for t in (i,) if fixed[i] else supersets[i]:

@@ -29,16 +29,11 @@ from triposet.topology import DEFAULT_TOPOLOGY_CAP, GrothendieckTopology, enumer
 
 def _subset_to_nucleus(x):
     poset = x.poset
-    rank = poset.downset_rank
-    return Nucleus(
-        poset,
-        tuple(rank(implication_mask(poset, x.mask, s)) for s in poset.downset_masks()),
-    )
+    return Nucleus(poset, [implication_mask(poset, x.mask, s) for s in poset.downset_masks()])
 
 
 def _image(j, s):
-    poset = j.poset
-    return poset.downset_masks()[j.table[poset.downset_rank(s)]]
+    return j.images[j.poset.downset_rank(s)]
 
 
 def _nucleus_to_subset(j):
@@ -101,14 +96,14 @@ def _nucleus_to_topology(j):
 
 def _topology_to_nucleus(J):
     poset = J.poset
-    table = []
+    images = []
     for s in poset.downset_masks():
         m = 0
         for p in range(poset.n):
             if s & poset._down[p] in J.families[p]:
                 m |= 1 << p
-        table.append(poset.downset_rank(m))
-    return Nucleus(poset, tuple(table))
+        images.append(m)
+    return Nucleus(poset, images)
 
 
 REFERENCE_EDGES = {

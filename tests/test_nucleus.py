@@ -135,13 +135,29 @@ class TestApply:
         assert a != c
 
     def test_constructor_rejects_a_non_int_entry(self, chain2, diamond):
-        # [0.0, 1, 2] == [0, 1, 2] and hashes alike, so it would pass the range check
+        # 0.0 == 0 and hashes alike, so it would pass the downset lookup
         for poset in (chain2, diamond):
-            table = list(range(len(poset.downset_masks())))
-            table[0] = 0.0
-            with pytest.raises(TypeError, match="table entry 0.0 is not an int"):
-                Nucleus(poset, table)
-            assert Nucleus(poset, range(len(table))).table == tuple(range(len(table)))
+            images = list(poset.downset_masks())
+            images[0] = 0.0
+            with pytest.raises(TypeError, match="mask 0.0 is not an int"):
+                Nucleus(poset, images)
+            assert Nucleus(poset, list(poset.downset_masks())).images == poset.downset_masks()
+
+    @pytest.mark.parametrize("bad", [-1, 4])  # chain2's full mask is 3
+    def test_constructor_rejects_an_out_of_range_entry(self, chain2, bad):
+        # checked before the downset lookup: rendering a negative mask never ends
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            Nucleus(chain2, [bad, 1, 3])
+
+    def test_constructor_rejects_a_non_downset_entry(self, chain2):
+        with pytest.raises(ImageNotDownsetError) as exc:
+            Nucleus(chain2, [0, 2, 3])
+        assert exc.value.downset == chain2.downset("a")
+        assert exc.value.image == chain2.subset("b")
+
+    def test_constructor_rejects_a_wrong_length(self, chain2):
+        with pytest.raises(ValueError, match="2 images, expected 3"):
+            Nucleus(chain2, [1, 3])
 
 
 class TestEnumerate:
@@ -151,7 +167,7 @@ class TestEnumerate:
     def test_singleton_has_identity_and_constant_top(self, singleton):
         js = enumerate_nuclei(singleton)
         assert len(js) == 2
-        tables = {j.table for j in js}
+        tables = {j.images for j in js}
         assert (0, 1) in tables  # identity
         assert (1, 1) in tables  # constant top
 
@@ -180,8 +196,8 @@ class TestEnumerate:
 
     def test_no_duplicates_and_deterministic(self, diamond):
         js = enumerate_nuclei(diamond)
-        assert len({j.table for j in js}) == len(js)
-        assert [j.table for j in js] == [j.table for j in enumerate_nuclei(diamond)]
+        assert len({j.images for j in js}) == len(js)
+        assert [j.images for j in js] == [j.images for j in enumerate_nuclei(diamond)]
 
     def test_cap_counts_downsets(self, chain2):
         with pytest.raises(CapExceededError):
@@ -242,6 +258,6 @@ def test_validation_agrees_with_naive_checker(poset, data):
 @settings(max_examples=40)
 def test_random_posets_enumerate_without_duplicates(poset):
     js = enumerate_nuclei(poset)
-    assert len({j.table for j in js}) == len(js)
+    assert len({j.images for j in js}) == len(js)
     for j in js:
         validate_nucleus(poset, dict(j.pairs()))

@@ -88,11 +88,11 @@ def cube():
 def _nucleus_lists_match(poset, cap=DEFAULT_NUCLEUS_CAP):
     """The same tables as the reference, in order, each a nucleus, none twice."""
     nuclei = enumerate_nuclei(poset, cap=cap)
-    got = [j.table for j in nuclei]
-    assert got == [j.table for j in reference_enumerate_nuclei(poset, cap=cap)]
+    got = [j.images for j in nuclei]
+    assert got == [j.images for j in reference_enumerate_nuclei(poset, cap=cap)]
     assert len(set(got)) == len(got)
     for j in nuclei:
-        assert validate_nucleus(poset, dict(j.pairs())).table == j.table
+        assert validate_nucleus(poset, dict(j.pairs())).images == j.images
 
 
 def test_enumerated_nuclei_match_the_reference_in_order():
@@ -202,7 +202,7 @@ def test_nucleus_validators_agree_on_every_one_entry_change(diamond):
                     core = outcome(_check_nucleus, poset, images)
                     assert got[0] == want[0] == core[0]
                     if got[0] == "ok":
-                        assert got[1].table == want[1].table == core[1].table
+                        assert got[1].images == want[1].images == core[1]
                         accepted += 1
                     else:
                         assert got == want == core
@@ -245,7 +245,7 @@ def test_trusted_values_equal_what_the_checking_constructors_build(diamond):
             *(nucleus_to_topology(j) for j in nuclei),
         ]
         for j in built_nuclei:
-            assert Nucleus(poset, j.table) == j
+            assert Nucleus(poset, j.images) == j
         for J in built_topologies:
             assert GrothendieckTopology(poset, J.families) == J
 

@@ -86,7 +86,7 @@ def _inputs(poset):
 def _raw(value):
     """What a kernel takes or returns: a mask, the image masks or the families."""
     if isinstance(value, Nucleus):
-        return value._images()
+        return value.images
     return value.mask if isinstance(value, Subset) else value.families
 
 
@@ -218,6 +218,24 @@ def test_a_passing_verify_builds_no_subsets(diamond, monkeypatch):
 
     monkeypatch.setattr(Subset, "_wrap", classmethod(never))
     assert triangle.verify_triangle(diamond).all_passed
+
+
+def test_a_passing_verify_wraps_each_enumerated_nucleus_once(diamond, monkeypatch):
+    wrapped = []
+    wrap = Nucleus._wrap
+
+    def counting(cls, poset, images):
+        wrapped.append(images)
+        return wrap(poset, images)
+
+    def never(self, poset, images):
+        raise AssertionError(f"checked Nucleus {images}")
+
+    monkeypatch.setattr(Nucleus, "_wrap", classmethod(counting))
+    monkeypatch.setattr(Nucleus, "__init__", never)
+    report = triangle.verify_triangle(diamond)
+    assert report.all_passed
+    assert len(wrapped) == report.counts["nuclei"]
 
 
 def _break_nucleus_to_subset_on_two_points(monkeypatch):
