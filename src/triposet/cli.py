@@ -244,6 +244,8 @@ def _cmd_verify(args, out, parser) -> int:
     if (args.file is None) == (args.max_n is None):
         parser.error("verify needs a FILE or --max-n N (not both)")
     if args.file is not None:
+        if args.directed_only:
+            parser.error("--directed-only only applies to --max-n")
         report = verify_triangle(_read_poset(args.file))
         if args.json:
             print(serialize(report), file=out)

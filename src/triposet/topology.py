@@ -9,13 +9,18 @@ A topology assigns to every point ``p`` a family J(p) of sieves on ``p``
   q in S lies in J(q), then R in J(p).
 
 Families are stored per point as tuples of sieve masks in canonical order.
-Like the nucleus module, the enumeration here works from the axioms alone
-and is intentionally independent of any conversion routines.
+Covering sieves are closed under intersection, so J(p) is the sieves on p
+above a least covering sieve m_p.  Both the enumeration and the validator
+work from these least covering sieves: the validator accepts a topology
+from them and scans sieve by sieve only to find the first failure.  Like
+the nucleus module, this works from the axioms alone and is intentionally
+independent of any conversion routines.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from functools import lru_cache
 
 from .errors import (
     CapExceededError,
@@ -141,9 +146,46 @@ def _check_topology(
     """The axiom checks of :func:`validate_topology` on sieve masks.
 
     ``families`` yields one canonically ordered tuple of masks per point.
-    Raises what the public validator raises, with the same witnesses, and
-    returns the families as a tuple.
+    Validity is accepted from the least covering sieves, as in
+    :func:`enumerate_topologies`: the families form a topology exactly when
+    each J(p) is the sieves on p that contain its least entry m_p (so every
+    entry is a sieve and the principal downset is one), m_q lies inside m_p
+    for every q < p, and m_p lies inside the union of the m_q over the
+    points q of m_p.  Only failing families go through
+    :func:`_scan_topology`, which finds the first failure and raises what
+    the public validator raises.  Returns the families as a tuple.
     """
+    covering = _covering(poset)
+    cones = poset._cones
+    fams: list[tuple[int, ...]] = []
+    gens = []
+    rest = iter(families)
+    for p, entries in enumerate(rest):
+        fams.append(entries)
+        # the least entry comes first in canonical order; it is the meet of
+        # all of them exactly when J(p) is the sieves on p above it
+        m = entries[0] if entries else None
+        if covering[p].get(m) != entries:
+            # read the later points only as the scan reaches them
+            return _scan_topology(poset, (f for part in (fams, rest) for f in part))
+        gens.append(m)
+    for p, m in enumerate(gens):
+        below = reach = 0
+        for q in cones[p]:
+            g = gens[q]
+            below |= g
+            if m >> q & 1:
+                reach |= g
+        if below & ~m or m & ~reach:
+            return _scan_topology(poset, fams)
+    return tuple(fams)
+
+
+def _scan_topology(
+    poset: Poset, families: Iterable[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """Every axiom, sieve by sieve, in the order :func:`validate_topology`
+    states; raises the first violation with its witnesses."""
     rank = poset._downset_ranks()
     down = poset._down
     cones = poset._cones
@@ -185,6 +227,17 @@ def _check_topology(
     return tuple(fam_masks)
 
 
+@lru_cache(maxsize=1)
+def _covering(poset: Poset) -> tuple[dict[int, tuple[int, ...]], ...]:
+    """Per point p, each sieve m on p, in canonical order, mapped to the
+    canonical tuple of the sieves on p that contain m."""
+    covering = []
+    for p in range(poset.n):
+        sieves = poset.sieve_masks(p)
+        covering.append({m: tuple([s for s in sieves if not m & ~s]) for m in sieves})
+    return tuple(covering)
+
+
 def _require_topology_cap(poset: Poset, cap: int) -> None:
     if poset.n > cap:
         raise CapExceededError(
@@ -221,11 +274,7 @@ def enumerate_topologies(
     n = poset.n
     down = poset._down
     order = sorted(range(n), key=lambda p: (down[p].bit_count(), p))
-    # per point, each sieve m on it with the sieves on it that contain m
-    covering = []
-    for p in range(n):
-        sieves = poset.sieve_masks(p)
-        covering.append([(m, tuple(s for s in sieves if not m & ~s)) for m in sieves])
+    covering = _covering(poset)
     gen = [0] * n
     fams: list[tuple[int, ...]] = [()] * n
     results: list[GrothendieckTopology] = []
@@ -237,7 +286,7 @@ def enumerate_topologies(
         p = order[idx]
         full = down[p]
         lower = [gen[q] for q in _bits(full & ~(1 << p))]
-        for m, fam in covering[p]:
+        for m, fam in covering[p].items():
             if any(g & ~m for g in lower):
                 continue
             if m != full:

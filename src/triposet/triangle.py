@@ -76,7 +76,7 @@ Families = tuple[tuple[int, ...], ...]
 class _EdgeRanks:
     """Per-poset arrays the edge kernels read; downsets are named by rank."""
 
-    __slots__ = ("dmasks", "imp", "cone", "punctured", "sieves", "cuts")
+    __slots__ = ("dmasks", "imp", "cone", "punctured", "sieves", "cuts", "above", "columns")
 
     def __init__(self, poset: Poset):
         dmasks = self.dmasks = poset.downset_masks()
@@ -96,6 +96,10 @@ class _EdgeRanks:
         self.sieves = [tuple((s, rank[s]) for s in poset.sieve_masks(p)) for p in range(n)]
         # cuts[p][i]: the i-th downset meet the cone of p
         self.cuts = [tuple([s & c for s in dmasks]) for c in down]
+        # memos filled by the kernels, per point: the sieves on p above each
+        # X & (down p), and each family's column of bit p over the downsets
+        self.above = [{} for _ in range(n)]
+        self.columns = [{} for _ in range(n)]
 
 
 # one entry, so the arrays of a poset live only until the next poset's are built
@@ -139,11 +143,15 @@ def _table_to_subset_via_topology(poset: Poset, table: Table) -> int:
 
 
 def _subset_to_families(poset: Poset, x: int) -> Families:
+    r = _edge_ranks(poset)
     down = poset._down
     fams = []
-    for p, pairs in enumerate(_edge_ranks(poset).sieves):
+    for p, memo in enumerate(r.above):
         need = x & down[p]
-        fams.append(tuple([s for s, _ in pairs if not need & ~s]))
+        fam = memo.get(need)
+        if fam is None:
+            fam = memo[need] = tuple([s for s, _ in r.sieves[p] if not need & ~s])
+        fams.append(fam)
     return tuple(fams)
 
 
@@ -165,13 +173,22 @@ def _table_to_families(poset: Poset, table: Table) -> Families:
 
 
 def _families_to_table(poset: Poset, families: Families) -> Table:
+    if not families:
+        return (0,)  # n = 0: the one downset is empty, and so is its image
     r = _edge_ranks(poset)
-    images = [0] * len(r.dmasks)
+    cols = []
     for p, fam in enumerate(families):
-        covers = set(fam)
-        bit = 1 << p
-        images = [m | bit if c in covers else m for m, c in zip(images, r.cuts[p])]
-    return tuple(images)
+        memo = r.columns[p]
+        col = memo.get(fam)
+        if col is None:
+            # bit p at downset i when S_i meet the cone of p is in J(p)
+            covers = set(fam)
+            bit = 1 << p
+            col = memo[fam] = tuple([bit if c in covers else 0 for c in r.cuts[p]])
+        cols.append(col)
+    # each column holds only its own bit, so the sum is the union; the list
+    # sizes the tuple once (a tuple grown from an iterator is reallocated)
+    return tuple([*map(sum, zip(*cols))])
 
 
 # -- the public edges ------------------------------------------------------

@@ -262,6 +262,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "1 skipped" in out
 
+    def test_directed_only_is_refused_with_a_file(self, tmp_path, monkeypatch, capsys):
+        # a non-directed poset: the flag must not pass it silently
+        antichain2 = write(tmp_path, "antichain2.poset", "poset v1\nelements a b\n")
+        calls = []
+        monkeypatch.setattr(cli, "verify_triangle", lambda poset: calls.append(poset))
+        assert main(["verify", antichain2, "--directed-only"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--directed-only only applies to --max-n" in captured.err
+        assert calls == []
+
     def test_file_and_sweep_are_exclusive(self, chain2_file, capsys):
         assert main(["verify", chain2_file, "--max-n", "2"]) == 2
         assert main(["verify"]) == 2

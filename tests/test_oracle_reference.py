@@ -8,7 +8,8 @@ topology lists in the same order, and for every one-entry change of a valid
 table or family set, the same exception with the same message and
 witnesses, or the same accepted value.  The validators' mask cores, which
 ``verify_triangle`` calls, are held to the public validators on the same
-changes.  The pruned labeled-poset stream is held to the filtered product,
+changes, and the topology core accepts every topology without the scan it
+keeps for failures.  The pruned labeled-poset stream is held to the filtered product,
 in order, and the reference topologies are held to the one-generator form
 the topology enumerator assumes.
 """
@@ -34,6 +35,7 @@ from triposet import (
     nucleus_to_topology,
     subset_to_nucleus,
     subset_to_topology,
+    topology,
     topology_to_nucleus,
     validate_nucleus,
     validate_topology,
@@ -160,20 +162,26 @@ def test_reference_topologies_are_generated_by_one_sieve_per_point():
 
 
 def test_topology_validators_agree_on_every_one_sieve_change(diamond):
+    # every 8th labeled n = 4 poset too, so the least-covering-sieve accept
+    # meets four-point cones other than the diamond's
+    four = [p for i, p in enumerate(enumerate_posets(4)) if i % 8 == 0]
     accepted = rejected = 0
-    for poset in mutation_posets(diamond):
+    for poset in [*mutation_posets(diamond), *four]:
         every = [Subset._wrap(poset, m) for m in range(1 << poset.n)]
         for J in enumerate_topologies(poset):
+            sieves = [J.sieves_at(q) for q in range(poset.n)]
             for p in range(poset.n):
                 for s in every:
-                    families = [list(J.sieves_at(q)) for q in range(poset.n)]
+                    families = [list(f) for f in sieves]
                     if s in families[p]:
                         families[p].remove(s)
                     else:
                         families[p].append(s)
+                    masks = list(J.families)
+                    masks[p] = canon(families[p])
                     got = outcome(validate_topology, poset, families)
                     want = outcome(reference_validate_topology, poset, families)
-                    core = outcome(_check_topology, poset, [canon(f) for f in families])
+                    core = outcome(_check_topology, poset, masks)
                     assert got[0] == want[0] == core[0]
                     if got[0] == "ok":
                         assert got[1].families == want[1].families == core[1]
@@ -182,6 +190,23 @@ def test_topology_validators_agree_on_every_one_sieve_change(diamond):
                         assert got == want == core
                         rejected += 1
     assert accepted and rejected
+
+
+def test_the_topology_core_accepts_every_topology_without_the_scan(monkeypatch):
+    """The accept from the least covering sieves is complete: no topology
+    needs the sieve-by-sieve scan, which runs only to report a failure."""
+
+    def scan(poset, families):
+        raise AssertionError(f"scanned a topology on {poset}")
+
+    monkeypatch.setattr(topology, "_scan_topology", scan)
+    posets = [*(p for n in range(5) for p in enumerate_posets(n)), chain(8), cube()]
+    checked = 0
+    for poset in posets:
+        for J in enumerate_topologies(poset, cap=poset.n):
+            assert _check_topology(poset, J.families) == J.families
+            checked += 1
+    assert checked == 1 + 2 + 3 * 4 + 19 * 8 + 219 * 16 + 2 * 256
 
 
 def test_nucleus_validators_agree_on_every_one_entry_change(diamond):

@@ -100,6 +100,15 @@ class TestValidate:
         with pytest.raises(PosetMismatchError):
             validate_topology(chain2, families)
 
+    def test_a_non_sieve_is_reported_before_a_later_foreign_sieve(self, chain2, antichain2):
+        # the points are read in order, so {b} on a fails before the foreign
+        # sieve on b is read
+        families = smallest_families(chain2)
+        families[0] = [chain2.subset("b")]
+        families[1] = [antichain2.downset("a")]
+        with pytest.raises(NotASieveError):
+            validate_topology(chain2, families)
+
 
 class TestFamilies:
     def test_smallest_topology_families(self, chain3):

@@ -112,6 +112,22 @@ def test_kernels_match_the_object_level_edges(diamond):
                 assert getattr(triangle, kernel)(poset, _raw(value)) == want, edge
 
 
+def test_kernels_match_the_object_level_edges_across_the_per_poset_memos(diamond):
+    """Each kernel on A, then on B, equal to A but a distinct object, then on
+    another poset, then on A again.  B reads the arrays and memos that A
+    filled; A's second turn rebuilds them after the one-entry cache moved on."""
+    twin = build_poset(diamond.labels, [(diamond.labels[p], diamond.labels[q])
+                                        for p, q in diamond.covers()])
+    assert twin == diamond and twin is not diamond
+    for poset in (diamond, twin, chain(3), diamond):
+        inputs = _inputs(poset)
+        for edge, (kernel, source, _) in EDGES.items():
+            reference = REFERENCE_EDGES[edge]
+            for value in inputs[source]:
+                want = _raw(reference(value))
+                assert getattr(triangle, kernel)(poset, _raw(value)) == want, edge
+
+
 def _break_nucleus_to_subset(poset, original):
     target = triangle._subset_to_table(poset, poset.subset(["a"]).mask)
 
