@@ -257,6 +257,7 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
             rec(idx + 1)
 
     rec(0)
+    del rec  # it refers to itself; left bound, it would wait for the cyclic collector
     rank = poset._downset_ranks()
     nuclei.sort(key=lambda j: [rank[m] for m in j.images])
     return nuclei

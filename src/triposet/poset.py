@@ -14,7 +14,6 @@ poset the first time it is asked for.
 
 from __future__ import annotations
 
-import string
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -412,7 +411,7 @@ def enumerate_posets(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[Poset]:
             f"streaming posets on {n} elements exceeds the cap "
             f"{min(cap, HARD_STREAM_CAP)}"
         )
-    labels = tuple(string.ascii_lowercase[:n])
+    labels = tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     down = [1 << i for i in range(n)]
     up = down.copy()

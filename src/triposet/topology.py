@@ -285,9 +285,12 @@ def enumerate_topologies(
             return
         p = order[idx]
         full = down[p]
-        lower = [gen[q] for q in _bits(full & ~(1 << p))]
+        # stability: every m_q with q < p lies inside m_p exactly when their union does
+        below = 0
+        for q in _bits(full & ~(1 << p)):
+            below |= gen[q]
         for m, fam in covering[p].items():
-            if any(g & ~m for g in lower):
+            if below & ~m:
                 continue
             if m != full:
                 reach = 0
@@ -300,5 +303,6 @@ def enumerate_topologies(
             rec(idx + 1)
 
     rec(0)
+    del rec  # it refers to itself; left bound, it would wait for the cyclic collector
     results.sort(key=lambda t: t.families)
     return results

@@ -25,13 +25,16 @@ returns objects.  The kernels read arrays built once per poset by
 :func:`_edge_ranks`, which keeps only the most recent poset.
 
 :func:`verify_triangle` runs the whole law suite on one poset and returns a
-:class:`TriangleReport`; counts come only from the independent enumerators,
-never from the conversions under test.
+:class:`TriangleReport`.  It numbers the values of each corner once, runs
+each kernel and validator core once per value into a list indexed by
+number, and checks the laws on those ints.  Counts come only from the
+independent enumerators, never from the conversions under test.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from time import perf_counter
 from typing import Any
 
@@ -301,21 +304,6 @@ def _law(name: str, witness: dict[str, Any] | None) -> LawResult:
     return LawResult(name, witness is None, witness)
 
 
-class _Lazy(dict):
-    """``fn(poset, key)`` for each key read, computed the first time it is read."""
-
-    __slots__ = ("fn", "poset")
-
-    def __init__(self, fn, poset: Poset):
-        super().__init__()
-        self.fn = fn
-        self.poset = poset
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(self.poset, key)
-        return value
-
-
 def _failure(check, poset: Poset, value) -> dict[str, Any] | None:
     """The witness of a failed validator core, or None if ``value`` passes."""
     try:
@@ -323,6 +311,54 @@ def _failure(check, poset: Poset, value) -> dict[str, Any] | None:
     except TriposetError as exc:
         return {"error": str(exc), "kind": type(exc).__name__}
     return None
+
+
+class _Corner:
+    """One corner of the triangle: ``values`` by number and ``number`` back.
+
+    The first ``size`` numbers are the census, where the first occurrence
+    of a value wins; a kernel output outside it takes the next number.
+    ``scan`` lists the census numbers in the order the laws visit them.
+    """
+
+    __slots__ = ("values", "number", "size", "scan", "key", "show")
+
+    def __init__(self, values, scan, key: str, show):
+        number = self.number = dict.fromkeys(values)
+        self.values = list(number)
+        self.size = len(number)
+        number.update(zip(self.values, range(self.size)))
+        self.scan = [number[v] for v in scan]
+        self.key, self.show = key, show
+
+    def numbers(self, outputs: list) -> list[int]:
+        got = list(map(self.number.get, outputs))
+        if None in got:  # an output outside the corner so far
+            got = [self.add(w) if k is None else k for k, w in zip(got, outputs)]
+        return got
+
+    def add(self, value) -> int:
+        k = self.number.get(value)
+        if k is None:
+            k = self.number[value] = len(self.values)
+            self.values.append(value)
+        return k
+
+
+class _Tail(dict):
+    """An edge by source number once a corner has grown past its census:
+    the census entries are copied in, and any other entry is computed the
+    first time a law reads it."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, filled: list, entry):
+        super().__init__(enumerate(filled))
+        self.entry = entry
+
+    def __missing__(self, k: int):
+        value = self[k] = self.entry(k)
+        return value
 
 
 def verify_triangle(
@@ -338,12 +374,15 @@ def verify_triangle(
     against the independent axiom-census enumerators.  A failing law
     records a minimal witness and the remaining laws still run.
 
-    The laws run on raw values: subset masks, nucleus image masks and
-    family tuples.  Each edge kernel and each validator core fills one
-    table that lasts this call, so within a call it runs at most once per
-    distinct input, first for the same law as in a law-by-law check.  Apart
-    from the enumerated values, objects are built only to serialize a
-    witness.  Both enumeration caps are checked before any work starts.
+    Each corner of the triangle is numbered once: a subset by its mask, a
+    nucleus (its image masks) or a topology (its family tuple) by its
+    position in the census.  Each edge kernel and each validator core runs
+    once per census value before the laws, into a list indexed by source
+    number, so the laws compare ints.  A kernel output outside the census
+    takes the next number, and its own entries are computed only when a law
+    reads them; nothing runs twice on one input.  Apart from the enumerated
+    values, objects are built only to serialize a witness.  Both
+    enumeration caps are checked before any work starts.
     """
     t0 = perf_counter()
     _require_nucleus_cap(poset, nucleus_cap)
@@ -353,17 +392,6 @@ def verify_triangle(
     tables = [j.images for j in enumerate_nuclei(poset, cap=nucleus_cap)]
     fams = [J.families for J in enumerate_topologies(poset, cap=topology_cap)]
     counts = {"subsets": len(xs), "nuclei": len(tables), "topologies": len(fams)}
-
-    s2n = _Lazy(_subset_to_table, poset)
-    s2t = _Lazy(_subset_to_families, poset)
-    n2s = _Lazy(_table_to_subset, poset)
-    n2t = _Lazy(_table_to_families, poset)
-    t2s = _Lazy(_families_to_subset, poset)
-    t2n = _Lazy(_families_to_table, poset)
-    alt = _Lazy(_table_to_subset_alt, poset)
-    via = _Lazy(_table_to_subset_via_topology, poset)
-    nucleus_failure = _Lazy(lambda poset, t: _failure(_check_nucleus, poset, t), poset)
-    topology_failure = _Lazy(lambda poset, f: _failure(_check_topology, poset, f), poset)
 
     def subset_json(x):
         return Subset._wrap(poset, x).to_jsonable()
@@ -375,37 +403,62 @@ def verify_triangle(
     def topology_json(f):
         return GrothendieckTopology._wrap(poset, f).to_jsonable()
 
-    # (values, witness key, serializer) for each corner of the triangle
-    subsets = (xs, "subset", subset_json)
-    nuclei = (tables, "nucleus", nucleus_json)
-    topologies = (fams, "topology", topology_json)
+    S = _Corner(range(1 << n), xs, "subset", subset_json)
+    N = _Corner(tables, tables, "nucleus", nucleus_json)
+    T = _Corner(fams, fams, "topology", topology_json)
+    # (kernel, source, target) per edge; a validator maps to its witness
+    specs = (
+        (_subset_to_table, S, N),
+        (_subset_to_families, S, T),
+        (_table_to_subset, N, S),
+        (_table_to_families, N, T),
+        (_families_to_subset, T, S),
+        (_families_to_table, T, N),
+        (_table_to_subset_alt, N, S),
+        (_table_to_subset_via_topology, N, S),
+        (partial(_failure, _check_nucleus), N, None),
+        (partial(_failure, _check_topology), T, None),
+    )
+    # every census value runs before any output is numbered and appended
+    outputs = [list(map(fn, repeat(poset), source.values)) for fn, source, _ in specs]
+    edges = [out if t is None else t.numbers(out) for out, (_, _, t) in zip(outputs, specs)]
+
+    def entry(fn, source, target, k):
+        got = fn(poset, source.values[k])
+        return got if target is None else target.add(got)
+
+    if any(len(c.values) > c.size for c in (S, N, T)):
+        edges = [_Tail(e, partial(entry, *spec)) for e, spec in zip(edges, specs)]
+    s2n, s2t, n2s, n2t, t2s, t2n, alt, via, nucleus_failure, topology_failure = edges
 
     def roundtrip(kind, there, back):
-        values, key, show = kind
-        for v in values:
+        values, show = kind.values, kind.show
+        for v in kind.scan:
             got = back[there[v]]
             if got != v:
-                return {key: show(v), "got": show(got)}
+                return {kind.key: show(values[v]), "got": show(values[got])}
         return None
 
-    def agree(kind, target, name_a, a, name_b, b):
-        values, key, show_in = kind
-        show = target[2]
-        for v in values:
-            got_a, got_b = a(v), b(v)
+    def agree(kind, target, name_a, first, then, name_b, direct):
+        for v in kind.scan:
+            got_a, got_b = then[first[v]], direct[v]
             if got_a != got_b:
-                return {key: show_in(v), name_a: show(got_a), name_b: show(got_b)}
+                values, show = target.values, target.show
+                return {
+                    kind.key: kind.show(kind.values[v]),
+                    name_a: show(values[got_a]),
+                    name_b: show(values[got_b]),
+                }
         return None
 
     def extraction_agreement(other):
-        for i, t in enumerate(tables):
-            direct = n2s[t]
-            got = other[t]
-            if got != direct:
+        for i, k in enumerate(N.scan):
+            if other[k] != n2s[k]:
+                direct, got = S.values[n2s[k]], S.values[other[k]]
                 diff = direct ^ got
                 p = (diff & -diff).bit_length() - 1
                 return {
-                    "nucleus": nucleus_json(t),
+                    "nucleus": nucleus_json(N.values[k]),
                     "direct": subset_json(direct),
                     "other": subset_json(got),
                     "first_difference": poset.labels[p],
@@ -418,56 +471,43 @@ def verify_triangle(
             return {"expected": 1 << n, "got": found}
         return None
 
-    def bijection(edge, census):
+    def bijection(edge, target):
         image = {edge[x] for x in xs}
         if len(image) != len(xs):
             return {"reason": "not injective", "image_size": len(image)}
-        if image != set(census):
+        if image != set(target.scan):
             return {"reason": "image differs from enumeration"}
         return None
 
     def validity(kind, edge, failure):
-        values, _, show = kind
-        for v in values:
+        for v in kind.scan:
             witness = failure[edge[v]]
             if witness is not None:
-                return {"input": show(v), **witness}
+                return {"input": kind.show(kind.values[v]), **witness}
         return None
 
-    # evaluated in order: the tables fill as the laws run, so a kernel or a
-    # validator core is first called by the same law as in a law-by-law check
     laws = (
-        _law("subset_nucleus_roundtrip", roundtrip(subsets, s2n, n2s)),
-        _law("subset_topology_roundtrip", roundtrip(subsets, s2t, t2s)),
-        _law("nucleus_roundtrip", roundtrip(nuclei, n2s, s2n)),
-        _law("topology_roundtrip", roundtrip(topologies, t2s, s2t)),
-        _law("nucleus_topology_roundtrip", roundtrip(nuclei, n2t, t2n)),
-        _law("topology_nucleus_roundtrip", roundtrip(topologies, t2n, n2t)),
-        _law(
-            "triangle_commutes_via_nucleus",
-            agree(subsets, topologies, "via_nucleus", lambda x: n2t[s2n[x]],
-                  "direct", s2t.__getitem__),
-        ),
-        _law(
-            "triangle_commutes_via_topology",
-            agree(subsets, nuclei, "via_topology", lambda x: t2n[s2t[x]],
-                  "direct", s2n.__getitem__),
-        ),
+        _law("subset_nucleus_roundtrip", roundtrip(S, s2n, n2s)),
+        _law("subset_topology_roundtrip", roundtrip(S, s2t, t2s)),
+        _law("nucleus_roundtrip", roundtrip(N, n2s, s2n)),
+        _law("topology_roundtrip", roundtrip(T, t2s, s2t)),
+        _law("nucleus_topology_roundtrip", roundtrip(N, n2t, t2n)),
+        _law("topology_nucleus_roundtrip", roundtrip(T, t2n, n2t)),
+        _law("triangle_commutes_via_nucleus",
+             agree(S, T, "via_nucleus", s2n, n2t, "direct", s2t)),
+        _law("triangle_commutes_via_topology",
+             agree(S, N, "via_topology", s2t, t2n, "direct", s2n)),
         _law("identity_composite", extraction_agreement(via)),
         _law("identity_alt", extraction_agreement(alt)),
-        _law(
-            "composite_cross_check",
-            agree(nuclei, subsets, "literal", lambda t: t2s[n2t[t]],
-                  "closed_form", via.__getitem__),
-        ),
+        _law("composite_cross_check", agree(N, S, "literal", n2t, t2s, "closed_form", via)),
         _law("nucleus_count", count(len(tables))),
         _law("topology_count", count(len(fams))),
-        _law("nucleus_bijection", bijection(s2n, tables)),
-        _law("topology_bijection", bijection(s2t, fams)),
-        _law("subset_to_nucleus_valid", validity(subsets, s2n, nucleus_failure)),
-        _law("subset_to_topology_valid", validity(subsets, s2t, topology_failure)),
-        _law("nucleus_to_topology_valid", validity(nuclei, n2t, topology_failure)),
-        _law("topology_to_nucleus_valid", validity(topologies, t2n, nucleus_failure)),
+        _law("nucleus_bijection", bijection(s2n, N)),
+        _law("topology_bijection", bijection(s2t, T)),
+        _law("subset_to_nucleus_valid", validity(S, s2n, nucleus_failure)),
+        _law("subset_to_topology_valid", validity(S, s2t, topology_failure)),
+        _law("nucleus_to_topology_valid", validity(N, n2t, topology_failure)),
+        _law("topology_to_nucleus_valid", validity(T, t2n, nucleus_failure)),
     )
     return TriangleReport(
         poset=poset,

@@ -53,6 +53,27 @@ def test_package_all_is_the_sorted_union_of_the_submodule_alls():
     assert triposet.__all__ == sorted(names)
 
 
+def perfbench_modules():
+    """``MODULES`` of ``perfbench/workloads.py``, read without running it."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    [modules] = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["MODULES"]
+    ]
+    return modules
+
+
+def after_cli_import(expr):
+    """What ``expr`` prints in a fresh process that has run ``import triposet.cli``."""
+    src = Path(triposet.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, triposet.cli; print({expr})"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout.strip()
+
+
 def test_every_perfbench_wrap_site_resolves():
     """Each attribute the benchmark's tracer wraps must exist where it looks.
 
@@ -63,12 +84,7 @@ def test_every_perfbench_wrap_site_resolves():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
-    [modules] = [
-        ast.literal_eval(node.value) for node in tree.body
-        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["MODULES"]
-    ]
-    mods = {m: importlib.import_module(f"triposet.{m}") for m in modules}
+    mods = {m: importlib.import_module(f"triposet.{m}") for m in perfbench_modules()}
     sites = [site for _, _, sites, _ in tracing.WRAPS for site in sites]
     unresolved = []
     for site in sites:
@@ -84,13 +100,19 @@ def test_every_perfbench_wrap_site_resolves():
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """A cold CLI process pays for every module it imports."""
-    src = Path(triposet.__file__).resolve().parent.parent
-    probe = (
-        "import sys, triposet.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "[]"
+    assert after_cli_import("sorted({'dataclasses', 'inspect'} & set(sys.modules))") == "[]"
+
+
+def test_cli_import_loads_no_string():
+    """``string`` compiles the ``string.Template`` pattern when it is imported."""
+    assert after_cli_import("'string' in sys.modules") == "False"
+
+
+def test_cli_import_loads_every_module_the_benchmark_reads():
+    """The benchmark imports ``triposet.cli`` and then reads each of its
+    ``MODULES`` from ``sys.modules``; a module the CLI imported lazily
+    would break every benchmark set-up."""
+    modules = perfbench_modules()
+    assert "triangle" in modules
+    probe = f"[m for m in {list(modules)!r} if 'triposet.' + m not in sys.modules]"
+    assert after_cli_import(probe) == "[]"

@@ -7,10 +7,14 @@ poset set, same failures when one kernel is broken, and no kernel or
 validator core called twice on the same input.  The kernels are held to the
 object-level edges they replaced, and each public edge to its wrapped
 kernel.  A broken kernel fails ``verify --max-n`` the same way, and a
-short enumeration fails the census laws.  An oversize job is refused
-before anything is enumerated.
+short enumeration fails the census laws.  A kernel output outside the
+census reaches only the kernels and cores that a law reads it through, a
+census that lists a nucleus twice is reported as the reference reports it,
+and a run leaves nothing for the cyclic collector.  An oversize job is
+refused before anything is enumerated.
 """
 
+import gc
 import json
 from collections import Counter
 
@@ -43,6 +47,7 @@ EDGES = {
     "nucleus_to_subset_via_topology": ("_table_to_subset_via_topology", Nucleus, Subset),
 }
 KERNELS = tuple(kernel for kernel, _, _ in EDGES.values())
+CORES = ("_check_nucleus", "_check_topology")
 
 
 def chain(n):
@@ -304,6 +309,107 @@ def test_a_short_nucleus_census_fails_the_count_and_the_bijection(diamond, monke
         "nucleus_bijection": {"reason": "image differs from enumeration"},
     }
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+def _verify_recording_calls(poset, monkeypatch):
+    """The engine's report, and how often it called each kernel and core on
+    each input.  Later runs are not counted."""
+    calls = Counter()
+    for name in (*KERNELS, *CORES):
+        def wrapper(p, value, name=name, fn=getattr(triangle, name)):
+            calls[name, value] += 1
+            return fn(p, value)
+
+        monkeypatch.setattr(triangle, name, wrapper)
+    report = triangle.verify_triangle(poset)
+    return report, dict(calls)
+
+
+def _failing(report):
+    return [law.name for law in report.laws if not law.passed]
+
+
+def test_a_non_nucleus_from_an_edge_is_read_only_by_the_laws_that_need_it(diamond, monkeypatch):
+    x = diamond.subset(["a"]).mask
+    bad = (0,) * len(diamond.downset_masks())  # not inflationary
+    original = triangle._subset_to_table
+    monkeypatch.setattr(
+        triangle, "_subset_to_table", lambda p, v: bad if v == x else original(p, v)
+    )
+    engine, calls = _verify_recording_calls(diamond, monkeypatch)
+    assert max(calls.values()) == 1
+    assert {name for name, v in calls if v == bad} == {
+        "_table_to_subset", "_table_to_families", "_check_nucleus"
+    }
+    assert _failing(engine) == [
+        "subset_nucleus_roundtrip",
+        "nucleus_roundtrip",
+        "triangle_commutes_via_nucleus",
+        "triangle_commutes_via_topology",
+        "nucleus_bijection",
+        "subset_to_nucleus_valid",
+    ]
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+def test_a_non_topology_from_an_edge_is_read_only_by_the_laws_that_need_it(diamond, monkeypatch):
+    target = triangle._subset_to_table(diamond, diamond.subset(["a"]).mask)
+    bad = ((),) * diamond.n  # no point has its principal downset as a cover
+    original = triangle._table_to_families
+    monkeypatch.setattr(
+        triangle, "_table_to_families", lambda p, t: bad if t == target else original(p, t)
+    )
+    engine, calls = _verify_recording_calls(diamond, monkeypatch)
+    assert max(calls.values()) == 1
+    assert {name for name, v in calls if v == bad} == {
+        "_families_to_table", "_families_to_subset", "_check_topology"
+    }
+    assert _failing(engine) == [
+        "nucleus_topology_roundtrip",
+        "topology_nucleus_roundtrip",
+        "triangle_commutes_via_nucleus",
+        "composite_cross_check",
+        "nucleus_to_topology_valid",
+    ]
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+@pytest.mark.parametrize(
+    "census, failing",
+    [
+        (lambda found: [*found, found[5]], ["nucleus_count"]),
+        (lambda found: [*found[:-1], found[5]], ["nucleus_bijection"]),
+    ],
+    ids=["added", "in_place_of_the_last"],
+)
+def test_a_nucleus_listed_twice_by_the_census(diamond, monkeypatch, census, failing):
+    original = triangle.enumerate_nuclei
+
+    def twice(poset, cap):
+        return census(original(poset, cap=cap))
+
+    monkeypatch.setattr(triangle, "enumerate_nuclei", twice)
+    monkeypatch.setattr(reference_triangle, "enumerate_nuclei", twice)
+    engine, calls = _verify_recording_calls(diamond, monkeypatch)
+    assert max(calls.values()) == 1
+    assert _failing(engine) == failing
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+def test_a_verify_leaves_no_reference_cycles():
+    poset = build_poset(list("abcde"), [("a", "b"), ("b", "c"), ("a", "d")])
+    # the one-entry per-poset caches move onto this poset first, so the
+    # counted run frees nothing that an earlier poset left in them
+    triangle.verify_triangle(poset)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert triangle.verify_triangle(poset).all_passed
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_each_edge_and_validator_runs_once_per_distinct_input(diamond, monkeypatch):
