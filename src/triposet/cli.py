@@ -127,25 +127,29 @@ _KINDS = {
 }
 
 
+def _print_poset(heading: str, poset: Poset, out) -> None:
+    print(f"{heading}: n={poset.n}, labels: {' '.join(poset.labels) or '(none)'}", file=out)
+    covers = " ".join(f"{poset.labels[p]}<{poset.labels[q]}" for p, q in poset.covers())
+    print(f"covers: {covers or '(none)'}", file=out)
+
+
 def _cmd_check(args, out, parser) -> int:
     poset = _read_poset(args.file)
     directed = poset.is_downward_directed()
-    covers = [[poset.labels[p], poset.labels[q]] for p, q in poset.covers()]
     downset_count = len(poset.downset_masks()) if poset.n <= LATTICE_CAP else None
     if args.json:
         _print_json(
             {
                 "n": poset.n,
                 "labels": list(poset.labels),
-                "covers": covers,
+                "covers": [[poset.labels[p], poset.labels[q]] for p, q in poset.covers()],
                 "directed": directed,
                 "downset_count": downset_count,
             },
             out,
         )
     else:
-        print(f"ok: n={poset.n}, labels: {' '.join(poset.labels) or '(none)'}", file=out)
-        print(f"covers: {' '.join(f'{x}<{y}' for x, y in covers) or '(none)'}", file=out)
+        _print_poset("ok", poset, out)
         if downset_count is not None:
             print(f"downsets: {downset_count}", file=out)
         print(f"downward-directed: {'yes' if directed else 'no'}", file=out)
@@ -223,10 +227,7 @@ def _cmd_convert(args, out, parser) -> int:
 
 
 def _print_report(report, out) -> None:
-    poset = report.poset
-    print(f"poset: n={poset.n}, labels: {' '.join(poset.labels) or '(none)'}", file=out)
-    covers = " ".join(f"{poset.labels[p]}<{poset.labels[q]}" for p, q in poset.covers())
-    print(f"covers: {covers or '(none)'}", file=out)
+    _print_poset("poset", report.poset, out)
     print(f"downward-directed: {'yes' if report.directed else 'no'}", file=out)
     c = report.counts
     print(f"counts: subsets={c['subsets']} nuclei={c['nuclei']} "

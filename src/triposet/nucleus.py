@@ -53,10 +53,7 @@ class Nucleus:
             raise ValueError(f"{len(images)} images, expected {len(dmasks)}")
         for m in images:
             Subset(poset, m)  # an int in range, with Subset's errors, before any rank lookup
-        rank = poset._downset_ranks()
-        for s, m in zip(dmasks, images):
-            if m not in rank:
-                raise ImageNotDownsetError(DownSet._wrap(poset, s), Subset._wrap(poset, m))
+        _require_downset_images(poset, images)
         self.poset = poset
         self.images = images
 
@@ -137,11 +134,8 @@ def _check_nucleus(poset: Poset, images: Sequence[int]) -> tuple[int, ...]:
     raises, with the same witnesses, and returns the images as a tuple.
     """
     masks = poset.downset_masks()
-    rank = poset._downset_ranks()
+    rank = _require_downset_images(poset, images)
     d = len(masks)
-    for s, m in zip(masks, images):
-        if m not in rank:
-            raise ImageNotDownsetError(DownSet._wrap(poset, s), Subset._wrap(poset, m))
     for i in range(d):
         if masks[i] & ~images[i]:
             raise NotInflationaryError(DownSet._wrap(poset, masks[i]))
@@ -161,6 +155,15 @@ def _check_nucleus(poset: Poset, images: Sequence[int]) -> tuple[int, ...]:
                         DownSet._wrap(poset, masks[k]), DownSet._wrap(poset, masks[i])
                     )
     return tuple(images)
+
+
+def _require_downset_images(poset: Poset, images: Sequence[int]) -> dict[int, int]:
+    """Raise on the first image that is not a downset; return the downset ranks."""
+    rank = poset._downset_ranks()
+    for s, m in zip(poset.downset_masks(), images):
+        if m not in rank:
+            raise ImageNotDownsetError(DownSet._wrap(poset, s), Subset._wrap(poset, m))
+    return rank
 
 
 @lru_cache(maxsize=1)

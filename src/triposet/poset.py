@@ -443,4 +443,7 @@ def enumerate_posets(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[Poset]:
             down[b] ^= 1 << c
             up[c] ^= 1 << b
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # it refers to itself; left bound, it would wait for the cyclic collector

@@ -21,8 +21,10 @@ comparing j on the cone of p with and without p.
 Each edge is a private kernel on raw values -- a subset mask, a nucleus's
 ``images`` (one image mask per downset, in canonical order) or a
 topology's ``families`` -- wrapped by a public function that takes and
-returns objects.  The kernels read arrays built once per poset by
-:func:`_edge_ranks`, which keeps only the most recent poset.
+returns objects.  A kernel takes the poset's edge table (:class:`_EdgeRanks`)
+as its first argument and never looks it up.  :func:`_edge_ranks` builds
+the table once per poset and keeps only the latest; each public function
+reads it once per call, and :func:`verify_triangle` once per poset.
 
 :func:`verify_triangle` runs the whole law suite on one poset and returns a
 :class:`TriangleReport`.  It numbers the values of each corner once, runs
@@ -53,6 +55,7 @@ from .topology import (
     DEFAULT_TOPOLOGY_CAP,
     GrothendieckTopology,
     _check_topology,
+    _covering,
     _require_topology_cap,
     enumerate_topologies,
     validate_topology,  # noqa: F401 -- looked up here by tests and perfbench
@@ -77,31 +80,39 @@ Families = tuple[tuple[int, ...], ...]
 
 
 class _EdgeRanks:
-    """Per-poset arrays the edge kernels read; downsets are named by rank."""
+    """One poset's arrays, the first argument of every edge kernel;
+    downsets are named by rank."""
 
-    __slots__ = ("dmasks", "imp", "cone", "punctured", "sieves", "cuts", "above", "columns")
+    __slots__ = ("poset", "down", "dmasks", "imp", "lower", "covering",
+                 "cone", "punctured", "sieves", "cuts", "columns")
 
     def __init__(self, poset: Poset):
+        self.poset = poset
         dmasks = self.dmasks = poset.downset_masks()
         rank = poset._downset_ranks()
         n = poset.n
-        down = poset._down
+        down = self.down = poset._down
+        up = poset._up
         # imp[m] = m -> {}, so X -> S is imp[X & ~S]: the points whose cone
-        # misses m, the meet over the bits b of m of the points outside up(b)
+        # misses m, the meet over the bits b of m of the points outside up(b);
+        # lower[m], the least downset containing m, is the union of the down(b)
         imp = self.imp = [poset.full_mask] * (1 << n)
+        lower = self.lower = [0] * (1 << n)
         for m in range(1, 1 << n):
             low = m & -m
-            imp[m] = imp[m ^ low] & ~poset._up[low.bit_length() - 1]
+            b = low.bit_length() - 1
+            imp[m] = imp[m ^ low] & ~up[b]
+            lower[m] = lower[m ^ low] | down[b]
         # rank of the principal downset of p, and of it minus p
         self.cone = [rank[down[p]] for p in range(n)]
         self.punctured = [rank[down[p] & ~(1 << p)] for p in range(n)]
-        # (sieve mask, rank) pairs of the sieves on p
-        self.sieves = [tuple((s, rank[s]) for s in poset.sieve_masks(p)) for p in range(n)]
+        # per point p, each sieve on p mapped to the sieves on p containing it,
+        # and the (sieve mask, rank) pairs of the sieves on p
+        covering = self.covering = _covering(poset)
+        self.sieves = [tuple([(s, rank[s]) for s in c]) for c in covering]
         # cuts[p][i]: the i-th downset meet the cone of p
         self.cuts = [tuple([s & c for s in dmasks]) for c in down]
-        # memos filled by the kernels, per point: the sieves on p above each
-        # X & (down p), and each family's column of bit p over the downsets
-        self.above = [{} for _ in range(n)]
+        # filled by _families_to_table: each family's column of bit p over the downsets
         self.columns = [{} for _ in range(n)]
 
 
@@ -112,22 +123,20 @@ _edge_ranks = lru_cache(maxsize=1)(_EdgeRanks)
 # -- the edge kernels ------------------------------------------------------
 
 
-def _subset_to_table(poset: Poset, x: int) -> Table:
-    r = _edge_ranks(poset)
+def _subset_to_table(r: _EdgeRanks, x: int) -> Table:
     imp = r.imp
     return tuple([imp[x & ~s] for s in r.dmasks])
 
 
-def _table_to_subset(poset: Poset, table: Table) -> int:
+def _table_to_subset(r: _EdgeRanks, table: Table) -> int:
     out = 0
-    for p, k in enumerate(_edge_ranks(poset).punctured):
+    for p, k in enumerate(r.punctured):
         if not table[k] >> p & 1:
             out |= 1 << p
     return out
 
 
-def _table_to_subset_alt(poset: Poset, table: Table) -> int:
-    r = _edge_ranks(poset)
+def _table_to_subset_alt(r: _EdgeRanks, table: Table) -> int:
     out = 0
     for p, k in enumerate(r.punctured):
         if table[r.cone[p]] != table[k]:
@@ -135,31 +144,24 @@ def _table_to_subset_alt(poset: Poset, table: Table) -> int:
     return out
 
 
-def _table_to_subset_via_topology(poset: Poset, table: Table) -> int:
-    down = poset._down
+def _table_to_subset_via_topology(r: _EdgeRanks, table: Table) -> int:
+    down = r.down
     out = 0
-    for p, pairs in enumerate(_edge_ranks(poset).sieves):
+    for p, pairs in enumerate(r.sieves):
         bit = 1 << p
         if [s for s, k in pairs if table[k] & bit] == [down[p]]:
             out |= bit
     return out
 
 
-def _subset_to_families(poset: Poset, x: int) -> Families:
-    r = _edge_ranks(poset)
-    down = poset._down
-    fams = []
-    for p, memo in enumerate(r.above):
-        need = x & down[p]
-        fam = memo.get(need)
-        if fam is None:
-            fam = memo[need] = tuple([s for s, _ in r.sieves[p] if not need & ~s])
-        fams.append(fam)
-    return tuple(fams)
+def _subset_to_families(r: _EdgeRanks, x: int) -> Families:
+    # a sieve on p contains X & (down p) exactly when it contains its down-closure
+    lower = r.lower
+    return tuple([cover[lower[x & d]] for cover, d in zip(r.covering, r.down)])
 
 
-def _families_to_subset(poset: Poset, families: Families) -> int:
-    down = poset._down
+def _families_to_subset(r: _EdgeRanks, families: Families) -> int:
+    down = r.down
     out = 0
     for p, fam in enumerate(families):
         if fam == (down[p],):
@@ -167,18 +169,15 @@ def _families_to_subset(poset: Poset, families: Families) -> int:
     return out
 
 
-def _table_to_families(poset: Poset, table: Table) -> Families:
+def _table_to_families(r: _EdgeRanks, table: Table) -> Families:
     fams = []
-    for p, pairs in enumerate(_edge_ranks(poset).sieves):
+    for p, pairs in enumerate(r.sieves):
         bit = 1 << p
         fams.append(tuple([s for s, k in pairs if table[k] & bit]))
     return tuple(fams)
 
 
-def _families_to_table(poset: Poset, families: Families) -> Table:
-    if not families:
-        return (0,)  # n = 0: the one downset is empty, and so is its image
-    r = _edge_ranks(poset)
+def _families_to_table(r: _EdgeRanks, families: Families) -> Table:
     cols = []
     for p, fam in enumerate(families):
         memo = r.columns[p]
@@ -190,8 +189,9 @@ def _families_to_table(poset: Poset, families: Families) -> Table:
             col = memo[fam] = tuple([bit if c in covers else 0 for c in r.cuts[p]])
         cols.append(col)
     # each column holds only its own bit, so the sum is the union; the list
-    # sizes the tuple once (a tuple grown from an iterator is reallocated)
-    return tuple([*map(sum, zip(*cols))])
+    # sizes the tuple once (a tuple grown from an iterator is reallocated).
+    # With n = 0 there are no columns, and the one downset's image is empty.
+    return tuple([*map(sum, zip(*cols))]) or (0,)
 
 
 # -- the public edges ------------------------------------------------------
@@ -199,17 +199,17 @@ def _families_to_table(poset: Poset, families: Families) -> Table:
 
 def subset_to_nucleus(x: Subset) -> Nucleus:
     """The nucleus S |-> (x -> S)."""
-    return Nucleus._wrap(x.poset, _subset_to_table(x.poset, x.mask))
+    return Nucleus._wrap(x.poset, _subset_to_table(_edge_ranks(x.poset), x.mask))
 
 
 def nucleus_to_subset(j: Nucleus) -> Subset:
     """The points p not swallowed by j applied to everything strictly below p."""
-    return Subset._wrap(j.poset, _table_to_subset(j.poset, j.images))
+    return Subset._wrap(j.poset, _table_to_subset(_edge_ranks(j.poset), j.images))
 
 
 def nucleus_to_subset_alt(j: Nucleus) -> Subset:
     """Alternate extraction: p where j separates the cone of p from the punctured cone."""
-    return Subset._wrap(j.poset, _table_to_subset_alt(j.poset, j.images))
+    return Subset._wrap(j.poset, _table_to_subset_alt(_edge_ranks(j.poset), j.images))
 
 
 def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
@@ -219,27 +219,33 @@ def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
     principal downset be the only sieve S on p with p in j(S); this
     evaluates that condition directly.
     """
-    return Subset._wrap(j.poset, _table_to_subset_via_topology(j.poset, j.images))
+    return Subset._wrap(
+        j.poset, _table_to_subset_via_topology(_edge_ranks(j.poset), j.images)
+    )
 
 
 def subset_to_topology(x: Subset) -> GrothendieckTopology:
     """Covers at p are the sieves containing x cut down to the cone of p."""
-    return GrothendieckTopology._wrap(x.poset, _subset_to_families(x.poset, x.mask))
+    return GrothendieckTopology._wrap(
+        x.poset, _subset_to_families(_edge_ranks(x.poset), x.mask)
+    )
 
 
 def topology_to_subset(J: GrothendieckTopology) -> Subset:
     """The points covered by nothing but their own principal downset."""
-    return Subset._wrap(J.poset, _families_to_subset(J.poset, J.families))
+    return Subset._wrap(J.poset, _families_to_subset(_edge_ranks(J.poset), J.families))
 
 
 def nucleus_to_topology(j: Nucleus) -> GrothendieckTopology:
     """Covers at p are the sieves sent over p by the nucleus."""
-    return GrothendieckTopology._wrap(j.poset, _table_to_families(j.poset, j.images))
+    return GrothendieckTopology._wrap(
+        j.poset, _table_to_families(_edge_ranks(j.poset), j.images)
+    )
 
 
 def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
     """j(S) collects the points where S pulls back to a covering sieve."""
-    return Nucleus(J.poset, _families_to_table(J.poset, J.families))
+    return Nucleus(J.poset, _families_to_table(_edge_ranks(J.poset), J.families))
 
 
 # -- the verifier ----------------------------------------------------------
@@ -284,14 +290,10 @@ class TriangleReport:
 
     def to_jsonable(self) -> dict[str, Any]:
         poset = self.poset
+        labels = poset.labels
         return {
-            "poset": {
-                "n": poset.n,
-                "labels": list(poset.labels),
-                "covers": [
-                    [poset.labels[p], poset.labels[q]] for p, q in poset.covers()
-                ],
-            },
+            "poset": {"n": poset.n, "labels": list(labels),
+                      "covers": [[labels[p], labels[q]] for p, q in poset.covers()]},
             "directed": self.directed,
             "counts": dict(self.counts),
             "laws": [law.to_jsonable() for law in self.laws],
@@ -304,10 +306,10 @@ def _law(name: str, witness: dict[str, Any] | None) -> LawResult:
     return LawResult(name, witness is None, witness)
 
 
-def _failure(check, poset: Poset, value) -> dict[str, Any] | None:
+def _failure(check, r: _EdgeRanks, value) -> dict[str, Any] | None:
     """The witness of a failed validator core, or None if ``value`` passes."""
     try:
-        check(poset, value)
+        check(r.poset, value)
     except TriposetError as exc:
         return {"error": str(exc), "kind": type(exc).__name__}
     return None
@@ -376,9 +378,9 @@ def verify_triangle(
 
     Each corner of the triangle is numbered once: a subset by its mask, a
     nucleus (its image masks) or a topology (its family tuple) by its
-    position in the census.  Each edge kernel and each validator core runs
-    once per census value before the laws, into a list indexed by source
-    number, so the laws compare ints.  A kernel output outside the census
+    position in the census.  The poset's edge table is read once.  Each edge
+    kernel and each validator core runs once per census value before the
+    laws, into a list indexed by source number, so the laws compare ints.  A kernel output outside the census
     takes the next number, and its own entries are computed only when a law
     reads them; nothing runs twice on one input.  Apart from the enumerated
     values, objects are built only to serialize a witness.  Both
@@ -393,19 +395,11 @@ def verify_triangle(
     fams = [J.families for J in enumerate_topologies(poset, cap=topology_cap)]
     counts = {"subsets": len(xs), "nuclei": len(tables), "topologies": len(fams)}
 
-    def subset_json(x):
-        return Subset._wrap(poset, x).to_jsonable()
-
-    def nucleus_json(t):
-        # as Nucleus.to_jsonable, but an image need not be a downset
-        return [[subset_json(s), subset_json(m)] for s, m in zip(poset.downset_masks(), t)]
-
-    def topology_json(f):
-        return GrothendieckTopology._wrap(poset, f).to_jsonable()
-
-    S = _Corner(range(1 << n), xs, "subset", subset_json)
-    N = _Corner(tables, tables, "nucleus", nucleus_json)
-    T = _Corner(fams, fams, "topology", topology_json)
+    # a corner shows a value as its object's JSON
+    S = _Corner(range(1 << n), xs, "subset", lambda x: Subset._wrap(poset, x).to_jsonable())
+    N = _Corner(tables, tables, "nucleus", lambda t: Nucleus._wrap(poset, t).to_jsonable())
+    T = _Corner(fams, fams, "topology",
+                lambda f: GrothendieckTopology._wrap(poset, f).to_jsonable())
     # (kernel, source, target) per edge; a validator maps to its witness
     specs = (
         (_subset_to_table, S, N),
@@ -419,12 +413,13 @@ def verify_triangle(
         (partial(_failure, _check_nucleus), N, None),
         (partial(_failure, _check_topology), T, None),
     )
+    r = _edge_ranks(poset)
     # every census value runs before any output is numbered and appended
-    outputs = [list(map(fn, repeat(poset), source.values)) for fn, source, _ in specs]
+    outputs = [list(map(fn, repeat(r), source.values)) for fn, source, _ in specs]
     edges = [out if t is None else t.numbers(out) for out, (_, _, t) in zip(outputs, specs)]
 
     def entry(fn, source, target, k):
-        got = fn(poset, source.values[k])
+        got = fn(r, source.values[k])
         return got if target is None else target.add(got)
 
     if any(len(c.values) > c.size for c in (S, N, T)):
@@ -444,11 +439,8 @@ def verify_triangle(
             got_a, got_b = then[first[v]], direct[v]
             if got_a != got_b:
                 values, show = target.values, target.show
-                return {
-                    kind.key: kind.show(kind.values[v]),
-                    name_a: show(values[got_a]),
-                    name_b: show(values[got_b]),
-                }
+                return {kind.key: kind.show(kind.values[v]),
+                        name_a: show(values[got_a]), name_b: show(values[got_b])}
         return None
 
     def extraction_agreement(other):
@@ -458,18 +450,16 @@ def verify_triangle(
                 diff = direct ^ got
                 p = (diff & -diff).bit_length() - 1
                 return {
-                    "nucleus": nucleus_json(N.values[k]),
-                    "direct": subset_json(direct),
-                    "other": subset_json(got),
+                    "nucleus": N.show(N.values[k]),
+                    "direct": S.show(direct),
+                    "other": S.show(got),
                     "first_difference": poset.labels[p],
                     "nucleus_index": i,
                 }
         return None
 
     def count(found):
-        if found != 1 << n:
-            return {"expected": 1 << n, "got": found}
-        return None
+        return None if found == 1 << n else {"expected": 1 << n, "got": found}
 
     def bijection(edge, target):
         image = {edge[x] for x in xs}

@@ -4,17 +4,20 @@ The engine runs each edge kernel once per distinct input and validates each
 distinct nucleus table or topology once, on its masks.  These tests hold it
 to the slow reference in ``reference_triangle.py``: same reports on a fixed
 poset set, same failures when one kernel is broken, and no kernel or
-validator core called twice on the same input.  The kernels are held to the
-object-level edges they replaced, and each public edge to its wrapped
-kernel.  A broken kernel fails ``verify --max-n`` the same way, and a
-short enumeration fails the census laws.  A kernel output outside the
-census reaches only the kernels and cores that a law reads it through, a
-census that lists a nucleus twice is reported as the reference reports it,
-and a run leaves nothing for the cyclic collector.  An oversize job is
-refused before anything is enumerated.
+validator core called twice on the same input.  The sample's report bytes
+are pinned by digest.  The kernels are held to the object-level edges they
+replaced, each public edge to its wrapped kernel, and each kernel reads
+only the edge table it is handed.  A broken kernel fails ``verify --max-n``
+the same way, and a short enumeration fails the census laws.  A kernel
+output outside the census reaches only the kernels and cores that a law
+reads it through, a census that lists a nucleus twice is reported as the
+reference reports it, and neither a run nor a poset stream leaves anything
+for the cyclic collector.  An oversize job is refused before anything is
+enumerated.
 """
 
 import gc
+import hashlib
 import json
 from collections import Counter
 
@@ -31,6 +34,8 @@ from triposet import (
     enumerate_posets,
     enumerate_topologies,
     cli,
+    serialize,
+    topology,
     triangle,
 )
 from triposet.errors import CapExceededError
@@ -80,6 +85,16 @@ def test_engine_matches_reference_on_the_sample():
     assert checked == 243 + 142
 
 
+def test_the_sample_reports_are_pinned():
+    """The report bytes over the sample, with ``elapsed_seconds`` set to 0."""
+    digest = hashlib.sha256()
+    for poset in reference_posets():
+        report = triangle.verify_triangle(poset)
+        report.elapsed_seconds = 0
+        digest.update(serialize(report).encode())
+    assert digest.hexdigest() == "7a0cf87ffc38322cd185aade4221c511b5f677d7f87829c21830c1a9f0fbeb3a"
+
+
 def _inputs(poset):
     return {
         Subset: poset.subsets(),
@@ -99,22 +114,24 @@ def test_each_public_edge_is_its_wrapped_kernel(diamond):
     posets = [p for n in range(4) for p in enumerate_posets(n)] + [diamond]
     for poset in posets:
         inputs = _inputs(poset)
+        r = triangle._edge_ranks(poset)
         for edge, (kernel, source, cls) in EDGES.items():
             for value in inputs[source]:
                 got = getattr(triangle, edge)(value)
                 assert type(got) is cls and got.poset is poset
-                assert _raw(got) == getattr(triangle, kernel)(poset, _raw(value))
+                assert _raw(got) == getattr(triangle, kernel)(r, _raw(value))
 
 
 def test_kernels_match_the_object_level_edges(diamond):
     posets = [p for n in range(5) for p in enumerate_posets(n)] + [diamond]
     for poset in posets:
         inputs = _inputs(poset)
+        r = triangle._edge_ranks(poset)
         for edge, (kernel, source, _) in EDGES.items():
             reference = REFERENCE_EDGES[edge]
             for value in inputs[source]:
                 want = _raw(reference(value))
-                assert getattr(triangle, kernel)(poset, _raw(value)) == want, edge
+                assert getattr(triangle, kernel)(r, _raw(value)) == want, edge
 
 
 def test_kernels_match_the_object_level_edges_across_the_per_poset_memos(diamond):
@@ -126,15 +143,50 @@ def test_kernels_match_the_object_level_edges_across_the_per_poset_memos(diamond
     assert twin == diamond and twin is not diamond
     for poset in (diamond, twin, chain(3), diamond):
         inputs = _inputs(poset)
+        r = triangle._edge_ranks(poset)
         for edge, (kernel, source, _) in EDGES.items():
             reference = REFERENCE_EDGES[edge]
             for value in inputs[source]:
                 want = _raw(reference(value))
-                assert getattr(triangle, kernel)(poset, _raw(value)) == want, edge
+                assert getattr(triangle, kernel)(r, _raw(value)) == want, edge
+
+
+def test_the_kernels_never_look_up_their_table(diamond, monkeypatch):
+    r = triangle._edge_ranks(diamond)
+    inputs = _inputs(diamond)
+
+    def never(poset):
+        raise AssertionError("a kernel looked up its table")
+
+    monkeypatch.setattr(triangle, "_edge_ranks", never)
+    for kernel, source, _ in EDGES.values():
+        for value in inputs[source]:
+            getattr(triangle, kernel)(r, _raw(value))
+
+
+def test_a_verify_reads_the_table_once(diamond, monkeypatch):
+    looked_up = []
+    original = triangle._edge_ranks
+
+    def counting(poset):
+        looked_up.append(poset)
+        return original(poset)
+
+    monkeypatch.setattr(triangle, "_edge_ranks", counting)
+    assert triangle.verify_triangle(diamond).all_passed
+    assert looked_up == [diamond]
+
+
+def test_subset_to_families_returns_the_covering_tuples(diamond):
+    r = triangle._edge_ranks(diamond)
+    covering = topology._covering(diamond)
+    for x in range(1 << diamond.n):
+        for p, fam in enumerate(triangle._subset_to_families(r, x)):
+            assert fam is covering[p][fam[0]]
 
 
 def _break_nucleus_to_subset(poset, original):
-    target = triangle._subset_to_table(poset, poset.subset(["a"]).mask)
+    target = triangle._subset_to_table(triangle._edge_ranks(poset), poset.subset(["a"]).mask)
 
     def broken(p, table):
         got = original(p, table)
@@ -153,7 +205,7 @@ def _break_subset_to_topology(poset, original):
 
 
 def _break_topology_to_nucleus(poset, original):
-    target = triangle._subset_to_families(poset, poset.subset(["a"]).mask)
+    target = triangle._subset_to_families(triangle._edge_ranks(poset), poset.subset(["a"]).mask)
     # everything to the empty downset: not inflationary, so not a nucleus
     bad = (0,) * len(poset.downset_masks())
 
@@ -204,7 +256,7 @@ def test_a_broken_edge_fails_the_same_laws(diamond, monkeypatch, edge, breaker, 
 
 def test_a_non_topology_from_an_edge_fails_its_laws(chain2, monkeypatch):
     # not a topology: {} covers b but not a, so j({}) = {b} is not a downset
-    monkeypatch.setattr(triangle, "_subset_to_families", lambda poset, x: ((1,), (0, 3)))
+    monkeypatch.setattr(triangle, "_subset_to_families", lambda r, x: ((1,), (0, 3)))
     report = triangle.verify_triangle(chain2)
     assert [law.name for law in report.laws if not law.passed] == [
         "subset_topology_roundtrip",
@@ -220,10 +272,10 @@ def test_a_non_topology_from_an_edge_fails_its_laws(chain2, monkeypatch):
 
 def test_a_non_downset_image_fails_the_nucleus_validity_law(chain2, monkeypatch):
     original = triangle._families_to_table
-    target = triangle._subset_to_families(chain2, chain2.full_mask)
+    target = triangle._subset_to_families(triangle._edge_ranks(chain2), chain2.full_mask)
 
-    def broken(poset, families):
-        images = original(poset, families)
+    def broken(r, families):
+        images = original(r, families)
         return (0b10, *images[1:]) if families == target else images
 
     monkeypatch.setattr(triangle, "_families_to_table", broken)
@@ -262,9 +314,9 @@ def test_a_passing_verify_wraps_each_enumerated_nucleus_once(diamond, monkeypatc
 def _break_nucleus_to_subset_on_two_points(monkeypatch):
     original = triangle._table_to_subset
 
-    def broken(poset, table):
-        got = original(poset, table)
-        return got ^ 1 if poset.n == 2 and table == triangle._subset_to_table(poset, 1) else got
+    def broken(r, table):
+        got = original(r, table)
+        return got ^ 1 if r.poset.n == 2 and table == triangle._subset_to_table(r, 1) else got
 
     monkeypatch.setattr(triangle, "_table_to_subset", broken)
 
@@ -353,7 +405,7 @@ def test_a_non_nucleus_from_an_edge_is_read_only_by_the_laws_that_need_it(diamon
 
 
 def test_a_non_topology_from_an_edge_is_read_only_by_the_laws_that_need_it(diamond, monkeypatch):
-    target = triangle._subset_to_table(diamond, diamond.subset(["a"]).mask)
+    target = triangle._subset_to_table(triangle._edge_ranks(diamond), diamond.subset(["a"]).mask)
     bad = ((),) * diamond.n  # no point has its principal downset as a cover
     original = triangle._table_to_families
     monkeypatch.setattr(
@@ -412,13 +464,31 @@ def test_a_verify_leaves_no_reference_cycles():
             gc.enable()
 
 
+@pytest.mark.parametrize("take", [None, 2], ids=["full", "abandoned"])
+def test_a_poset_stream_leaves_no_reference_cycles(take):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        stream = enumerate_posets(3)
+        if take is None:
+            assert len(list(stream)) == 19
+        else:
+            assert len([next(stream) for _ in range(take)]) == take
+        del stream
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_each_edge_and_validator_runs_once_per_distinct_input(diamond, monkeypatch):
     calls = {name: Counter() for name in (*KERNELS, "_check_nucleus", "_check_topology")}
 
     def counting(name, fn, key):
-        def wrapper(poset, value):
+        def wrapper(r, value):
             calls[name][key(value)] += 1
-            return fn(poset, value)
+            return fn(r, value)
 
         return wrapper
 
