@@ -66,6 +66,36 @@ def report_bytes(report):
     return data
 
 
+def boolean_lattice(k):
+    labels = [format(m, f"0{k}b") for m in range(1 << k)]
+    covers = [(labels[m], labels[m | 1 << b]) for m in range(1 << k) for b in range(k)
+              if not m >> b & 1]
+    return build_poset(labels, covers)
+
+
+# sha256 of each fault case's report (and of two caps-lifted reports), with
+# ``elapsed_seconds`` set to 0
+PINNED = {
+    "broken_nucleus_to_subset": "4e2b565b8dcbbc1be27a8c0eca48c4a75c8054d714a919550dbfdb1f0872adc2",
+    "broken_subset_to_topology": "2e15ab11f8d51f10065da95b2d188d7a8370fa9516ec440a05cefab5cc4def01",
+    "broken_topology_to_nucleus": "4732bd93ead8cdc81276c820c50118cbb83632276f9e249c1c6a8737d2fb83a3",
+    "non_topology": "d232b15b17c3606dec90452a3f24c1d2dad7208913a98f0dd60add9a6a890ae2",
+    "non_downset_image": "a822beb14031f4c9d95869473330f4a954e575fee2f7a3480bf577876b6285d4",
+    "short_census": "55989fe1e15dc5f90b030fc0903806b9157abaac9045c6dc9b56c82d0b4e3477",
+    "non_nucleus_output": "dcdf700018427e84f87ba89b099e23c6ecb16a968e93ea040c7f9ac517bd4823",
+    "non_topology_output": "e09ac49857eef2d80e5311b82edb69757aee2b2b419cc91f81f154d77e7a4105",
+    "nucleus_twice_nucleus_count": "34b7cee8bfa322e30e141921d2beab34853e74e9bdd25ad985d21ef0ca20bd3c",
+    "nucleus_twice_nucleus_bijection": "be21ad9d56b74458079880a4cd5379105f24bc7fe42796d92df3111f8dbb1b1d",
+    "chain10": "5f0c7f116f9b3d91e44254607af3ea79a1c3d919d69bd22754e4450a7b05b767",
+    "boolean3": "4b8dc22cc6c24323d23b10273282fca52d8c31a219fab0f5f387bd9b13f5c4d8",
+}
+
+
+def assert_pinned(case, report):
+    report.elapsed_seconds = 0
+    assert hashlib.sha256(serialize(report).encode()).hexdigest() == PINNED[case], case
+
+
 def reference_posets():
     """All labeled posets with n <= 4 and every 30th labeled n = 5 poset."""
     for n in range(5):
@@ -252,6 +282,7 @@ def test_a_broken_edge_fails_the_same_laws(diamond, monkeypatch, edge, breaker, 
     engine = triangle.verify_triangle(diamond)
     assert [law.name for law in engine.laws if not law.passed] == failing
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+    assert_pinned(f"broken_{edge}", engine)
 
 
 def test_a_non_topology_from_an_edge_fails_its_laws(chain2, monkeypatch):
@@ -268,6 +299,7 @@ def test_a_non_topology_from_an_edge_fails_its_laws(chain2, monkeypatch):
     ]
     witness = {law.name: law.witness for law in report.laws}["triangle_commutes_via_topology"]
     assert witness["via_topology"][0] == [[], ["b"]]
+    assert_pinned("non_topology", report)
 
 
 def test_a_non_downset_image_fails_the_nucleus_validity_law(chain2, monkeypatch):
@@ -283,6 +315,7 @@ def test_a_non_downset_image_fails_the_nucleus_validity_law(chain2, monkeypatch)
     witness = {law.name: law.witness for law in report.laws}["topology_to_nucleus_valid"]
     assert witness["kind"] == "ImageNotDownsetError"
     assert witness["error"] == "image {b} of {} is not downward closed"
+    assert_pinned("non_downset_image", report)
 
 
 def test_a_passing_verify_builds_no_subsets(diamond, monkeypatch):
@@ -361,6 +394,7 @@ def test_a_short_nucleus_census_fails_the_count_and_the_bijection(diamond, monke
         "nucleus_bijection": {"reason": "image differs from enumeration"},
     }
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+    assert_pinned("short_census", engine)
 
 
 def _verify_recording_calls(poset, monkeypatch):
@@ -402,6 +436,7 @@ def test_a_non_nucleus_from_an_edge_is_read_only_by_the_laws_that_need_it(diamon
         "subset_to_nucleus_valid",
     ]
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+    assert_pinned("non_nucleus_output", engine)
 
 
 def test_a_non_topology_from_an_edge_is_read_only_by_the_laws_that_need_it(diamond, monkeypatch):
@@ -424,6 +459,7 @@ def test_a_non_topology_from_an_edge_is_read_only_by_the_laws_that_need_it(diamo
         "nucleus_to_topology_valid",
     ]
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+    assert_pinned("non_topology_output", engine)
 
 
 @pytest.mark.parametrize(
@@ -446,6 +482,16 @@ def test_a_nucleus_listed_twice_by_the_census(diamond, monkeypatch, census, fail
     assert max(calls.values()) == 1
     assert _failing(engine) == failing
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+    assert_pinned(f"nucleus_twice_{failing[0]}", engine)
+
+
+@pytest.mark.parametrize(
+    "poset, nucleus_cap", [(chain(10), 11), (boolean_lattice(3), 20)], ids=["chain10", "boolean3"]
+)
+def test_the_caps_lifted_reports_are_pinned(poset, nucleus_cap, request):
+    report = triangle.verify_triangle(poset, nucleus_cap=nucleus_cap, topology_cap=poset.n)
+    assert report.all_passed
+    assert_pinned(request.node.callspec.id, report)
 
 
 def test_a_verify_leaves_no_reference_cycles():
