@@ -21,7 +21,9 @@ axioms, usable as an oracle against any other construction of nuclei.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
+from operator import and_, or_, xor
 
 from .errors import (
     CapExceededError,
@@ -31,7 +33,7 @@ from .errors import (
     NotMeetPreservingError,
     PosetMismatchError,
 )
-from .poset import DownSet, Poset, Subset, _bits
+from .poset import DownSet, Poset, Subset, _bits, _pack, _planes
 
 __all__ = ["DEFAULT_NUCLEUS_CAP", "Nucleus", "enumerate_nuclei", "validate_nucleus"]
 
@@ -127,12 +129,19 @@ def validate_nucleus(
 
 
 def _check_nucleus(poset: Poset, images: Sequence[int]) -> tuple[int, ...]:
-    """The axiom checks of :func:`validate_nucleus` on image masks.
+    """The axiom checks of :func:`validate_nucleus` on image masks, one per
+    downset in canonical order, not necessarily downsets.  They are accepted
+    by :func:`_nucleus_fails` on a batch of one; a failure is scanned for the
+    error and witnesses of the public validator.  Returns them as a tuple."""
+    if (0 <= min(images) and max(images) <= poset.full_mask
+            and not _nucleus_fails(poset, _image_planes(poset, [images]), 1)):
+        return tuple(images)
+    _scan_nucleus(poset, images)
+    raise AssertionError("the plane check rejected a nucleus")
 
-    ``images[i]`` is the image mask of the ``i``-th downset in canonical
-    order; it need not be a downset.  Raises what the public validator
-    raises, with the same witnesses, and returns the images as a tuple.
-    """
+
+def _scan_nucleus(poset: Poset, images: Sequence[int]) -> None:
+    """Raise the first violation, in the order :func:`validate_nucleus` states."""
     masks = poset.downset_masks()
     rank = _require_downset_images(poset, images)
     d = len(masks)
@@ -142,19 +151,48 @@ def _check_nucleus(poset: Poset, images: Sequence[int]) -> tuple[int, ...]:
     for i in range(d):
         if images[rank[images[i]]] != images[i]:
             raise NotIdempotentError(DownSet._wrap(poset, masks[i]))
-    # inflationary, so j(P) = P: j preserves meets exactly when every step
-    # has j(S) = T_p & j(S + p); only a failure needs the pair scan, which
-    # finds the first failing pair as the witness
-    full = poset.full_mask
-    tops = [images[rank[full & ~up]] for up in poset._up]
-    if any(images[i] != tops[p] & images[k] for i, p, k in _meet_steps(poset)):
-        for i in range(d):
-            for k in range(i):
-                if images[rank[masks[i] & masks[k]]] != images[i] & images[k]:
-                    raise NotMeetPreservingError(
-                        DownSet._wrap(poset, masks[k]), DownSet._wrap(poset, masks[i])
-                    )
-    return tuple(images)
+    for i in range(d):
+        for k in range(i):
+            if images[rank[masks[i] & masks[k]]] != images[i] & images[k]:
+                raise NotMeetPreservingError(
+                    DownSet._wrap(poset, masks[k]), DownSet._wrap(poset, masks[i])
+                )
+
+
+def _image_planes(poset: Poset, tables: Sequence[Sequence[int]]) -> list[int]:
+    """The planes of a batch of image tuples: plane i * n + p holds bit p of
+    the image of the i-th downset.  Every image lies below 2**n."""
+    flat = chain.from_iterable(reversed(tables))
+    return _planes(_pack(flat, poset.n), poset.n, len(poset.downset_masks()))
+
+
+def _nucleus_fails(poset: Poset, planes: list[int], ones: int) -> int:
+    """Bit k set exactly when value k of a batch of image tuples is not a
+    nucleus; ``ones`` is the batch's all-ones plane.  With T_p = j(M_p), j
+    is a nucleus exactly when j(S) is the meet of the T_p with p outside S
+    (along :func:`_meet_steps`), each T_p is a downset containing M_p, and
+    each T_q is a fixed point: each b outside T_q is outside some T_r, r
+    outside T_q (both above q).  A nucleus passes; a map that passes has
+    downset images, contains the meet of the M_p with p outside S, which is
+    S, preserves meets, and has j(j(S)) = the meet of the j(T_q) = j(S)."""
+    n = poset.n
+    if not n:
+        return 0
+    rank = poset._downset_ranks()
+    up = poset._up
+    T = [planes[k * n : k * n + n] for k in (rank[poset.full_mask & ~u] for u in up)]
+    meets = [ones] * len(planes)
+    for i, p, k in _meet_steps(poset):
+        meets[i * n : i * n + n] = map(and_, T[p], meets[k * n : k * n + n])
+    fails = reduce(or_, map(xor, planes, meets), 0)
+    covers = poset.covers()
+    for p, t in enumerate(T):
+        above = [q for q in range(n) if up[p] >> q & 1]
+        fails = reduce(or_, [t[b] & ~t[a] for a, b in covers], fails)
+        fails = reduce(or_, [ones ^ t[q] for q in range(n) if not up[p] >> q & 1], fails)
+        for b in above:
+            fails |= reduce(and_, [t[r] | T[r][b] for r in above], ones ^ t[b])
+    return fails
 
 
 def _require_downset_images(poset: Poset, images: Sequence[int]) -> dict[int, int]:
@@ -228,9 +266,11 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
     full = poset.full_mask
     up = poset._up
     order = sorted(range(n), key=lambda p: (up[p].bit_count(), p))
-    strictly_above = [up[p] & ~(1 << p) for p in range(n)]
-    # the downsets containing M_p = full & ~up[p]
-    candidates = [tuple(t for t in dmasks if not full & ~up[p] & ~t) for p in range(n)]
+    above = [tuple(_bits(up[p] & ~(1 << p))) for p in range(n)]
+    # per point p, each downset t containing M_p = full & ~up[p], with the
+    # points outside it (all above p) when p is in t, else None
+    candidates = [tuple((t, tuple(_bits(up[p] & ~t)) if t >> p & 1 else None)
+                        for t in dmasks if not full & ~up[p] & ~t) for p in range(n)]
     steps = _meet_steps(poset)
 
     chosen = [0] * n
@@ -245,14 +285,14 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
             return
         p = order[idx]
         bound = full
-        for q in _bits(strictly_above[p]):
+        for q in above[p]:
             bound &= chosen[q]
-        for t in candidates[p]:
+        for t, outside in candidates[p]:
             if t & ~bound:
                 continue
-            if t >> p & 1:
+            if outside is not None:
                 meet = full
-                for q in _bits(up[p] & ~t):
+                for q in outside:
                     meet &= chosen[q]
                 if meet != t:
                     continue

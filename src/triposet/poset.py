@@ -15,6 +15,7 @@ poset the first time it is asked for.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cache
 
 from .errors import (
     CapExceededError,
@@ -51,6 +52,47 @@ def _bits(mask: int) -> Iterator[int]:
 def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
     """The distinct ``masks`` in canonical (cardinality, mask) order."""
     return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
+
+
+@cache
+def _bit_tables() -> tuple[bytes, ...]:
+    """Per bit b < 8, the translation of a byte to the digit of its bit b."""
+    return tuple(bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8))
+
+
+def _pack(values: Iterable[int], width: int) -> bytes:
+    """``values`` below 2**width, as (width + 7) // 8 little-endian bytes each."""
+    if width <= 8:
+        return bytes(values)
+    size = (width + 7) >> 3
+    return b"".join([v.to_bytes(size, "little") for v in values])
+
+
+def _planes(blob: bytes, width: int, fields: int = 1) -> list[int]:
+    """The bit planes of a batch, plane j an int whose bit k is bit j of
+    value k.  ``blob`` holds the values last first, each ``fields`` fields
+    of ``width`` bits, in whole little-endian bytes; plane f * width + b is
+    bit b of field f, read as a column of bytes translated to digits."""
+    if not blob or not width:
+        return [0] * (fields * width)
+    size = (width + 7) >> 3
+    stride = fields * size
+    if len(blob) == stride:  # one value: its bits
+        v = int.from_bytes(blob, "little")
+        return [v >> 8 * size * f + b & 1 for f in range(fields) for b in range(width)]
+    out = [0] * (fields * width)
+    for b in range(width):
+        digits = blob.translate(_bit_tables()[b & 7])
+        out[b::width] = [int(digits[f * size + (b >> 3) :: stride], 2) for f in range(fields)]
+    return out
+
+
+def _columns(planes: Sequence[int], w: int) -> list[int]:
+    """The ``w`` values of a batch: bit j of value k is bit k of ``planes[j]``."""
+    if w == 1:
+        return [int(bytes(reversed(planes)).translate(_bit_tables()[0]) or b"0", 2)]
+    rows = [format(plane, f"0{w}b") for plane in reversed(planes)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1] if rows and w else [0] * w
 
 
 class Poset:

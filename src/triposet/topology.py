@@ -10,17 +10,18 @@ A topology assigns to every point ``p`` a family J(p) of sieves on ``p``
 
 Families are stored per point as tuples of sieve masks in canonical order.
 Covering sieves are closed under intersection, so J(p) is the sieves on p
-above a least covering sieve m_p.  Both the enumeration and the validator
-work from these least covering sieves: the validator accepts a topology
-from them and scans sieve by sieve only to find the first failure.  Like
-the nucleus module, this works from the axioms alone and is intentionally
-independent of any conversion routines.
+above a least covering sieve m_p.  The enumeration searches these least
+covering sieves; the validator decides a batch of families at once on bit
+planes (:func:`_topology_fails`) and scans sieve by sieve only to find the
+first failure.  Like the nucleus module, this works from the axioms alone
+and is intentionally independent of any conversion routines.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_, xor
 
 from .errors import (
     CapExceededError,
@@ -30,7 +31,7 @@ from .errors import (
     StabilityFailError,
     TransitivityFailError,
 )
-from .poset import DownSet, Poset, Subset, _bits, _canonical
+from .poset import DownSet, Poset, Subset, _bits, _canonical, _pack, _planes
 
 __all__ = [
     "DEFAULT_TOPOLOGY_CAP",
@@ -143,41 +144,22 @@ def validate_topology(
 def _check_topology(
     poset: Poset, families: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
-    """The axiom checks of :func:`validate_topology` on sieve masks.
-
-    ``families`` yields one canonically ordered tuple of masks per point.
-    Validity is accepted from the least covering sieves, as in
-    :func:`enumerate_topologies`: the families form a topology exactly when
-    each J(p) is the sieves on p that contain its least entry m_p (so every
-    entry is a sieve and the principal downset is one), m_q lies inside m_p
-    for every q < p, and m_p lies inside the union of the m_q over the
-    points q of m_p.  Only failing families go through
-    :func:`_scan_topology`, which finds the first failure and raises what
-    the public validator raises.  Returns the families as a tuple.
-    """
-    covering = _covering(poset)
-    cones = poset._cones
+    """The axiom checks of :func:`validate_topology` on sieve masks, one
+    canonically ordered tuple per point.  They are accepted by
+    :func:`_topology_fails` on a batch of one; a mask that is not a sieve,
+    or a failure, goes to :func:`_scan_topology` for the error and
+    witnesses of the public validator.  Returns the families as a tuple."""
+    bits = _sieves(poset).bits
     fams: list[tuple[int, ...]] = []
-    gens = []
     rest = iter(families)
     for p, entries in enumerate(rest):
         fams.append(entries)
-        # the least entry comes first in canonical order; it is the meet of
-        # all of them exactly when J(p) is the sieves on p above it
-        m = entries[0] if entries else None
-        if covering[p].get(m) != entries:
+        if not all(m in bits[p] for m in entries):
             # read the later points only as the scan reaches them
             return _scan_topology(poset, (f for part in (fams, rest) for f in part))
-        gens.append(m)
-    for p, m in enumerate(gens):
-        below = reach = 0
-        for q in cones[p]:
-            g = gens[q]
-            below |= g
-            if m >> q & 1:
-                reach |= g
-        if below & ~m or m & ~reach:
-            return _scan_topology(poset, fams)
+    if _topology_fails(poset, _family_planes(poset, [fams]), 1):
+        _scan_topology(poset, fams)
+        raise AssertionError("the plane check rejected a topology")
     return tuple(fams)
 
 
@@ -227,15 +209,78 @@ def _scan_topology(
     return tuple(fam_masks)
 
 
-@lru_cache(maxsize=1)
-def _covering(poset: Poset) -> tuple[dict[int, tuple[int, ...]], ...]:
-    """Per point p, each sieve m on p, in canonical order, mapped to the
-    canonical tuple of the sieves on p that contain m."""
-    covering = []
-    for p in range(poset.n):
-        sieves = poset.sieve_masks(p)
-        covering.append({m: tuple([s for s in sieves if not m & ~s]) for m in sieves})
-    return tuple(covering)
+class _Sieves:
+    """One plane per point p and sieve s on p, canonical order point after
+    point: ``index[p][s]`` is the plane and ``bits[p][s]`` its bit,
+    ``ranges[p]`` p's planes, the principal downset last.  ``grow`` holds
+    (s, s + a, a, cut of a) as planes for each other s, a minimal outside s,
+    larger sieves first; the cut of b is (down p) - (up b).  ``stable`` and
+    ``transitive`` list the cut planes :func:`_topology_fails` compares."""
+
+    __slots__ = ("size", "index", "bits", "ranges", "grow", "stable", "transitive")
+
+    def __init__(self, poset: Poset):
+        down, up, cones = poset._down, poset._up, poset._cones
+        index, bits, ranges, grow, cut = [], [], [], [], []
+        size = 0
+        for p in range(poset.n):
+            sieves = poset.sieve_masks(p)
+            at = dict(zip(sieves, range(size, size + len(sieves))))
+            index.append(at)
+            bits.append({s: 1 << t for s, t in at.items()})
+            ranges.append(range(size, size + len(sieves)))
+            size += len(sieves)
+            cut.append({b: at[down[p] & ~up[b]] for b in cones[p]})
+            for s in reversed(sieves[:-1]):
+                a = next(q for q in cones[p] if not s >> q & 1 and s | 1 << q in at)
+                grow.append((at[s], at[s | 1 << a], a, cut[p][a]))
+        self.size, self.index, self.bits, self.ranges, self.grow = size, index, bits, ranges, grow
+        # b in m_q but not in m_p, for each cover q < p and b <= q
+        self.stable = [(cut[q][b], cut[p][b]) for q, p in poset.covers() for b in cones[q]]
+        # b in m_p, and no q between b and p has b in m_q and q in m_p
+        self.transitive = [
+            (cut[p][b], [(cut[p][q], cut[q][b]) for q in cones[p] if up[b] >> q & 1])
+            for p in range(poset.n) for b in cones[p]
+        ]
+
+
+_sieves = lru_cache(maxsize=1)(_Sieves)
+
+
+def _family_planes(poset: Poset, batch: Sequence[Sequence[tuple[int, ...]]]) -> list[int]:
+    """The planes of a batch of families: ``index[p][s]``, bit k when s is in
+    ``batch[k][p]``.  A mask that is not a sieve raises NotASieveError."""
+    layout = _sieves(poset)
+    members = []  # per point, each value's family as plane bits
+    for p, (bit, column) in enumerate(zip(layout.bits, zip(*reversed(batch)))):
+        try:
+            members.append([sum(map(bit.__getitem__, fam)) for fam in column])
+        except KeyError as exc:
+            raise NotASieveError(poset.labels[p], Subset._wrap(poset, exc.args[0])) from None
+    return _planes(_pack(map(sum, zip(*members)), layout.size), layout.size)
+
+
+def _topology_fails(poset: Poset, planes: list[int], ones: int) -> int:
+    """Bit k set exactly when value k of a batch of families is not a
+    topology; ``ones`` is the batch's all-ones plane.  With m_p the points
+    whose cut is not in J(p), a value passes when each J(p) is the sieves
+    containing m_p (a sieve is in J(p) exactly when the cuts of the points
+    outside it are), m_q lies in m_p for each cover q < p, and each b in m_p
+    lies in m_q for some q in m_p: the least-sieve form, stability and
+    transitivity of :func:`enumerate_topologies`, exactly the topologies."""
+    layout = _sieves(poset)
+    want = [ones] * layout.size  # every cut of a point outside s is in J(p)
+    for t, grown, _, cut in layout.grow:
+        want[t] = want[grown] & planes[cut]
+    fails = reduce(or_, map(xor, planes, want), 0)
+    for below, above in layout.stable:
+        fails |= planes[above] & ~planes[below]
+    for cut, pairs in layout.transitive:
+        alone = ones ^ planes[cut]
+        for q_in_p, b_in_q in pairs:
+            alone &= planes[q_in_p] | planes[b_in_q]
+        fails |= alone
+    return fails
 
 
 def _require_topology_cap(poset: Poset, cap: int) -> None:
@@ -274,7 +319,12 @@ def enumerate_topologies(
     n = poset.n
     down = poset._down
     order = sorted(range(n), key=lambda p: (down[p].bit_count(), p))
-    covering = _covering(poset)
+    below = [tuple(_bits(down[p] & ~(1 << p))) for p in range(n)]
+    # per point p, each sieve m on p with the sieves containing it and its
+    # points, None for down p
+    candidates = [tuple((m, tuple([s for s in sieves if not m & ~s]),
+                         tuple(_bits(m)) if m != down[p] else None) for m in sieves)
+                  for p, sieves in enumerate(map(poset.sieve_masks, range(n)))]
     gen = [0] * n
     fams: list[tuple[int, ...]] = [()] * n
     results: list[GrothendieckTopology] = []
@@ -284,17 +334,16 @@ def enumerate_topologies(
             results.append(GrothendieckTopology._wrap(poset, tuple(fams)))
             return
         p = order[idx]
-        full = down[p]
         # stability: every m_q with q < p lies inside m_p exactly when their union does
-        below = 0
-        for q in _bits(full & ~(1 << p)):
-            below |= gen[q]
-        for m, fam in covering[p].items():
-            if below & ~m:
+        union = 0
+        for q in below[p]:
+            union |= gen[q]
+        for m, fam, points in candidates[p]:
+            if union & ~m:
                 continue
-            if m != full:
+            if points is not None:
                 reach = 0
-                for q in _bits(m):
+                for q in points:
                     reach |= gen[q]
                 if m & ~reach:
                     continue

@@ -9,6 +9,7 @@ from triposet import (
     CapExceededError,
     GrothendieckTopology,
     ImageNotDownsetError,
+    NotASieveError,
     build_poset,
     enumerate_nuclei,
     enumerate_topologies,
@@ -157,6 +158,13 @@ class TestNucleusTopologyEdge:
         J = GrothendieckTopology(chain2, [[1], [0, 3]])
         with pytest.raises(ImageNotDownsetError, match=r"image \{b\} of \{\}"):
             topology_to_nucleus(J)
+
+    def test_a_family_holding_a_non_sieve_is_refused(self, chain2):
+        # {a, b} is not a sieve on a
+        J = GrothendieckTopology(chain2, [[3], [3]])
+        for edge in (topology_to_subset, topology_to_nucleus):
+            with pytest.raises(NotASieveError, match=r"\{a b\} is not a sieve on 'a'"):
+                edge(J)
 
     def test_edge_round_trips(self, vee):
         for j in enumerate_nuclei(vee):

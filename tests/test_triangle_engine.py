@@ -1,19 +1,21 @@
-"""The table-driven ``verify_triangle`` against the law-by-law reference.
+"""The plane engine of ``verify_triangle`` against the law-by-law reference.
 
-The engine runs each edge kernel once per distinct input and validates each
-distinct nucleus table or topology once, on its masks.  These tests hold it
-to the slow reference in ``reference_triangle.py``: same reports on a fixed
-poset set, same failures when one kernel is broken, and no kernel or
-validator core called twice on the same input.  The sample's report bytes
-are pinned by digest.  The kernels are held to the object-level edges they
-replaced, each public edge to its wrapped kernel, and each kernel reads
-only the edge table it is handed.  A broken kernel fails ``verify --max-n``
-the same way, and a short enumeration fails the census laws.  A kernel
-output outside the census reaches only the kernels and cores that a law
-reads it through, a census that lists a nucleus twice is reported as the
-reference reports it, and neither a run nor a poset stream leaves anything
-for the cyclic collector.  An oversize job is refused before anything is
-enumerated.
+The engine runs each edge kernel on batches of planes and validates each
+census batch once.  These tests hold it to the slow reference in
+``reference_triangle.py``: same reports on a fixed poset set, all decided
+on planes, same failures when one kernel is broken, and no kernel run twice
+on one batch.  The report bytes of the sample, of every fault case and of
+two caps-lifted posets are pinned by digest.  The kernels are held to the
+object-level edges they replaced, each public edge to its kernel on a batch
+of one, and each kernel reads only the edge table it is handed.  A fault is
+injected into a kernel by lowering its batch to values, changing one value
+and lifting the batch again.  A fault in any kernel sends the poset to the
+law-by-law path, and a broken kernel fails ``verify --max-n`` the same
+way; a short enumeration fails the census laws.  A kernel output outside
+the census reaches only the kernels and cores that a law reads it through,
+a census that lists a nucleus twice is reported as the reference reports
+it, and neither a run nor a poset stream leaves anything for the cyclic
+collector.  An oversize job is refused before anything is enumerated.
 """
 
 import gc
@@ -35,7 +37,6 @@ from triposet import (
     enumerate_topologies,
     cli,
     serialize,
-    topology,
     triangle,
 )
 from triposet.errors import CapExceededError
@@ -53,6 +54,36 @@ EDGES = {
 }
 KERNELS = tuple(kernel for kernel, _, _ in EDGES.values())
 CORES = ("_check_nucleus", "_check_topology")
+PLANE_CHECKS = {"_nucleus_fails": Nucleus, "_topology_fails": GrothendieckTopology}
+# class -> (lift, lower): values to planes and back
+KINDS = {
+    Subset: triangle._SUBSETS,
+    Nucleus: triangle._TABLES,
+    GrothendieckTopology: triangle._FAMILIES,
+}
+
+
+def run_kernel(kernel, r, source, target, values):
+    """``kernel`` on the batch of ``values``, lowered to values."""
+    w = len(values)
+    planes = getattr(triangle, kernel)(r, KINDS[source][0](r, values), (1 << w) - 1)
+    return KINDS[target][1](r, planes, w)
+
+
+def inject(monkeypatch, edge, fault):
+    """Make the kernel of ``edge`` put ``fault(r, value, output)`` in place of
+    its output on each value of a batch.  The batch is lowered to values and
+    the outputs lifted back through the engine's own transposes."""
+    kernel, source, target = EDGES[edge]
+    original = getattr(triangle, kernel)
+
+    def faulty(r, planes, ones):
+        w = ones.bit_length()
+        values = KINDS[source][1](r, planes, w)
+        outputs = KINDS[target][1](r, original(r, planes, ones), w)
+        return KINDS[target][0](r, [fault(r, v, out) for v, out in zip(values, outputs)])
+
+    monkeypatch.setattr(triangle, kernel, faulty)
 
 
 def chain(n):
@@ -125,6 +156,14 @@ def test_the_sample_reports_are_pinned():
     assert digest.hexdigest() == "7a0cf87ffc38322cd185aade4221c511b5f677d7f87829c21830c1a9f0fbeb3a"
 
 
+def test_every_sample_poset_is_decided_on_planes(monkeypatch):
+    def never(*args):
+        raise AssertionError("took the law-by-law path")
+
+    monkeypatch.setattr(triangle, "_law_by_law", never)
+    assert all(triangle.verify_triangle(poset).all_passed for poset in reference_posets())
+
+
 def _inputs(poset):
     return {
         Subset: poset.subsets(),
@@ -149,36 +188,43 @@ def test_each_public_edge_is_its_wrapped_kernel(diamond):
             for value in inputs[source]:
                 got = getattr(triangle, edge)(value)
                 assert type(got) is cls and got.poset is poset
-                assert _raw(got) == getattr(triangle, kernel)(r, _raw(value))
+                assert [_raw(got)] == run_kernel(kernel, r, source, cls, [_raw(value)])
+
+
+def _kernels_match_the_reference(poset, inputs):
+    r = triangle._edge_ranks(poset)
+    for edge, (kernel, source, target) in EDGES.items():
+        reference = REFERENCE_EDGES[edge]
+        values = inputs[source]
+        want = [_raw(reference(value)) for value in values]
+        assert run_kernel(kernel, r, source, target, [_raw(v) for v in values]) == want, edge
 
 
 def test_kernels_match_the_object_level_edges(diamond):
-    posets = [p for n in range(5) for p in enumerate_posets(n)] + [diamond]
-    for poset in posets:
-        inputs = _inputs(poset)
-        r = triangle._edge_ranks(poset)
-        for edge, (kernel, source, _) in EDGES.items():
-            reference = REFERENCE_EDGES[edge]
-            for value in inputs[source]:
-                want = _raw(reference(value))
-                assert getattr(triangle, kernel)(r, _raw(value)) == want, edge
+    for poset in [*(p for n in range(5) for p in enumerate_posets(n)), diamond]:
+        _kernels_match_the_reference(poset, _inputs(poset))
+
+
+@pytest.mark.parametrize(
+    "poset, nucleus_cap", [(chain(10), 11), (boolean_lattice(3), 20)], ids=["chain10", "boolean3"]
+)
+def test_kernels_match_the_object_level_edges_past_five_points(poset, nucleus_cap):
+    _kernels_match_the_reference(poset, {
+        Subset: poset.subsets(),
+        Nucleus: enumerate_nuclei(poset, cap=nucleus_cap),
+        GrothendieckTopology: enumerate_topologies(poset, cap=poset.n),
+    })
 
 
 def test_kernels_match_the_object_level_edges_across_the_per_poset_memos(diamond):
     """Each kernel on A, then on B, equal to A but a distinct object, then on
-    another poset, then on A again.  B reads the arrays and memos that A
-    filled; A's second turn rebuilds them after the one-entry cache moved on."""
+    another poset, then on A again.  B reads the tables built for A; A's
+    second turn rebuilds them after the one-entry cache moved on."""
     twin = build_poset(diamond.labels, [(diamond.labels[p], diamond.labels[q])
                                         for p, q in diamond.covers()])
     assert twin == diamond and twin is not diamond
     for poset in (diamond, twin, chain(3), diamond):
-        inputs = _inputs(poset)
-        r = triangle._edge_ranks(poset)
-        for edge, (kernel, source, _) in EDGES.items():
-            reference = REFERENCE_EDGES[edge]
-            for value in inputs[source]:
-                want = _raw(reference(value))
-                assert getattr(triangle, kernel)(r, _raw(value)) == want, edge
+        _kernels_match_the_reference(poset, _inputs(poset))
 
 
 def test_the_kernels_never_look_up_their_table(diamond, monkeypatch):
@@ -189,9 +235,8 @@ def test_the_kernels_never_look_up_their_table(diamond, monkeypatch):
         raise AssertionError("a kernel looked up its table")
 
     monkeypatch.setattr(triangle, "_edge_ranks", never)
-    for kernel, source, _ in EDGES.values():
-        for value in inputs[source]:
-            getattr(triangle, kernel)(r, _raw(value))
+    for kernel, source, target in EDGES.values():
+        run_kernel(kernel, r, source, target, [_raw(v) for v in inputs[source]])
 
 
 def test_a_verify_reads_the_table_once(diamond, monkeypatch):
@@ -208,41 +253,30 @@ def test_a_verify_reads_the_table_once(diamond, monkeypatch):
 
 
 def test_subset_to_families_returns_the_covering_tuples(diamond):
+    """Each family is the sieves containing its least one."""
     r = triangle._edge_ranks(diamond)
-    covering = topology._covering(diamond)
-    for x in range(1 << diamond.n):
-        for p, fam in enumerate(triangle._subset_to_families(r, x)):
-            assert fam is covering[p][fam[0]]
+    xs = list(range(1 << diamond.n))
+    for families in run_kernel("_subset_to_families", r, Subset, GrothendieckTopology, xs):
+        for p, fam in enumerate(families):
+            assert fam == tuple(s for s in diamond.sieve_masks(p) if not fam[0] & ~s)
 
 
-def _break_nucleus_to_subset(poset, original):
-    target = triangle._subset_to_table(triangle._edge_ranks(poset), poset.subset(["a"]).mask)
-
-    def broken(p, table):
-        got = original(p, table)
-        return got ^ 1 if table == target else got
-
-    return broken
+def _break_nucleus_to_subset(poset):
+    target = triangle.subset_to_nucleus(poset.subset(["a"])).images
+    return lambda r, table, got: got ^ 1 if table == target else got
 
 
-def _break_subset_to_topology(poset, original):
-    target, other = poset.subset(["a"]).mask, poset.subset(["b"]).mask
-
-    def broken(p, x):
-        return original(p, other if x == target else x)
-
-    return broken
+def _break_subset_to_topology(poset):
+    target = poset.subset(["a"]).mask
+    other = triangle.subset_to_topology(poset.subset(["b"])).families
+    return lambda r, x, got: other if x == target else got
 
 
-def _break_topology_to_nucleus(poset, original):
-    target = triangle._subset_to_families(triangle._edge_ranks(poset), poset.subset(["a"]).mask)
+def _break_topology_to_nucleus(poset):
+    target = triangle.subset_to_topology(poset.subset(["a"])).families
     # everything to the empty downset: not inflationary, so not a nucleus
     bad = (0,) * len(poset.downset_masks())
-
-    def broken(p, families):
-        return bad if families == target else original(p, families)
-
-    return broken
+    return lambda r, families, got: bad if families == target else got
 
 
 @pytest.mark.parametrize(
@@ -277,8 +311,7 @@ def _break_topology_to_nucleus(poset, original):
     ],
 )
 def test_a_broken_edge_fails_the_same_laws(diamond, monkeypatch, edge, breaker, failing):
-    kernel = EDGES[edge][0]
-    monkeypatch.setattr(triangle, kernel, breaker(diamond, getattr(triangle, kernel)))
+    inject(monkeypatch, edge, breaker(diamond))
     engine = triangle.verify_triangle(diamond)
     assert [law.name for law in engine.laws if not law.passed] == failing
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
@@ -287,7 +320,7 @@ def test_a_broken_edge_fails_the_same_laws(diamond, monkeypatch, edge, breaker, 
 
 def test_a_non_topology_from_an_edge_fails_its_laws(chain2, monkeypatch):
     # not a topology: {} covers b but not a, so j({}) = {b} is not a downset
-    monkeypatch.setattr(triangle, "_subset_to_families", lambda r, x: ((1,), (0, 3)))
+    inject(monkeypatch, "subset_to_topology", lambda r, x, got: ((1,), (0, 3)))
     report = triangle.verify_triangle(chain2)
     assert [law.name for law in report.laws if not law.passed] == [
         "subset_topology_roundtrip",
@@ -303,14 +336,9 @@ def test_a_non_topology_from_an_edge_fails_its_laws(chain2, monkeypatch):
 
 
 def test_a_non_downset_image_fails_the_nucleus_validity_law(chain2, monkeypatch):
-    original = triangle._families_to_table
-    target = triangle._subset_to_families(triangle._edge_ranks(chain2), chain2.full_mask)
-
-    def broken(r, families):
-        images = original(r, families)
-        return (0b10, *images[1:]) if families == target else images
-
-    monkeypatch.setattr(triangle, "_families_to_table", broken)
+    target = triangle.subset_to_topology(Subset(chain2, chain2.full_mask)).families
+    inject(monkeypatch, "topology_to_nucleus",
+           lambda r, families, got: (0b10, *got[1:]) if families == target else got)
     report = triangle.verify_triangle(chain2)
     witness = {law.name: law.witness for law in report.laws}["topology_to_nucleus_valid"]
     assert witness["kind"] == "ImageNotDownsetError"
@@ -345,13 +373,12 @@ def test_a_passing_verify_wraps_each_enumerated_nucleus_once(diamond, monkeypatc
 
 
 def _break_nucleus_to_subset_on_two_points(monkeypatch):
-    original = triangle._table_to_subset
+    def broken(r, table, got):
+        if r.poset.n == 2 and table == triangle.subset_to_nucleus(Subset(r.poset, 1)).images:
+            return got ^ 1
+        return got
 
-    def broken(r, table):
-        got = original(r, table)
-        return got ^ 1 if r.poset.n == 2 and table == triangle._subset_to_table(r, 1) else got
-
-    monkeypatch.setattr(triangle, "_table_to_subset", broken)
+    inject(monkeypatch, "nucleus_to_subset", broken)
 
 
 def test_a_failing_sweep_reports_each_failure_and_exits_1(monkeypatch, capsys):
@@ -398,15 +425,25 @@ def test_a_short_nucleus_census_fails_the_count_and_the_bijection(diamond, monke
 
 
 def _verify_recording_calls(poset, monkeypatch):
-    """The engine's report, and how often it called each kernel and core on
-    each input.  Later runs are not counted."""
+    """The engine's report, and how often it ran each kernel and plane check
+    on each batch and each core on each value.  A batch is keyed by its
+    values, lowered from its planes, so a batch of one is keyed as a one-value
+    tuple.  Later runs are not counted."""
     calls = Counter()
-    for name in (*KERNELS, *CORES):
-        def wrapper(p, value, name=name, fn=getattr(triangle, name)):
-            calls[name, value] += 1
+    sources = {kernel: source for kernel, source, _ in EDGES.values()}
+    for name, source in (*sources.items(), *PLANE_CHECKS.items()):
+        def on_batch(r, planes, ones, name=name, fn=getattr(triangle, name), source=source):
+            table = r if isinstance(r, triangle._EdgeRanks) else triangle._edge_ranks(r)
+            calls[name, tuple(KINDS[source][1](table, planes, ones.bit_length()))] += 1
+            return fn(r, planes, ones)
+
+        monkeypatch.setattr(triangle, name, on_batch)
+    for name in CORES:
+        def on_value(p, value, name=name, fn=getattr(triangle, name)):
+            calls[name, (value,)] += 1
             return fn(p, value)
 
-        monkeypatch.setattr(triangle, name, wrapper)
+        monkeypatch.setattr(triangle, name, on_value)
     report = triangle.verify_triangle(poset)
     return report, dict(calls)
 
@@ -418,13 +455,10 @@ def _failing(report):
 def test_a_non_nucleus_from_an_edge_is_read_only_by_the_laws_that_need_it(diamond, monkeypatch):
     x = diamond.subset(["a"]).mask
     bad = (0,) * len(diamond.downset_masks())  # not inflationary
-    original = triangle._subset_to_table
-    monkeypatch.setattr(
-        triangle, "_subset_to_table", lambda p, v: bad if v == x else original(p, v)
-    )
+    inject(monkeypatch, "subset_to_nucleus", lambda r, v, got: bad if v == x else got)
     engine, calls = _verify_recording_calls(diamond, monkeypatch)
     assert max(calls.values()) == 1
-    assert {name for name, v in calls if v == bad} == {
+    assert {name for name, v in calls if v == (bad,)} == {
         "_table_to_subset", "_table_to_families", "_check_nucleus"
     }
     assert _failing(engine) == [
@@ -440,15 +474,12 @@ def test_a_non_nucleus_from_an_edge_is_read_only_by_the_laws_that_need_it(diamon
 
 
 def test_a_non_topology_from_an_edge_is_read_only_by_the_laws_that_need_it(diamond, monkeypatch):
-    target = triangle._subset_to_table(triangle._edge_ranks(diamond), diamond.subset(["a"]).mask)
+    target = triangle.subset_to_nucleus(diamond.subset(["a"])).images
     bad = ((),) * diamond.n  # no point has its principal downset as a cover
-    original = triangle._table_to_families
-    monkeypatch.setattr(
-        triangle, "_table_to_families", lambda p, t: bad if t == target else original(p, t)
-    )
+    inject(monkeypatch, "nucleus_to_topology", lambda r, t, got: bad if t == target else got)
     engine, calls = _verify_recording_calls(diamond, monkeypatch)
     assert max(calls.values()) == 1
-    assert {name for name, v in calls if v == bad} == {
+    assert {name for name, v in calls if v == (bad,)} == {
         "_families_to_table", "_families_to_subset", "_check_topology"
     }
     assert _failing(engine) == [
@@ -529,28 +560,48 @@ def test_a_poset_stream_leaves_no_reference_cycles(take):
 
 
 def test_each_edge_and_validator_runs_once_per_distinct_input(diamond, monkeypatch):
-    calls = {name: Counter() for name in (*KERNELS, "_check_nucleus", "_check_topology")}
+    report, calls = _verify_recording_calls(diamond, monkeypatch)
+    assert report.all_passed
+    assert max(calls.values()) == 1
+    # 16 subsets, 16 nuclei and 16 topologies on the diamond, each batch all of one corner
+    assert {len(values) for _, values in calls} == {16}
+    # the direct edges, then each roundtrip and commutation once; no core runs
+    assert Counter(name for name, _ in calls) == {
+        "_subset_to_table": 2, "_subset_to_families": 2,
+        "_table_to_subset": 2, "_families_to_subset": 3,
+        "_table_to_families": 3, "_families_to_table": 3,
+        "_table_to_subset_alt": 1, "_table_to_subset_via_topology": 1,
+        "_nucleus_fails": 1, "_topology_fails": 1,
+    }
 
-    def counting(name, fn, key):
-        def wrapper(r, value):
-            calls[name][key(value)] += 1
-            return fn(r, value)
 
-        return wrapper
+@pytest.mark.parametrize("edge", EDGES)
+def test_a_one_value_fault_in_any_kernel_takes_the_law_by_law_path(diamond, monkeypatch, edge):
+    # the value of {a} gets the value of {b} (a subset gets bit 0 flipped)
+    _, source, target = EDGES[edge]
+    a, b = diamond.subset(["a"]), diamond.subset(["b"])
+    corners = {Subset: lambda x: x, Nucleus: triangle.subset_to_nucleus,
+               GrothendieckTopology: triangle.subset_to_topology}
+    picked = _raw(corners[source](a))
+    wrong = None if target is Subset else _raw(corners[target](b))
 
-    for name in KERNELS:
-        monkeypatch.setattr(triangle, name, counting(name, getattr(triangle, name), lambda v: v))
-    for name in ("_check_nucleus", "_check_topology"):
-        monkeypatch.setattr(triangle, name, counting(name, getattr(triangle, name), tuple))
-    assert triangle.verify_triangle(diamond).all_passed
-    for name, counter in calls.items():
-        assert counter, f"{name} was never called"
-        key, most = counter.most_common(1)[0]
-        assert most == 1, f"{name} ran {most} times on one input {key!r}"
-    # 16 subsets, 16 nuclei and 16 topologies on the diamond
-    assert len(calls["_subset_to_table"]) == 16
-    assert len(calls["_check_nucleus"]) == 16
-    assert len(calls["_check_topology"]) == 16
+    def fault(r, value, got):
+        if value != picked:
+            return got
+        return got ^ 1 if wrong is None else wrong
+
+    inject(monkeypatch, edge, fault)
+    fallbacks = []
+    original = triangle._law_by_law
+
+    def spy(*args):
+        fallbacks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(triangle, "_law_by_law", spy)
+    engine = triangle.verify_triangle(diamond)
+    assert len(fallbacks) == 1 and not engine.all_passed
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
 def test_oversize_jobs_are_refused_before_any_enumeration(monkeypatch):
