@@ -130,11 +130,11 @@ def validate_nucleus(
 
 def _check_nucleus(poset: Poset, images: Sequence[int]) -> tuple[int, ...]:
     """The axiom checks of :func:`validate_nucleus` on image masks, one per
-    downset in canonical order, not necessarily downsets.  They are accepted
-    by :func:`_nucleus_fails` on a batch of one; a failure is scanned for the
-    error and witnesses of the public validator.  Returns them as a tuple."""
-    if (0 <= min(images) and max(images) <= poset.full_mask
-            and not _nucleus_fails(poset, _image_planes(poset, [images]), 1)):
+    downset in canonical order, not necessarily downsets, held exactly by
+    planes and accepted by :func:`_nucleus_fails` on a batch of one; else
+    scanned for the public validator's error.  Returns them as a tuple."""
+    planes, exact = _image_planes(poset, [images])
+    if exact and not _nucleus_fails(poset, planes, 1):
         return tuple(images)
     _scan_nucleus(poset, images)
     raise AssertionError("the plane check rejected a nucleus")
@@ -159,11 +159,17 @@ def _scan_nucleus(poset: Poset, images: Sequence[int]) -> None:
                 )
 
 
-def _image_planes(poset: Poset, tables: Sequence[Sequence[int]]) -> list[int]:
+def _image_planes(poset: Poset, tables: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
     """The planes of a batch of image tuples: plane i * n + p holds bit p of
-    the image of the i-th downset.  Every image lies below 2**n."""
-    flat = chain.from_iterable(reversed(tables))
-    return _planes(_pack(flat, poset.n), poset.n, len(poset.downset_masks()))
+    the image of the i-th downset; no other bit of an image is read.  Also
+    whether the planes hold the batch exactly: every image in 0..P."""
+    n = poset.n
+    flat = list(chain.from_iterable(reversed(tables)))
+    try:
+        blob, exact = _pack(flat, n), True
+    except (ValueError, OverflowError):  # an image below 0 or past bit n
+        blob, exact = _pack([m & poset.full_mask for m in flat], n), False
+    return _planes(blob, n, len(poset.downset_masks())), exact
 
 
 def _nucleus_fails(poset: Poset, planes: list[int], ones: int) -> int:

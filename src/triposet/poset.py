@@ -61,11 +61,13 @@ def _bit_tables() -> tuple[bytes, ...]:
 
 
 def _pack(values: Iterable[int], width: int) -> bytes:
-    """``values`` below 2**width, as (width + 7) // 8 little-endian bytes each."""
-    if width <= 8:
-        return bytes(values)
-    size = (width + 7) >> 3
-    return b"".join([v.to_bytes(size, "little") for v in values])
+    """``values`` below 2**width, as (width + 7) // 8 little-endian bytes each
+    (one when width <= 8); any other value raises ValueError or OverflowError."""
+    size = max(1, (width + 7) >> 3)
+    blob = bytes(values) if size == 1 else b"".join([v.to_bytes(size, "little") for v in values])
+    if blob[size - 1 :: size].translate(None, bytes(range(1 << width + 8 - 8 * size))):
+        raise ValueError(f"a value is not below 2**{width}")
+    return blob
 
 
 def _planes(blob: bytes, width: int, fields: int = 1) -> list[int]:
@@ -77,9 +79,6 @@ def _planes(blob: bytes, width: int, fields: int = 1) -> list[int]:
         return [0] * (fields * width)
     size = (width + 7) >> 3
     stride = fields * size
-    if len(blob) == stride:  # one value: its bits
-        v = int.from_bytes(blob, "little")
-        return [v >> 8 * size * f + b & 1 for f in range(fields) for b in range(width)]
     out = [0] * (fields * width)
     for b in range(width):
         digits = blob.translate(_bit_tables()[b & 7])
@@ -88,11 +87,9 @@ def _planes(blob: bytes, width: int, fields: int = 1) -> list[int]:
 
 
 def _columns(planes: Sequence[int], w: int) -> list[int]:
-    """The ``w`` values of a batch: bit j of value k is bit k of ``planes[j]``."""
-    if w == 1:
-        return [int(bytes(reversed(planes)).translate(_bit_tables()[0]) or b"0", 2)]
-    rows = [format(plane, f"0{w}b") for plane in reversed(planes)]
-    return [int("".join(column), 2) for column in zip(*rows)][::-1] if rows and w else [0] * w
+    """The ``w`` values of a batch: bit j of value k is bit k of ``planes[j]``,
+    which is :func:`_planes` with the planes as its values."""
+    return _planes(_pack(reversed(planes), w), w)
 
 
 class Poset:

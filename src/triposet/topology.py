@@ -48,8 +48,8 @@ class GrothendieckTopology:
 
     ``families[p]`` holds the sieve masks covering point ``p``, canonically
     ordered.  The constructor normalizes them and rejects a mask as
-    ``Subset(poset, mask)`` does; masks that are not sieves pass, and
-    :func:`validate_topology` checks them with the other axioms.
+    ``Subset(poset, mask)`` does; masks that are not sieves pass (the
+    conversions read only sieves), and :func:`validate_topology` checks them.
     """
 
     __slots__ = ("poset", "families")
@@ -145,19 +145,18 @@ def _check_topology(
     poset: Poset, families: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
     """The axiom checks of :func:`validate_topology` on sieve masks, one
-    canonically ordered tuple per point.  They are accepted by
-    :func:`_topology_fails` on a batch of one; a mask that is not a sieve,
-    or a failure, goes to :func:`_scan_topology` for the error and
-    witnesses of the public validator.  Returns the families as a tuple."""
-    bits = _sieves(poset).bits
+    canonically ordered tuple per point, accepted by :func:`_topology_fails`
+    on a batch of one; a non-sieve or a failure goes to :func:`_scan_topology`
+    for the public validator's error.  Returns the families as a tuple."""
+    index = _sieves(poset).index
     fams: list[tuple[int, ...]] = []
     rest = iter(families)
     for p, entries in enumerate(rest):
         fams.append(entries)
-        if not all(m in bits[p] for m in entries):
+        if not all(m in index[p] for m in entries):
             # read the later points only as the scan reaches them
             return _scan_topology(poset, (f for part in (fams, rest) for f in part))
-    if _topology_fails(poset, _family_planes(poset, [fams]), 1):
+    if _topology_fails(poset, _family_planes(poset, [fams])[0], 1):
         _scan_topology(poset, fams)
         raise AssertionError("the plane check rejected a topology")
     return tuple(fams)
@@ -211,30 +210,29 @@ def _scan_topology(
 
 class _Sieves:
     """One plane per point p and sieve s on p, canonical order point after
-    point: ``index[p][s]`` is the plane and ``bits[p][s]`` its bit,
-    ``ranges[p]`` p's planes, the principal downset last.  ``grow`` holds
+    point: ``index[p][s]`` is the plane, ``ranges[p]`` p's planes, the
+    principal downset last.  ``grow`` holds
     (s, s + a, a, cut of a) as planes for each other s, a minimal outside s,
     larger sieves first; the cut of b is (down p) - (up b).  ``stable`` and
     ``transitive`` list the cut planes :func:`_topology_fails` compares."""
 
-    __slots__ = ("size", "index", "bits", "ranges", "grow", "stable", "transitive")
+    __slots__ = ("size", "index", "ranges", "grow", "stable", "transitive")
 
     def __init__(self, poset: Poset):
         down, up, cones = poset._down, poset._up, poset._cones
-        index, bits, ranges, grow, cut = [], [], [], [], []
+        index, ranges, grow, cut = [], [], [], []
         size = 0
         for p in range(poset.n):
             sieves = poset.sieve_masks(p)
             at = dict(zip(sieves, range(size, size + len(sieves))))
             index.append(at)
-            bits.append({s: 1 << t for s, t in at.items()})
             ranges.append(range(size, size + len(sieves)))
             size += len(sieves)
             cut.append({b: at[down[p] & ~up[b]] for b in cones[p]})
             for s in reversed(sieves[:-1]):
                 a = next(q for q in cones[p] if not s >> q & 1 and s | 1 << q in at)
                 grow.append((at[s], at[s | 1 << a], a, cut[p][a]))
-        self.size, self.index, self.bits, self.ranges, self.grow = size, index, bits, ranges, grow
+        self.size, self.index, self.ranges, self.grow = size, index, ranges, grow
         # b in m_q but not in m_p, for each cover q < p and b <= q
         self.stable = [(cut[q][b], cut[p][b]) for q, p in poset.covers() for b in cones[q]]
         # b in m_p, and no q between b and p has b in m_q and q in m_p
@@ -247,17 +245,20 @@ class _Sieves:
 _sieves = lru_cache(maxsize=1)(_Sieves)
 
 
-def _family_planes(poset: Poset, batch: Sequence[Sequence[tuple[int, ...]]]) -> list[int]:
-    """The planes of a batch of families: ``index[p][s]``, bit k when s is in
-    ``batch[k][p]``.  A mask that is not a sieve raises NotASieveError."""
+def _family_planes(poset: Poset, batch: Sequence[Sequence[tuple]]) -> tuple[list[int], bool]:
+    """The planes of a batch of families, ``index[p][s]`` with bit k when s is
+    in ``batch[k][p]`` (other masks are not read), and whether they hold the
+    batch exactly: each family a canonical tuple of sieves, planes ascending."""
     layout = _sieves(poset)
-    members = []  # per point, each value's family as plane bits
-    for p, (bit, column) in enumerate(zip(layout.bits, zip(*reversed(batch)))):
-        try:
-            members.append([sum(map(bit.__getitem__, fam)) for fam in column])
-        except KeyError as exc:
-            raise NotASieveError(poset.labels[p], Subset._wrap(poset, exc.args[0])) from None
-    return _planes(_pack(map(sum, zip(*members)), layout.size), layout.size)
+    members, exact = [], True  # per point, each value's family as plane bits
+    for at, column in zip(layout.index, zip(*reversed(batch))):
+        known = dict.fromkeys(column)
+        for fam in known:
+            got = [at[m] for m in fam if m in at]
+            exact = exact and len(got) == len(fam) and got == sorted(set(got))
+            known[fam] = sum({1 << t for t in got})
+        members.append(list(map(known.__getitem__, column)))
+    return _planes(_pack(map(sum, zip(*members)), layout.size), layout.size), exact
 
 
 def _topology_fails(poset: Poset, planes: list[int], ones: int) -> int:

@@ -24,17 +24,18 @@ q holds point q), d * n for nuclei (plane i * n + p holds bit p of the
 image of the i-th downset) and one membership plane per point p and sieve
 on p for topologies (:class:`topology._Sieves`).  A kernel maps planes to
 planes with a few ``&``, ``|`` and ``^`` each, given the poset's plane
-index tables (:class:`_EdgeRanks`).  A public edge runs its kernel on a
-batch of one.
+index tables (:class:`_EdgeRanks`); it reads only what planes hold, the
+bits below n of an image and the sieves of a family.  A public edge runs
+its kernel on a batch of one.
 
 :func:`verify_triangle` runs the whole law suite on one poset.  Counts come
 only from the independent enumerators, never from the conversions under
 test.  It runs the kernels on three batches (all subsets and the distinct
 values of each census) and validates each census batch once with the
 plane checks of :mod:`nucleus` and :mod:`topology`.  Every law passes when
-both counts are 2^n, neither census repeats a value, both censuses
-validate and every roundtrip, commutation and extraction law is a plane
-equality, because then the other laws follow:
+the planes hold both censuses exactly, both counts are 2^n, neither census
+repeats a value, both censuses validate and every roundtrip, commutation
+and extraction law is a plane equality, because then the other laws follow:
 
 * bijections: the subset roundtrip makes subset -> nucleus injective, the
   nucleus roundtrip puts every census value in its image, and the census
@@ -45,7 +46,7 @@ equality, because then the other laws follow:
   other's.
 
 Otherwise :func:`_law_by_law` reads the kernels' values from the batches
-and finds each law's witness, as a law-by-law check does.
+and finds each law's witness, comparing census values as listed.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def _lower_families(r: _EdgeRanks, planes: list[int], w: int) -> list[Families]:
 
 _SUBSETS = (lambda r, xs: _planes(_pack(reversed(xs), r.n), r.n),
             lambda r, planes, w: _columns(planes, w))
-_TABLES = (lambda r, tables: _image_planes(r.poset, tables), _lower_tables)
-_FAMILIES = (lambda r, batch: _family_planes(r.poset, batch), _lower_families)
+_TABLES = (lambda r, tables: _image_planes(r.poset, tables)[0], _lower_tables)
+_FAMILIES = (lambda r, batch: _family_planes(r.poset, batch)[0], _lower_families)
 
 
 def _on_one(kernel, source: tuple, target: tuple, poset: Poset, value):
@@ -382,7 +383,8 @@ def verify_triangle(
     r = _edge_ranks(poset)
     nuclei, topologies = list(dict.fromkeys(tables)), list(dict.fromkeys(fams))
     xs = _SUBSETS[0](r, range(1 << n))
-    js, Js = _TABLES[0](r, nuclei), _FAMILIES[0](r, topologies)
+    (js, exact_js), (Js, exact_Js) = (_image_planes(poset, nuclei),
+                                      _family_planes(poset, topologies))
     ones, on, ot = ((1 << w) - 1 for w in (1 << n, len(nuclei), len(topologies)))
     s2n, s2t = _subset_to_table(r, xs, ones), _subset_to_families(r, xs, ones)
     n2s, n2t = _table_to_subset(r, js, on), _table_to_families(r, js, on)
@@ -390,7 +392,8 @@ def verify_triangle(
     t2s, t2n = _families_to_subset(r, Js, ot), _families_to_table(r, Js, ot)
     fails = _nucleus_fails(poset, js, on), _topology_fails(poset, Js, ot)
     if (
-        len(tables) == len(nuclei) == len(fams) == len(topologies) == 1 << n
+        exact_js and exact_Js
+        and len(tables) == len(nuclei) == len(fams) == len(topologies) == 1 << n
         and fails == (0, 0)
         and _table_to_subset(r, s2n, ones) == xs
         and _families_to_subset(r, s2t, ones) == xs
@@ -420,9 +423,10 @@ def _law_by_law(r: _EdgeRanks, tables: list, fams: list, distinct: tuple, batche
                 fails: tuple):
     """Every law with its witness, value by value.  The kernels' values on
     the ``distinct`` values of each census are read from ``batches`` (in the
-    order of ``specs``), a census value is scanned for a validity witness
-    only when its bit in ``fails`` is set, and any other value is computed
-    on a batch of one when a law first reads it."""
+    order of ``specs``) and a census value whose ``fails`` bit is clear has no
+    validity witness; any other value is computed on a batch of one, or
+    scanned, when a law first reads it.  Laws read validity only of kernel
+    outputs, which planes hold exactly."""
     poset, n = r.poset, r.n
     xs = _canonical(range(1 << n))
     census = (range(1 << n), *distinct)
@@ -440,8 +444,8 @@ def _law_by_law(r: _EdgeRanks, tables: list, fams: list, distinct: tuple, batche
         for planes, (kernel, a, b) in zip(batches, specs)
     )
     nucleus_failure, topology_failure = (
-        _Edge(((v, _failure(check, poset, v) if bad >> k & 1 else None)
-               for k, v in enumerate(census[c])), partial(_failure, check, poset))
+        _Edge(((v, None) for k, v in enumerate(census[c]) if not bad >> k & 1),
+              partial(_failure, check, poset))
         for bad, check, c in zip(fails, (_check_nucleus, _check_topology), (1, 2))
     )
 

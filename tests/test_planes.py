@@ -2,11 +2,12 @@
 
 A batch of values is held as planes, one int per bit of a value.  The
 transposes round-trip each corner's values for every poset size from 0 to
-10.  The plane checks of ``nucleus.py`` and ``topology.py`` set bit k of
-their "fails" mask exactly when the axiom-by-axiom witness scan raises on
-value k: on random batches of broken values, on every one-entry change of
-the nuclei and topologies of small posets, and on every census value of
-the posets with n <= 4.
+10, and a lift reads only the bits and sieves its planes hold, saying
+whether that is all of the batch.  The plane checks of ``nucleus.py`` and
+``topology.py`` set bit k of their "fails" mask exactly when the
+axiom-by-axiom witness scan raises on value k: on random batches of broken
+values, on every one-entry change of the nuclei and topologies of small
+posets, and on every census value of the posets with n <= 4.
 """
 
 import random
@@ -63,6 +64,33 @@ def test_the_transposes_round_trip(n):
             assert triangle._lower_families(r, planes, w) == fams
 
 
+@pytest.mark.parametrize("poset, cap", [(chain(4), 5), (chain(10), 11)], ids=["chain4", "chain10"])
+def test_a_lift_reads_only_what_the_planes_hold_and_says_so(poset, cap):
+    # past the packed bytes, inside them past bit n, and below 0
+    full, n = poset.full_mask, poset.n
+    nuclei = [j.images for j in enumerate_nuclei(poset, cap=cap)]
+    assert _image_planes(poset, nuclei)[1]
+    for stray in (1 << 16, 1 << n, -1):
+        batch = [*nuclei[:2], (nuclei[2][0] | stray, *nuclei[2][1:]), *nuclei[3:]]
+        planes, exact = _image_planes(poset, batch)
+        assert not exact
+        assert planes == _image_planes(poset, [tuple(m & full for m in t) for t in batch])[0]
+    topologies = [J.families for J in enumerate_topologies(poset, cap=n)]
+    assert _family_planes(poset, topologies)[1]
+    sieves = [set(poset.sieve_masks(p)) for p in range(n)]
+    for change in (
+        lambda f: ((*f[0], full), *f[1:]),  # not a sieve on the least point
+        lambda f: tuple(tuple(reversed(fam)) for fam in f),
+        lambda f: tuple((*fam, fam[0]) for fam in f),
+    ):
+        batch = [*topologies[:2], change(topologies[2]), *topologies[3:]]
+        planes, exact = _family_planes(poset, batch)
+        assert not exact
+        held = [tuple(sorted(set(fam) & at, key=lambda m: (m.bit_count(), m)))
+                for fam, at in zip(batch[2], sieves)]
+        assert planes == _family_planes(poset, [*batch[:2], tuple(held), *batch[3:]])[0]
+
+
 def _raises(scan, poset, value):
     try:
         scan(poset, value)
@@ -73,7 +101,9 @@ def _raises(scan, poset, value):
 
 def _check_batch(fails_of, planes_of, scan, poset, batch):
     """The plane check's mask against the scan on each value; the scan's error kinds."""
-    fails = fails_of(poset, planes_of(poset, batch), (1 << len(batch)) - 1)
+    planes, exact = planes_of(poset, batch)
+    assert exact
+    fails = fails_of(poset, planes, (1 << len(batch)) - 1)
     kinds = [_raises(scan, poset, value) for value in batch]
     assert [bool(fails >> k & 1) for k in range(len(batch))] == [k is not None for k in kinds]
     assert fails >> len(batch) == 0

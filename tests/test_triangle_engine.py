@@ -11,7 +11,9 @@ of one, and each kernel reads only the edge table it is handed.  A fault is
 injected into a kernel by lowering its batch to values, changing one value
 and lifting the batch again.  A fault in any kernel sends the poset to the
 law-by-law path, and a broken kernel fails ``verify --max-n`` the same
-way; a short enumeration fails the census laws.  A kernel output outside
+way; a short enumeration fails the census laws, and a census value the
+planes do not hold exactly (an image out of range, a family that is not a
+canonical tuple of sieves) is compared as listed, off the planes.  A kernel output outside
 the census reaches only the kernels and cores that a law reads it through,
 a census that lists a nucleus twice is reported as the reference reports
 it, and neither a run nor a poset stream leaves anything for the cyclic
@@ -422,6 +424,66 @@ def test_a_short_nucleus_census_fails_the_count_and_the_bijection(diamond, monke
     }
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
     assert_pinned("short_census", engine)
+
+
+def _in_census(monkeypatch, enumerator, k, change):
+    """Make ``enumerator`` list ``change`` of the raw k-th value in its place,
+    for the engine and the reference alike."""
+    original = getattr(triangle, enumerator)
+
+    def census(poset, cap):
+        found = original(poset, cap=cap)
+        found[k] = type(found[k])._wrap(poset, change(_raw(found[k])))
+        return found
+
+    monkeypatch.setattr(triangle, enumerator, census)
+    monkeypatch.setattr(reference_triangle, enumerator, census)
+
+
+def _law_by_law_runs(monkeypatch):
+    """The posets the engine sends to the law-by-law path, as it does so."""
+    runs, original = [], triangle._law_by_law
+
+    def recorded(r, *rest):
+        runs.append(r.poset)
+        return original(r, *rest)
+
+    monkeypatch.setattr(triangle, "_law_by_law", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("stray", [1 << 4, 1 << 8, -1], ids=["bit_n", "bit_8", "negative"])
+def test_a_census_image_out_of_range_is_not_decided_on_planes(diamond, monkeypatch, stray):
+    # the planes hold only bits 0..n-1 of an image, so this nucleus is not
+    # held exactly; the laws compare it as listed.  A nucleus is shown by its
+    # raw images here, since a bit outside the poset has no label to show.
+    _in_census(monkeypatch, "enumerate_nuclei", 5, lambda t: (t[0] | stray, *t[1:]))
+    monkeypatch.setattr(Nucleus, "to_jsonable", lambda j: list(j.images))
+    runs = _law_by_law_runs(monkeypatch)
+    engine = triangle.verify_triangle(diamond)
+    assert runs == [diamond]
+    assert {"nucleus_roundtrip", "nucleus_bijection"} <= set(_failing(engine))
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda f: (f[0], (*f[1], 0b0100), *f[2:]),  # {b} is not a sieve on a
+        lambda f: tuple(tuple(reversed(fam)) for fam in f),
+        lambda f: tuple((*fam, fam[-1]) for fam in f),
+    ],
+    ids=["non_sieve", "out_of_order", "repeated_sieve"],
+)
+def test_a_census_family_not_held_exactly_is_not_decided_on_planes(diamond, monkeypatch, change):
+    _in_census(monkeypatch, "enumerate_topologies", 5, change)
+    runs = _law_by_law_runs(monkeypatch)
+    engine = triangle.verify_triangle(diamond)
+    assert runs == [diamond]
+    assert _failing(engine) == [
+        "topology_roundtrip", "topology_nucleus_roundtrip", "topology_bijection"
+    ]
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
 def _verify_recording_calls(poset, monkeypatch):
