@@ -152,11 +152,22 @@ class Poset:
                     )
                 up[q] |= 1 << p
             cones.append(cone)
-        self.n = n
+        self._fill(labels, index, down, tuple(up), tuple(cones))
+
+    @classmethod
+    def _wrap(cls, labels: tuple, index: dict, down: tuple, up: tuple, cones: tuple):
+        """Trusted constructor: ``down`` is already a partial order, ``up``
+        its transpose, ``cones`` the points of each row, ``index`` each label's."""
+        obj = object.__new__(cls)
+        obj._fill(labels, index, down, up, cones)
+        return obj
+
+    def _fill(self, labels, index, down, up, cones) -> None:
+        self.n = len(labels)
         self.labels = labels
         self._down = down
-        self._up = tuple(up)
-        self._cones = tuple(cones)  # the points of each principal downset, ascending
+        self._up = up
+        self._cones = cones  # the points of each principal downset, ascending
         self._index = index
         self._hash = hash((labels, down))
         self._downsets = None
@@ -442,6 +453,11 @@ def enumerate_posets(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[Poset]:
     last pair is set, and a branch is cut on the first failure; the states
     come out in the order of the full product.  Labels are the first ``n``
     lowercase letters.
+
+    A leaf is a partial order by construction (reflexive from the start,
+    antisymmetric because each pair takes one of its three choices, and
+    transitive by the triple checks), so its poset is built without the
+    constructor's checks, from the rows the search keeps in both directions.
     """
     if n < 0:
         raise ValueError("poset size must be nonnegative")
@@ -451,13 +467,16 @@ def enumerate_posets(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[Poset]:
             f"{min(cap, HARD_STREAM_CAP)}"
         )
     labels = tuple("abcdefghijklmnopqrstuvwxyz"[:n])
+    index = {lab: i for i, lab in enumerate(labels)}
+    cone = [tuple(_bits(row)) for row in range(1 << n)]  # the points of each row
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     down = [1 << i for i in range(n)]
     up = down.copy()
 
     def rec(k: int) -> Iterator[Poset]:
         if k == len(pairs):
-            yield Poset(labels, down)
+            rows = tuple(down)
+            yield Poset._wrap(labels, index, rows, tuple(up), tuple(map(cone.__getitem__, rows)))
             return
         # the triples {a, b, c} with a < b are those whose last pair is (b, c)
         b, c = pairs[k]

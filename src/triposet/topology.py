@@ -31,7 +31,7 @@ from .errors import (
     StabilityFailError,
     TransitivityFailError,
 )
-from .poset import DownSet, Poset, Subset, _bits, _canonical, _pack, _planes
+from .poset import DownSet, Poset, Subset, _bits, _canonical
 
 __all__ = [
     "DEFAULT_TOPOLOGY_CAP",
@@ -248,17 +248,24 @@ _sieves = lru_cache(maxsize=1)(_Sieves)
 def _family_planes(poset: Poset, batch: Sequence[Sequence[tuple]]) -> tuple[list[int], bool]:
     """The planes of a batch of families, ``index[p][s]`` with bit k when s is
     in ``batch[k][p]`` (other masks are not read), and whether they hold the
-    batch exactly: each family a canonical tuple of sieves, planes ascending."""
+    batch exactly: each family a canonical tuple of sieves, planes ascending.
+    Each distinct family at a point is read once, for all the values holding it."""
     layout = _sieves(poset)
-    members, exact = [], True  # per point, each value's family as plane bits
-    for at, column in zip(layout.index, zip(*reversed(batch))):
-        known = dict.fromkeys(column)
-        for fam in known:
-            got = [at[m] for m in fam if m in at]
-            exact = exact and len(got) == len(fam) and got == sorted(set(got))
-            known[fam] = sum({1 << t for t in got})
-        members.append(list(map(known.__getitem__, column)))
-    return _planes(_pack(map(sum, zip(*members)), layout.size), layout.size), exact
+    planes, exact = [0] * layout.size, True
+    for at, column in zip(layout.index, zip(*batch)):
+        holders: dict[tuple, int] = {}  # bit k set when value k holds the family
+        for k, fam in enumerate(column):
+            holders[fam] = holders.get(fam, 0) | 1 << k
+        for fam, mask in holders.items():
+            last = -1
+            for t in map(at.get, fam):
+                if t is None:
+                    exact = False
+                else:
+                    exact = exact and t > last
+                    last = t
+                    planes[t] |= mask
+    return planes, exact
 
 
 def _topology_fails(poset: Poset, planes: list[int], ones: int) -> int:

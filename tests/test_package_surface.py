@@ -116,3 +116,38 @@ def test_cli_import_loads_every_module_the_benchmark_reads():
     assert "triangle" in modules
     probe = f"[m for m in {list(modules)!r} if 'triposet.' + m not in sys.modules]"
     assert after_cli_import(probe) == "[]"
+
+
+def unused_imports(source):
+    """The names an ``import`` in ``source`` binds and nothing reads, as
+    ``line: name``; a star import, a ``__future__`` import, a name listed in
+    ``__all__`` and an alias whose line carries ``# noqa: F401`` are left out."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                waived = "# noqa: F401" in lines[alias.lineno - 1]
+                if name != "*" and name not in read and not waived:
+                    unused.append(f"{alias.lineno}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    package = Path(triposet.__file__).resolve().parent
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+    sample = "import a.b\nfrom c import (\n    d as e,\n    f,  # noqa: F401\n)\nprint(a)\n"
+    assert unused_imports(sample) == ["3: e"]

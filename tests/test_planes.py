@@ -3,7 +3,8 @@
 A batch of values is held as planes, one int per bit of a value.  The
 transposes round-trip each corner's values for every poset size from 0 to
 10, and a lift reads only the bits and sieves its planes hold, saying
-whether that is all of the batch.  The plane checks of ``nucleus.py`` and
+whether that is all of the batch; the family lift gives the per-bit planes
+however the families of a batch repeat.  The plane checks of ``nucleus.py`` and
 ``topology.py`` set bit k of their "fails" mask exactly when the
 axiom-by-axiom witness scan raises on value k: on random batches of broken
 values, on every one-entry change of the nuclei and topologies of small
@@ -38,13 +39,24 @@ def chain(n):
     return build_poset(labels, list(zip(labels, labels[1:])))
 
 
+def family_planes_by_bit(poset, batch):
+    """Plane (p, s) has bit k when s is in ``batch[k][p]``; the planes hold
+    the batch exactly when each family is its sieves in canonical order."""
+    planes = [0] * _sieves(poset).size
+    for p, at in enumerate(_sieves(poset).index):
+        for m, t in at.items():
+            planes[t] = sum((m in f[p]) << k for k, f in enumerate(batch))
+    exact = all(f[p] == tuple(m for m in poset.sieve_masks(p) if m in f[p])
+                for f in batch for p in range(poset.n))
+    return planes, exact
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_the_transposes_round_trip(n):
     rng = random.Random(n)
     for poset in (chain(n), random_poset(n, rng)):
         r = triangle._edge_ranks(poset)
         dmasks = poset.downset_masks()
-        index = _sieves(poset).index
         for w in (0, 1, 2, 9, 40):
             xs = [rng.randrange(1 << n) for _ in range(w)]
             tables = [tuple(rng.randrange(1 << n) for _ in dmasks) for _ in range(w)]
@@ -58,9 +70,7 @@ def test_the_transposes_round_trip(n):
                               for i in range(len(dmasks)) for p in range(n)]
             assert triangle._lower_tables(r, planes, w) == tables
             planes = triangle._FAMILIES[0](r, fams)
-            for p, at in enumerate(index):
-                for m, t in at.items():
-                    assert planes[t] == sum((m in f[p]) << k for k, f in enumerate(fams))
+            assert planes == family_planes_by_bit(poset, fams)[0]
             assert triangle._lower_families(r, planes, w) == fams
 
 
@@ -89,6 +99,32 @@ def test_a_lift_reads_only_what_the_planes_hold_and_says_so(poset, cap):
         held = [tuple(sorted(set(fam) & at, key=lambda m: (m.bit_count(), m)))
                 for fam, at in zip(batch[2], sieves)]
         assert planes == _family_planes(poset, [*batch[:2], tuple(held), *batch[3:]])[0]
+
+
+ZIGZAG = build_poset("abcd", [("a", "c"), ("b", "c"), ("b", "d")])
+
+
+@pytest.mark.parametrize("poset", [chain(4), ZIGZAG], ids=["chain4", "zigzag"])
+def test_a_lift_reads_each_distinct_family_for_every_value_holding_it(poset):
+    """Families repeat across values, as one tuple object and as equal but
+    distinct tuples; the lift groups values by family, so each grouping must
+    give the per-bit planes, with ``exact`` as the per-bit rule says."""
+    topologies = [J.families for J in enumerate_topologies(poset)]
+    first, second = topologies[0], max(topologies, key=lambda f: sum(map(len, f)))
+    copy = tuple(tuple(list(fam)) for fam in second)
+    assert copy == second and all(a is not b for a, b in zip(copy, second))
+    mixed = tuple(first[p] if p % 2 else second[p] for p in range(poset.n))
+    reversed_ = tuple(tuple(reversed(fam)) for fam in second)
+    for batch in (
+        [], [first], [copy], [reversed_],
+        [first, first, first],
+        [first, second, copy, first, mixed, second],
+        [*topologies, *topologies[::-1]],
+        [reversed_, first, reversed_, tuple(tuple(reversed(fam)) for fam in second)],
+    ):
+        assert _family_planes(poset, batch) == family_planes_by_bit(poset, batch)
+    assert not _family_planes(poset, [first, reversed_])[1]
+    assert _family_planes(poset, [first, first])[1]
 
 
 def _raises(scan, poset, value):

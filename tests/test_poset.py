@@ -345,3 +345,17 @@ def test_cones_list_each_principal_downset_ascending():
             assert poset._cones == tuple(
                 tuple(q for q in range(n) if poset._down[p] >> q & 1) for p in range(n)
             )
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_each_streamed_poset_is_the_one_the_checking_constructor_builds(n):
+    """The stream builds its posets without the constructor's checks; each
+    must be the poset the checking constructor makes from its rows."""
+    for p in enumerate_posets(n, cap=5):
+        checked = Poset(p.labels, p._down)
+        assert p == checked and hash(p) == hash(checked)
+        assert (p.n, p._down, p._up, p._cones, p._index) == (
+            checked.n, checked._down, checked._up, checked._cones, checked._index
+        )
+        assert p.covers() == checked.covers()
+        assert list(map(p.index, p.labels)) == list(map(checked.index, p.labels))
