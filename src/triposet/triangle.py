@@ -34,8 +34,9 @@ test.  It runs the kernels on three batches (all subsets and the distinct
 values of each census) and validates each census batch once with the
 plane checks of :mod:`nucleus` and :mod:`topology`.  Every law passes when
 the planes hold both censuses exactly, both counts are 2^n, neither census
-repeats a value, both censuses validate and every roundtrip, commutation
-and extraction law is a plane equality, because then the other laws follow:
+repeats a value, both censuses validate and both sides of every roundtrip,
+commutation and extraction law are equal batches, because then the other
+laws follow:
 
 * bijections: the subset roundtrip makes subset -> nucleus injective, the
   nucleus roundtrip puts every census value in its image, and the census
@@ -45,13 +46,13 @@ and extraction law is a plane equality, because then the other laws follow:
   validated, and by commutation the census of each corner maps onto the
   other's.
 
-Otherwise :func:`_law_by_law` reads the kernels' values from the batches
-and finds each law's witness, comparing census values as listed.
+Otherwise :func:`_law_by_law` finds each law's witness in the same
+batches, comparing census values as listed; it runs no kernel.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from operator import and_, or_, xor
 from time import perf_counter
 from typing import Any
@@ -329,31 +330,6 @@ def _law(name: str, witness: dict[str, Any] | None) -> LawResult:
     return LawResult(name, witness is None, witness)
 
 
-def _failure(check, poset: Poset, value) -> dict[str, Any] | None:
-    """The witness of a failed validator core, or None if ``value`` passes."""
-    try:
-        check(poset, value)
-    except TriposetError as exc:
-        return {"error": str(exc), "kind": type(exc).__name__}
-    return None
-
-
-class _Edge(dict):
-    """An edge as a map from values to values: the census entries are read
-    from a batch, and any other entry is computed the first time a law
-    reads it."""
-
-    __slots__ = ("entry",)
-
-    def __init__(self, census, entry):
-        super().__init__(census)
-        self.entry = entry
-
-    def __missing__(self, value):
-        out = self[value] = self.entry(value)
-        return out
-
-
 def verify_triangle(
     poset: Poset,
     *,
@@ -368,9 +344,11 @@ def verify_triangle(
     records a minimal witness and the remaining laws still run.
 
     Every kernel runs once on each batch it reads, and each census batch
-    is validated once.  When every law passes on planes (see the module
-    docstring) the report is built directly; otherwise :func:`_law_by_law`
-    finds the witnesses.  Both caps are checked before any work starts.
+    is validated once.  The 11 roundtrip, commutation and extraction laws
+    are written once, in ``sides``, as pairs of batches that must be equal.
+    When every law passes on planes (see the module docstring) the report
+    is built directly; otherwise :func:`_law_by_law` finds the witnesses in
+    the same batches.  Both caps are checked before any work starts.
     """
     t0 = perf_counter()
     _require_nucleus_cap(poset, nucleus_cap)
@@ -390,26 +368,28 @@ def verify_triangle(
     n2s, n2t = _table_to_subset(r, js, on), _table_to_families(r, js, on)
     alt, via = _table_to_subset_alt(r, js, on), _table_to_subset_via_topology(r, js, on)
     t2s, t2n = _families_to_subset(r, Js, ot), _families_to_table(r, Js, ot)
-    fails = _nucleus_fails(poset, js, on), _topology_fails(poset, Js, ot)
+    sides = (
+        (_table_to_subset(r, s2n, ones), xs),
+        (_families_to_subset(r, s2t, ones), xs),
+        (_subset_to_table(r, n2s, on), js),
+        (_subset_to_families(r, t2s, ot), Js),
+        (_families_to_table(r, n2t, on), js),
+        (_table_to_families(r, t2n, ot), Js),
+        (_table_to_families(r, s2n, ones), s2t),
+        (_families_to_table(r, s2t, ones), s2n),
+        (via, n2s),
+        (alt, n2s),
+        (_families_to_subset(r, n2t, on), via),
+    )
     if (
         exact_js and exact_Js
         and len(tables) == len(nuclei) == len(fams) == len(topologies) == 1 << n
-        and fails == (0, 0)
-        and _table_to_subset(r, s2n, ones) == xs
-        and _families_to_subset(r, s2t, ones) == xs
-        and _subset_to_table(r, n2s, on) == js
-        and _subset_to_families(r, t2s, ot) == Js
-        and _families_to_table(r, n2t, on) == js
-        and _table_to_families(r, t2n, ot) == Js
-        and _table_to_families(r, s2n, ones) == s2t
-        and _families_to_table(r, s2t, ones) == s2n
-        and via == n2s == alt
-        and _families_to_subset(r, n2t, on) == via
+        and not _nucleus_fails(poset, js, on) and not _topology_fails(poset, Js, ot)
+        and all(a == b for a, b in sides)
     ):
         laws = tuple(LawResult(name, True) for name in _LAWS)
     else:
-        batches = (s2n, s2t, n2s, n2t, t2s, t2n, alt, via)
-        laws = _law_by_law(r, tables, fams, (nuclei, topologies), batches, fails)
+        laws = _law_by_law(r, tables, fams, (nuclei, topologies), sides, (s2n, s2t, n2t, t2n))
     return TriangleReport(
         poset=poset,
         directed=poset.is_downward_directed(),
@@ -419,105 +399,114 @@ def verify_triangle(
     )
 
 
-def _law_by_law(r: _EdgeRanks, tables: list, fams: list, distinct: tuple, batches: tuple,
-                fails: tuple):
-    """Every law with its witness, value by value.  The kernels' values on
-    the ``distinct`` values of each census are read from ``batches`` (in the
-    order of ``specs``) and a census value whose ``fails`` bit is clear has no
-    validity witness; any other value is computed on a batch of one, or
-    scanned, when a law first reads it.  Laws read validity only of kernel
-    outputs, which planes hold exactly."""
+def _law_by_law(r: _EdgeRanks, tables: list, fams: list, distinct: tuple, sides: tuple,
+                outputs: tuple):
+    """Every law with its witness, read from the batches :func:`verify_triangle`
+    computed: ``sides`` pairs the two sides of each roundtrip, commutation
+    and extraction law, and ``outputs`` holds subset -> nucleus, subset ->
+    topology, nucleus -> topology and topology -> nucleus.  A batch spans all
+    subsets or the ``distinct`` values of a census, lane k holding value k.
+    A law visits the values of its corner as listed, each through its lane,
+    and its witness is the first whose two sides differ; a roundtrip
+    compares the value as listed.  A validity law flags its output batch on
+    planes, which hold kernel outputs exactly, and runs the validator core
+    on the first flagged value; the two laws that validate one corner share
+    the core's witnesses, so no value is scanned twice."""
     poset, n = r.poset, r.n
-    xs = _canonical(range(1 << n))
-    census = (range(1 << n), *distinct)
-    # a corner is (its key in a witness, the values the laws visit, its JSON)
-    S = ("subset", xs, lambda x: Subset._wrap(poset, x).to_jsonable())
-    N = ("nucleus", tables, lambda t: Nucleus._wrap(poset, t).to_jsonable())
-    T = ("topology", fams, lambda f: GrothendieckTopology._wrap(poset, f).to_jsonable())
-    kinds = (_SUBSETS, _TABLES, _FAMILIES)
-    specs = ((_subset_to_table, 0, 1), (_subset_to_families, 0, 2), (_table_to_subset, 1, 0),
-             (_table_to_families, 1, 2), (_families_to_subset, 2, 0), (_families_to_table, 2, 1),
-             (_table_to_subset_alt, 1, 0), (_table_to_subset_via_topology, 1, 0))
-    s2n, s2t, n2s, n2t, t2s, t2n, alt, via = (
-        _Edge(zip(census[a], kinds[b][1](r, planes, len(census[a]))),
-              partial(_on_one, kernel, kinds[a], kinds[b], poset))
-        for planes, (kernel, a, b) in zip(batches, specs)
-    )
-    nucleus_failure, topology_failure = (
-        _Edge(((v, None) for k, v in enumerate(census[c]) if not bad >> k & 1),
-              partial(_failure, check, poset))
-        for bad, check, c in zip(fails, (_check_nucleus, _check_topology), (1, 2))
-    )
 
-    def roundtrip(kind, there, back):
-        key, scan, show = kind
-        for v in scan:
-            got = back[there[v]]
-            if got != v:
-                return {key: show(v), "got": show(got)}
+    def corner(key, visits, listed, wrap, lower):
+        """(its key in a witness, the values its laws visit, a value's JSON,
+        a batch back to values, the value of each lane, each value's lane,
+        the validator core's witness of each value it ran on)"""
+        return (key, visits, lambda v: wrap(poset, v).to_jsonable(), lower, listed,
+                {v: k for k, v in enumerate(listed)}, {})
+
+    S = corner("subset", _canonical(range(1 << n)), range(1 << n), Subset._wrap, _SUBSETS[1])
+    N = corner("nucleus", tables, distinct[0], Nucleus._wrap, _lower_tables)
+    T = corner("topology", fams, distinct[1], GrothendieckTopology._wrap, _lower_families)
+
+    def lower(kind, target, planes):
+        return target[3](r, planes, len(kind[4]))
+
+    def differ(kind, got, want):
+        """The first value of ``kind`` whose lanes in ``got`` and ``want``
+        differ: its index, it and both sides."""
+        for i, v in enumerate(kind[1]):
+            k = kind[5][v]
+            if got[k] != want[k]:
+                return i, v, got[k], want[k]
         return None
 
-    def agree(kind, target, name_a, first, then, name_b, direct):
-        key, scan, show = kind
-        for v in scan:
-            got_a, got_b = then[first[v]], direct[v]
-            if got_a != got_b:
-                return {key: show(v), name_a: target[2](got_a), name_b: target[2](got_b)}
-        return None
+    def roundtrip(kind, side):
+        hit = differ(kind, lower(kind, kind, side[0]), kind[4])
+        return hit and {kind[0]: kind[2](hit[1]), "got": kind[2](hit[2])}
 
-    def extraction_agreement(other):
-        for i, j in enumerate(tables):
-            direct, got = n2s[j], other[j]
-            if got != direct:
-                diff = direct ^ got
-                p = (diff & -diff).bit_length() - 1
-                return {
-                    "nucleus": N[2](j),
-                    "direct": S[2](direct),
-                    "other": S[2](got),
-                    "first_difference": poset.labels[p],
-                    "nucleus_index": i,
-                }
-        return None
+    def agree(kind, target, side, name_a, name_b):
+        hit = differ(kind, lower(kind, target, side[0]), lower(kind, target, side[1]))
+        return hit and {kind[0]: kind[2](hit[1]), name_a: target[2](hit[2]),
+                        name_b: target[2](hit[3])}
+
+    def extraction_agreement(side):
+        hit = differ(N, lower(N, S, side[0]), lower(N, S, side[1]))
+        if hit is None:
+            return None
+        i, j, got, direct = hit
+        diff = direct ^ got
+        return {
+            "nucleus": N[2](j),
+            "direct": S[2](direct),
+            "other": S[2](got),
+            "first_difference": poset.labels[(diff & -diff).bit_length() - 1],
+            "nucleus_index": i,
+        }
 
     def count(found):
         return None if found == 1 << n else {"expected": 1 << n, "got": found}
 
-    def bijection(edge, values):
-        image = {edge[x] for x in xs}
-        if len(image) != len(xs):
+    def bijection(target, planes, values):
+        image = set(lower(S, target, planes))
+        if len(image) != 1 << n:
             return {"reason": "not injective", "image_size": len(image)}
         if image != set(values):
             return {"reason": "image differs from enumeration"}
         return None
 
-    def validity(kind, edge, failure):
-        key, scan, show = kind
-        for v in scan:
-            witness = failure[edge[v]]
-            if witness is not None:
-                return {"input": show(v), **witness}
-        return None
+    def validity(kind, target, planes):
+        fails, check = ((_nucleus_fails, _check_nucleus) if target is N
+                        else (_topology_fails, _check_topology))
+        bad = fails(poset, planes, (1 << len(kind[4])) - 1)
+        if not bad:
+            return None
+        # the laws visit every lane, and a flagged value fails its core
+        v = next(v for v in kind[1] if bad >> kind[5][v] & 1)
+        out, memo = lower(kind, target, planes)[kind[5][v]], target[6]
+        if out not in memo:
+            try:
+                check(poset, out)
+            except TriposetError as exc:
+                memo[out] = {"error": str(exc), "kind": type(exc).__name__}
+        return {"input": kind[2](v), **memo[out]}
 
+    s2n, s2t, n2t, t2n = outputs
     witnesses = (
-        roundtrip(S, s2n, n2s),
-        roundtrip(S, s2t, t2s),
-        roundtrip(N, n2s, s2n),
-        roundtrip(T, t2s, s2t),
-        roundtrip(N, n2t, t2n),
-        roundtrip(T, t2n, n2t),
-        agree(S, T, "via_nucleus", s2n, n2t, "direct", s2t),
-        agree(S, N, "via_topology", s2t, t2n, "direct", s2n),
-        extraction_agreement(via),
-        extraction_agreement(alt),
-        agree(N, S, "literal", n2t, t2s, "closed_form", via),
+        roundtrip(S, sides[0]),
+        roundtrip(S, sides[1]),
+        roundtrip(N, sides[2]),
+        roundtrip(T, sides[3]),
+        roundtrip(N, sides[4]),
+        roundtrip(T, sides[5]),
+        agree(S, T, sides[6], "via_nucleus", "direct"),
+        agree(S, N, sides[7], "via_topology", "direct"),
+        extraction_agreement(sides[8]),
+        extraction_agreement(sides[9]),
+        agree(N, S, sides[10], "literal", "closed_form"),
         count(len(tables)),
         count(len(fams)),
-        bijection(s2n, tables),
-        bijection(s2t, fams),
-        validity(S, s2n, nucleus_failure),
-        validity(S, s2t, topology_failure),
-        validity(N, n2t, topology_failure),
-        validity(T, t2n, nucleus_failure),
+        bijection(N, s2n, tables),
+        bijection(T, s2t, fams),
+        validity(S, N, s2n),
+        validity(S, T, s2t),
+        validity(N, T, n2t),
+        validity(T, N, t2n),
     )
     return tuple(map(_law, _LAWS, witnesses))

@@ -13,11 +13,14 @@ and lifting the batch again.  A fault in any kernel sends the poset to the
 law-by-law path, and a broken kernel fails ``verify --max-n`` the same
 way; a short enumeration fails the census laws, and a census value the
 planes do not hold exactly (an image out of range, a family that is not a
-canonical tuple of sieves) is compared as listed, off the planes.  A kernel output outside
-the census reaches only the kernels and cores that a law reads it through,
-a census that lists a nucleus twice is reported as the reference reports
-it, and neither a run nor a poset stream leaves anything for the cyclic
-collector.  An oversize job is refused before anything is enumerated.
+canonical tuple of sieves) is compared as listed, off the planes.  The
+law-by-law path runs no kernel: it reads every conversion from the batches
+the plane check computed, so a kernel output outside the census travels
+only in the batches of the laws that read it, and a non-nucleus that two
+edges output is scanned once.  A census that lists a nucleus twice is
+reported as the reference reports it, and neither a run nor a poset
+stream leaves anything for the cyclic collector.  An oversize job is
+refused before anything is enumerated.
 """
 
 import gc
@@ -452,13 +455,25 @@ def _law_by_law_runs(monkeypatch):
     return runs
 
 
-@pytest.mark.parametrize("stray", [1 << 4, 1 << 8, -1], ids=["bit_n", "bit_8", "negative"])
-def test_a_census_image_out_of_range_is_not_decided_on_planes(diamond, monkeypatch, stray):
+STRAYS = {"bit_n": 1 << 4, "bit_8": 1 << 8, "negative": -1}
+FAMILY_CHANGES = {
+    "non_sieve": lambda f: (f[0], (*f[1], 0b0100), *f[2:]),  # {b} is not a sieve on a
+    "out_of_order": lambda f: tuple(tuple(reversed(fam)) for fam in f),
+    "repeated_sieve": lambda f: tuple((*fam, fam[-1]) for fam in f),
+}
+
+
+def _image_out_of_range(monkeypatch, stray):
     # the planes hold only bits 0..n-1 of an image, so this nucleus is not
     # held exactly; the laws compare it as listed.  A nucleus is shown by its
     # raw images here, since a bit outside the poset has no label to show.
     _in_census(monkeypatch, "enumerate_nuclei", 5, lambda t: (t[0] | stray, *t[1:]))
     monkeypatch.setattr(Nucleus, "to_jsonable", lambda j: list(j.images))
+
+
+@pytest.mark.parametrize("stray", STRAYS.values(), ids=STRAYS)
+def test_a_census_image_out_of_range_is_not_decided_on_planes(diamond, monkeypatch, stray):
+    _image_out_of_range(monkeypatch, stray)
     runs = _law_by_law_runs(monkeypatch)
     engine = triangle.verify_triangle(diamond)
     assert runs == [diamond]
@@ -466,15 +481,7 @@ def test_a_census_image_out_of_range_is_not_decided_on_planes(diamond, monkeypat
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        lambda f: (f[0], (*f[1], 0b0100), *f[2:]),  # {b} is not a sieve on a
-        lambda f: tuple(tuple(reversed(fam)) for fam in f),
-        lambda f: tuple((*fam, fam[-1]) for fam in f),
-    ],
-    ids=["non_sieve", "out_of_order", "repeated_sieve"],
-)
+@pytest.mark.parametrize("change", FAMILY_CHANGES.values(), ids=FAMILY_CHANGES)
 def test_a_census_family_not_held_exactly_is_not_decided_on_planes(diamond, monkeypatch, change):
     _in_census(monkeypatch, "enumerate_topologies", 5, change)
     runs = _law_by_law_runs(monkeypatch)
@@ -488,9 +495,10 @@ def test_a_census_family_not_held_exactly_is_not_decided_on_planes(diamond, monk
 
 def _verify_recording_calls(poset, monkeypatch):
     """The engine's report, and how often it ran each kernel and plane check
-    on each batch and each core on each value.  A batch is keyed by its
-    values, lowered from its planes, so a batch of one is keyed as a one-value
-    tuple.  Later runs are not counted."""
+    on each batch, keyed by the batch's values lowered from its planes, and
+    each core on each value, keyed as a one-value tuple.  Both paths count:
+    the plane decision and the law-by-law path's plane checks on the output
+    batches and cores on flagged values.  Later runs are not counted."""
     calls = Counter()
     sources = {kernel: source for kernel, source, _ in EDGES.values()}
     for name, source in (*sources.items(), *PLANE_CHECKS.items()):
@@ -514,14 +522,30 @@ def _failing(report):
     return [law.name for law in report.laws if not law.passed]
 
 
-def test_a_non_nucleus_from_an_edge_is_read_only_by_the_laws_that_need_it(diamond, monkeypatch):
-    x = diamond.subset(["a"]).mask
-    bad = (0,) * len(diamond.downset_masks())  # not inflationary
+def _non_nucleus_output(poset, monkeypatch):
+    """subset -> nucleus sends {a} to a non-nucleus, which it returns."""
+    x = poset.subset(["a"]).mask
+    bad = (0,) * len(poset.downset_masks())  # not inflationary
     inject(monkeypatch, "subset_to_nucleus", lambda r, v, got: bad if v == x else got)
+    return bad
+
+
+def _non_topology_output(poset, monkeypatch):
+    """nucleus -> topology sends the nucleus of {a} to a non-topology, which it returns."""
+    target = triangle.subset_to_nucleus(poset.subset(["a"])).images
+    bad = ((),) * poset.n  # no point has its principal downset as a cover
+    inject(monkeypatch, "nucleus_to_topology", lambda r, t, got: bad if t == target else got)
+    return bad
+
+
+def test_a_non_nucleus_from_an_edge_is_read_only_by_the_laws_that_need_it(diamond, monkeypatch):
+    # the batch holding it is subset -> nucleus, read by the subset roundtrip,
+    # by the commutation through nuclei and by its validity law
+    bad = _non_nucleus_output(diamond, monkeypatch)
     engine, calls = _verify_recording_calls(diamond, monkeypatch)
     assert max(calls.values()) == 1
-    assert {name for name, v in calls if v == (bad,)} == {
-        "_table_to_subset", "_table_to_families", "_check_nucleus"
+    assert {name for name, values in calls if bad in values} == {
+        "_table_to_subset", "_table_to_families", "_nucleus_fails", "_check_nucleus"
     }
     assert _failing(engine) == [
         "subset_nucleus_roundtrip",
@@ -536,13 +560,14 @@ def test_a_non_nucleus_from_an_edge_is_read_only_by_the_laws_that_need_it(diamon
 
 
 def test_a_non_topology_from_an_edge_is_read_only_by_the_laws_that_need_it(diamond, monkeypatch):
-    target = triangle.subset_to_nucleus(diamond.subset(["a"])).images
-    bad = ((),) * diamond.n  # no point has its principal downset as a cover
-    inject(monkeypatch, "nucleus_to_topology", lambda r, t, got: bad if t == target else got)
+    # the batch holding it is nucleus -> topology, read by the nucleus
+    # roundtrip through topologies, by the composite cross-check and by its
+    # validity law
+    bad = _non_topology_output(diamond, monkeypatch)
     engine, calls = _verify_recording_calls(diamond, monkeypatch)
     assert max(calls.values()) == 1
-    assert {name for name, v in calls if v == (bad,)} == {
-        "_families_to_table", "_families_to_subset", "_check_topology"
+    assert {name for name, values in calls if bad in values} == {
+        "_families_to_table", "_families_to_subset", "_topology_fails", "_check_topology"
     }
     assert _failing(engine) == [
         "nucleus_topology_roundtrip",
@@ -637,11 +662,11 @@ def test_each_edge_and_validator_runs_once_per_distinct_input(diamond, monkeypat
     }
 
 
-@pytest.mark.parametrize("edge", EDGES)
-def test_a_one_value_fault_in_any_kernel_takes_the_law_by_law_path(diamond, monkeypatch, edge):
-    # the value of {a} gets the value of {b} (a subset gets bit 0 flipped)
+def _one_value_fault(poset, monkeypatch, edge):
+    """The kernel of ``edge`` gives the value of {a} the value of {b} (a
+    subset gets bit 0 flipped)."""
     _, source, target = EDGES[edge]
-    a, b = diamond.subset(["a"]), diamond.subset(["b"])
+    a, b = poset.subset(["a"]), poset.subset(["b"])
     corners = {Subset: lambda x: x, Nucleus: triangle.subset_to_nucleus,
                GrothendieckTopology: triangle.subset_to_topology}
     picked = _raw(corners[source](a))
@@ -653,6 +678,11 @@ def test_a_one_value_fault_in_any_kernel_takes_the_law_by_law_path(diamond, monk
         return got ^ 1 if wrong is None else wrong
 
     inject(monkeypatch, edge, fault)
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_a_one_value_fault_in_any_kernel_takes_the_law_by_law_path(diamond, monkeypatch, edge):
+    _one_value_fault(diamond, monkeypatch, edge)
     fallbacks = []
     original = triangle._law_by_law
 
@@ -663,6 +693,55 @@ def test_a_one_value_fault_in_any_kernel_takes_the_law_by_law_path(diamond, monk
     monkeypatch.setattr(triangle, "_law_by_law", spy)
     engine = triangle.verify_triangle(diamond)
     assert len(fallbacks) == 1 and not engine.all_passed
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+FALLBACKS = {
+    **{f"fault_{edge}": lambda p, m, edge=edge: _one_value_fault(p, m, edge) for edge in EDGES},
+    "non_nucleus_output": _non_nucleus_output,
+    "non_topology_output": _non_topology_output,
+    **{f"image_{name}": lambda p, m, stray=stray: _image_out_of_range(m, stray)
+       for name, stray in STRAYS.items()},
+    **{f"family_{name}": lambda p, m, change=change: _in_census(m, "enumerate_topologies", 5, change)
+       for name, change in FAMILY_CHANGES.items()},
+}
+
+
+@pytest.mark.parametrize("case", FALLBACKS.values(), ids=FALLBACKS)
+def test_the_law_by_law_path_runs_no_kernel(diamond, monkeypatch, case):
+    """It reads every conversion from the batches the plane check computed."""
+    case(diamond, monkeypatch)
+    fallback, runs = triangle._law_by_law, []
+
+    def never(*args):
+        raise AssertionError("the law-by-law path ran a kernel")
+
+    def guarded(*args):
+        kernels = {name: getattr(triangle, name) for name in KERNELS}
+        runs.append(args)
+        for name in KERNELS:
+            setattr(triangle, name, never)
+        try:
+            return fallback(*args)
+        finally:
+            for name, kernel in kernels.items():
+                setattr(triangle, name, kernel)
+
+    monkeypatch.setattr(triangle, "_law_by_law", guarded)
+    engine = triangle.verify_triangle(diamond)
+    assert len(runs) == 1 and not engine.all_passed
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+def test_a_non_nucleus_two_edges_output_is_scanned_once(diamond, monkeypatch):
+    # subset -> nucleus sends {a}, and topology -> nucleus the topology of
+    # {b}, to the same non-nucleus; both validity laws report it
+    target = triangle.subset_to_topology(diamond.subset(["b"])).families
+    bad = _non_nucleus_output(diamond, monkeypatch)
+    inject(monkeypatch, "topology_to_nucleus", lambda r, f, got: bad if f == target else got)
+    engine, calls = _verify_recording_calls(diamond, monkeypatch)
+    assert {"subset_to_nucleus_valid", "topology_to_nucleus_valid"} <= set(_failing(engine))
+    assert calls["_check_nucleus", (bad,)] == 1
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
