@@ -11,7 +11,9 @@ downsets M_p = P minus the up-set of p; every downset S is the meet of the
 M_p with p outside S.  A nucleus preserves meets, so it is fixed by its n
 values T_p = j(M_p), and j(S) is the meet of the T_p with p outside S (the
 empty meet being P).  The enumeration searches those n values instead of
-one image per downset.
+one image per downset.  The validator checks one table downset by downset
+and names the first failure; :func:`_nucleus_fails` decides a whole batch
+of tables at once on bit planes.
 
 This module deliberately knows nothing about subsets-as-parameters or
 covering families; the enumeration here is an independent census of the
@@ -130,18 +132,8 @@ def validate_nucleus(
 
 def _check_nucleus(poset: Poset, images: Sequence[int]) -> tuple[int, ...]:
     """The axiom checks of :func:`validate_nucleus` on image masks, one per
-    downset in canonical order, not necessarily downsets, held exactly by
-    planes and accepted by :func:`_nucleus_fails` on a batch of one; else
-    scanned for the public validator's error.  Returns them as a tuple."""
-    planes, exact = _image_planes(poset, [images])
-    if exact and not _nucleus_fails(poset, planes, 1):
-        return tuple(images)
-    _scan_nucleus(poset, images)
-    raise AssertionError("the plane check rejected a nucleus")
-
-
-def _scan_nucleus(poset: Poset, images: Sequence[int]) -> None:
-    """Raise the first violation, in the order :func:`validate_nucleus` states."""
+    downset in canonical order, not necessarily downsets: raises the first
+    violation in the order it states, else returns the images as a tuple."""
     masks = poset.downset_masks()
     rank = _require_downset_images(poset, images)
     d = len(masks)
@@ -157,6 +149,7 @@ def _scan_nucleus(poset: Poset, images: Sequence[int]) -> None:
                 raise NotMeetPreservingError(
                     DownSet._wrap(poset, masks[k]), DownSet._wrap(poset, masks[i])
                 )
+    return tuple(images)
 
 
 def _image_planes(poset: Poset, tables: Sequence[Sequence[int]]) -> tuple[list[int], bool]:

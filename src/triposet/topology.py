@@ -11,10 +11,11 @@ A topology assigns to every point ``p`` a family J(p) of sieves on ``p``
 Families are stored per point as tuples of sieve masks in canonical order.
 Covering sieves are closed under intersection, so J(p) is the sieves on p
 above a least covering sieve m_p.  The enumeration searches these least
-covering sieves; the validator decides a batch of families at once on bit
-planes (:func:`_topology_fails`) and scans sieve by sieve only to find the
-first failure.  Like the nucleus module, this works from the axioms alone
-and is intentionally independent of any conversion routines.
+covering sieves.  The validator checks one value sieve by sieve and names
+the first failure; :func:`_topology_fails` decides a whole batch of
+families at once on bit planes.  Like the nucleus module, this works from
+the axioms alone and is intentionally independent of any conversion
+routines.
 """
 
 from __future__ import annotations
@@ -145,28 +146,10 @@ def _check_topology(
     poset: Poset, families: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
     """The axiom checks of :func:`validate_topology` on sieve masks, one
-    canonically ordered tuple per point, accepted by :func:`_topology_fails`
-    on a batch of one; a non-sieve or a failure goes to :func:`_scan_topology`
-    for the public validator's error.  Returns the families as a tuple."""
-    index = _sieves(poset).index
-    fams: list[tuple[int, ...]] = []
-    rest = iter(families)
-    for p, entries in enumerate(rest):
-        fams.append(entries)
-        if not all(m in index[p] for m in entries):
-            # read the later points only as the scan reaches them
-            return _scan_topology(poset, (f for part in (fams, rest) for f in part))
-    if _topology_fails(poset, _family_planes(poset, [fams])[0], 1):
-        _scan_topology(poset, fams)
-        raise AssertionError("the plane check rejected a topology")
-    return tuple(fams)
-
-
-def _scan_topology(
-    poset: Poset, families: Iterable[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    """Every axiom, sieve by sieve, in the order :func:`validate_topology`
-    states; raises the first violation with its witnesses."""
+    canonically ordered tuple per point, sieve by sieve in the order it
+    states: raises the first violation with its witnesses, else returns
+    the families as a tuple.  The families are read point by point, as the
+    sieve check reaches them."""
     rank = poset._downset_ranks()
     down = poset._down
     cones = poset._cones

@@ -485,6 +485,9 @@ def _law_by_law(r: _EdgeRanks, tables: list, fams: list, distinct: tuple, sides:
                 check(poset, out)
             except TriposetError as exc:
                 memo[out] = {"error": str(exc), "kind": type(exc).__name__}
+            else:
+                raise AssertionError(f"the {target[0]} plane check flagged {target[2](out)}"
+                                     f" from {kind[0]} {kind[2](v)}, which its validator accepts")
         return {"input": kind[2](v), **memo[out]}
 
     s2n, s2t, n2t, t2n = outputs

@@ -8,10 +8,10 @@ topology lists in the same order, and for every one-entry change of a valid
 table or family set, the same exception with the same message and
 witnesses, or the same accepted value.  The validators' mask cores, which
 ``verify_triangle`` calls, are held to the public validators on the same
-changes, and the topology core accepts every topology without the scan it
-keeps for failures.  The pruned labeled-poset stream is held to the filtered product,
-in order, and the reference topologies are held to the one-generator form
-the topology enumerator assumes.
+changes, and both cores accept every census value, past the default caps
+too.  The pruned labeled-poset stream is held to the filtered product, in
+order, and the reference topologies are held to the one-generator form the
+topology enumerator assumes.
 """
 
 import pytest
@@ -35,7 +35,6 @@ from triposet import (
     nucleus_to_topology,
     subset_to_nucleus,
     subset_to_topology,
-    topology,
     topology_to_nucleus,
     validate_nucleus,
     validate_topology,
@@ -192,21 +191,22 @@ def test_topology_validators_agree_on_every_one_sieve_change(diamond):
     assert accepted and rejected
 
 
-def test_the_topology_core_accepts_every_topology_without_the_scan(monkeypatch):
-    """The accept from the least covering sieves is complete: no topology
-    needs the sieve-by-sieve scan, which runs only to report a failure."""
-
-    def scan(poset, families):
-        raise AssertionError(f"scanned a topology on {poset}")
-
-    monkeypatch.setattr(topology, "_scan_topology", scan)
-    posets = [*(p for n in range(5) for p in enumerate_posets(n)), chain(8), cube()]
-    checked = 0
-    for poset in posets:
+def test_the_validator_cores_accept_every_census_value():
+    """Each core returns every value its enumerator lists unchanged, also
+    on posets past the default caps, where the values are larger than any
+    that the one-entry changes above reach."""
+    small = [p for n in range(5) for p in enumerate_posets(n)]
+    topologies = nuclei = 0
+    for poset in [*small, chain(8), cube()]:
         for J in enumerate_topologies(poset, cap=poset.n):
             assert _check_topology(poset, J.families) == J.families
-            checked += 1
-    assert checked == 1 + 2 + 3 * 4 + 19 * 8 + 219 * 16 + 2 * 256
+            topologies += 1
+    for poset in [*small, chain(8), cube(), chain(10)]:
+        for j in enumerate_nuclei(poset, cap=len(poset.downset_masks())):
+            assert _check_nucleus(poset, j.images) == j.images
+            nuclei += 1
+    assert topologies == 1 + 2 + 3 * 4 + 19 * 8 + 219 * 16 + 2 * 256
+    assert nuclei == topologies + 1024
 
 
 def test_nucleus_validators_agree_on_every_one_entry_change(diamond):

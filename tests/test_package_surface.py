@@ -151,3 +151,36 @@ def test_no_module_imports_a_name_it_never_reads():
     assert {name: names for name, names in found.items() if names} == {}
     sample = "import a.b\nfrom c import (\n    d as e,\n    f,  # noqa: F401\n)\nprint(a)\n"
     assert unused_imports(sample) == ["3: e"]
+
+
+def dead_private_names(sources):
+    """The module-level private functions and classes in ``sources`` (module
+    name -> source) that no statement other than their own definition reads,
+    by name or as an attribute, as ``module.name``."""
+    defined, read = [], {}
+    for module, source in sources.items():
+        for at, stmt in enumerate(ast.parse(source).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and (
+                stmt.name.startswith("_") and not stmt.name.startswith("__")
+            ):
+                defined.append((module, at, stmt.name))
+            for node in ast.walk(stmt):
+                used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if used:
+                    read.setdefault(used, set()).add((module, at))
+    return [f"{module}.{name}" for module, at, name in defined
+            if not read.get(name, set()) - {(module, at)}]
+
+
+def test_every_private_definition_is_read_in_the_package():
+    """A private helper that only tests or the benchmark call does not stay."""
+    package = Path(triposet.__file__).resolve().parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert dead_private_names(sources) == []
+    sample = {
+        "a": "def _used():\n    pass\n\ndef _self():\n    return _self()\n\n"
+             "class _Dead:\n    pass\n",
+        "b": "from a import _used\n\n_used()\n\ndef __dunder__():\n    pass\n",
+    }
+    assert dead_private_names(sample) == ["a._self", "a._Dead"]

@@ -23,8 +23,8 @@ from triposet import (
     build_poset, enumerate_nuclei, enumerate_posets, enumerate_topologies, triangle,
 )
 from triposet.errors import TriposetError
-from triposet.nucleus import _image_planes, _nucleus_fails, _scan_nucleus
-from triposet.topology import _family_planes, _scan_topology, _sieves, _topology_fails
+from triposet.nucleus import _check_nucleus, _image_planes, _nucleus_fails
+from triposet.topology import _check_topology, _family_planes, _sieves, _topology_fails
 
 
 def random_poset(n, rng):
@@ -127,31 +127,31 @@ def test_a_lift_reads_each_distinct_family_for_every_value_holding_it(poset):
     assert _family_planes(poset, [first, first])[1]
 
 
-def _raises(scan, poset, value):
+def _raises(check, poset, value):
     try:
-        scan(poset, value)
+        check(poset, value)
     except TriposetError as exc:
         return type(exc).__name__
     return None
 
 
-def _check_batch(fails_of, planes_of, scan, poset, batch):
-    """The plane check's mask against the scan on each value; the scan's error kinds."""
+def _check_batch(fails_of, planes_of, check, poset, batch):
+    """The plane check's mask against the core on each value; the core's error kinds."""
     planes, exact = planes_of(poset, batch)
     assert exact
     fails = fails_of(poset, planes, (1 << len(batch)) - 1)
-    kinds = [_raises(scan, poset, value) for value in batch]
+    kinds = [_raises(check, poset, value) for value in batch]
     assert [bool(fails >> k & 1) for k in range(len(batch))] == [k is not None for k in kinds]
     assert fails >> len(batch) == 0
     return Counter(kinds)
 
 
 def check_nuclei(poset, batch):
-    return _check_batch(_nucleus_fails, _image_planes, _scan_nucleus, poset, batch)
+    return _check_batch(_nucleus_fails, _image_planes, _check_nucleus, poset, batch)
 
 
 def check_topologies(poset, batch):
-    return _check_batch(_topology_fails, _family_planes, _scan_topology, poset, batch)
+    return _check_batch(_topology_fails, _family_planes, _check_topology, poset, batch)
 
 
 @st.composite

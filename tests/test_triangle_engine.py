@@ -17,7 +17,8 @@ canonical tuple of sieves) is compared as listed, off the planes.  The
 law-by-law path runs no kernel: it reads every conversion from the batches
 the plane check computed, so a kernel output outside the census travels
 only in the batches of the laws that read it, and a non-nucleus that two
-edges output is scanned once.  A census that lists a nucleus twice is
+edges output is scanned once; a value a plane check flags but its
+validator accepts is an error, not a pass.  A census that lists a nucleus twice is
 reported as the reference reports it, and neither a run nor a poset
 stream leaves anything for the cyclic collector.  An oversize job is
 refused before anything is enumerated.
@@ -743,6 +744,17 @@ def test_a_non_nucleus_two_edges_output_is_scanned_once(diamond, monkeypatch):
     assert {"subset_to_nucleus_valid", "topology_to_nucleus_valid"} <= set(_failing(engine))
     assert calls["_check_nucleus", (bad,)] == 1
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+@pytest.mark.parametrize("check, corner", [("_nucleus_fails", "nucleus"),
+                                           ("_topology_fails", "topology")])
+def test_a_valid_value_the_plane_check_flags_is_an_error(diamond, monkeypatch, check, corner):
+    # lane 0 of subset -> nucleus (or topology) holds the image of the empty
+    # subset, which is valid, so its validity law has no witness to report
+    original = getattr(triangle, check)
+    monkeypatch.setattr(triangle, check, lambda *args: original(*args) | 1)
+    with pytest.raises(AssertionError, match=rf"the {corner} plane check flagged .* from subset \[\]"):
+        triangle.verify_triangle(diamond)
 
 
 def test_oversize_jobs_are_refused_before_any_enumeration(monkeypatch):
