@@ -13,7 +13,8 @@ values T_p = j(M_p), and j(S) is the meet of the T_p with p outside S (the
 empty meet being P).  The enumeration searches those n values instead of
 one image per downset.  The validator checks one table downset by downset
 and names the first failure; :func:`_nucleus_fails` decides a whole batch
-of tables at once on bit planes.
+of tables at once on bit planes.  Both the enumeration and the plane check
+read the meet steps off the poset's shared layout (:class:`poset._Layout`).
 
 This module deliberately knows nothing about subsets-as-parameters or
 covering families; the enumeration here is an independent census of the
@@ -23,7 +24,7 @@ axioms, usable as an oracle against any other construction of nuclei.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain
 from operator import and_, or_, xor
 
@@ -35,7 +36,7 @@ from .errors import (
     NotMeetPreservingError,
     PosetMismatchError,
 )
-from .poset import DownSet, Poset, Subset, _bits, _pack, _planes
+from .poset import DownSet, Poset, Subset, _bits, _layout, _pack, _planes
 
 __all__ = ["DEFAULT_NUCLEUS_CAP", "Nucleus", "enumerate_nuclei", "validate_nucleus"]
 
@@ -169,24 +170,15 @@ def _nucleus_fails(poset: Poset, planes: list[int], ones: int) -> int:
     """Bit k set exactly when value k of a batch of image tuples is not a
     nucleus; ``ones`` is the batch's all-ones plane.  With T_p = j(M_p), j
     is a nucleus exactly when j(S) is the meet of the T_p with p outside S
-    (along :func:`_meet_steps`), each T_p is a downset containing M_p, and
-    each T_q is a fixed point: each b outside T_q is outside some T_r, r
-    outside T_q (both above q).  A nucleus passes; a map that passes has
+    (along the layout's meet steps), each T_p is a downset containing M_p,
+    and each T_q is a fixed point: each b outside T_q is outside some T_r,
+    r outside T_q (both above q).  A nucleus passes; a map that passes has
     downset images, contains the meet of the M_p with p outside S, which is
     S, preserves meets, and has j(j(S)) = the meet of the j(T_q) = j(S)."""
-    n = poset.n
-    if not n:
-        return 0
-    rank = poset._downset_ranks()
-    up = poset._up
-    T = [planes[k * n : k * n + n] for k in (rank[poset.full_mask & ~u] for u in up)]
-    meets = [ones] * len(planes)
-    for i, p, k in _meet_steps(poset):
-        meets[i * n : i * n + n] = map(and_, T[p], meets[k * n : k * n + n])
-    fails = reduce(or_, map(xor, planes, meets), 0)
-    covers = poset.covers()
-    for p, t in enumerate(T):
-        above = [q for q in range(n) if up[p] >> q & 1]
+    n, layout, up, covers = poset.n, _layout(poset), poset._up, poset.covers()
+    T = [planes[k : k + n] for k in layout.tops]
+    fails = reduce(or_, map(xor, planes, layout.meets(T, ones)), 0)
+    for p, (t, above) in enumerate(zip(T, layout.above)):
         fails = reduce(or_, [t[b] & ~t[a] for a, b in covers], fails)
         fails = reduce(or_, [ones ^ t[q] for q in range(n) if not up[p] >> q & 1], fails)
         for b in above:
@@ -201,28 +193,6 @@ def _require_downset_images(poset: Poset, images: Sequence[int]) -> dict[int, in
         if m not in rank:
             raise ImageNotDownsetError(DownSet._wrap(poset, s), Subset._wrap(poset, m))
     return rank
-
-
-@lru_cache(maxsize=1)
-def _meet_steps(poset: Poset) -> tuple[tuple[int, int, int], ...]:
-    """(i, p, rank of S_i + p) for every downset S_i but the last, which is P.
-
-    p is the least minimal point outside S_i, so S_i + p is a downset and
-    S_i is its meet with M_p = P minus the up-set of p.  A meet-preserving
-    j therefore has j(S_i) = j(M_p) & j(S_i + p), and conversely a map with
-    j(P) = P satisfying every step is the meet of its values on the M_p.
-    Larger downsets come first, so j(S_i + p) is known before j(S_i).
-    """
-    dmasks = poset.downset_masks()
-    rank = poset._downset_ranks()
-    down = poset._down
-    full = poset.full_mask
-    steps = []
-    for i in range(len(dmasks) - 2, -1, -1):
-        s = dmasks[i]
-        p = next(q for q in _bits(full & ~s) if not down[q] & ~s & ~(1 << q))
-        steps.append((i, p, rank[s | 1 << p]))
-    return tuple(steps)
 
 
 def _require_nucleus_cap(poset: Poset, cap: int) -> None:
@@ -270,7 +240,7 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
     # points outside it (all above p) when p is in t, else None
     candidates = [tuple((t, tuple(_bits(up[p] & ~t)) if t >> p & 1 else None)
                         for t in dmasks if not full & ~up[p] & ~t) for p in range(n)]
-    steps = _meet_steps(poset)
+    steps = _layout(poset).steps
 
     chosen = [0] * n
     nuclei: list[Nucleus] = []
@@ -278,7 +248,7 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
     def rec(idx: int) -> None:
         if idx == n:
             img = [full] * d
-            for i, p, k in steps:
+            for i, k, p in steps:
                 img[i] = chosen[p] & img[k]
             nuclei.append(Nucleus._wrap(poset, tuple(img)))
             return

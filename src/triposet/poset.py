@@ -8,14 +8,16 @@ where one is needed) is ascending by (cardinality, mask); every enumeration
 in the package emits that order.
 
 All objects here are immutable once built and safe to share across threads;
-derived structure (the downset list, sieve lists, covers) is cached on the
-poset the first time it is asked for.
+the downset list, its ranks and the covers are cached on the poset.  The
+tables the engine reads off a poset are one private :class:`_Layout`, kept
+for the latest poset only.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cache
+from functools import cache, lru_cache
+from operator import and_
 
 from .errors import (
     CapExceededError,
@@ -88,8 +90,9 @@ def _planes(blob: bytes, width: int, fields: int = 1) -> list[int]:
 
 def _columns(planes: Sequence[int], w: int) -> list[int]:
     """The ``w`` values of a batch: bit j of value k is bit k of ``planes[j]``,
-    which is :func:`_planes` with the planes as its values."""
-    return _planes(_pack(reversed(planes), w), w)
+    which is :func:`_planes` with the planes as its values.  Bits past lane
+    w - 1 are not read, so a plane below 0 or past the batch lowers too."""
+    return _planes(_pack(map(((1 << w) - 1).__and__, reversed(planes)), w), w)
 
 
 class Poset:
@@ -115,7 +118,6 @@ class Poset:
         "_downsets",
         "_dmask_pos",
         "_downset_objs",
-        "_sieves",
         "_covers",
     )
 
@@ -173,7 +175,6 @@ class Poset:
         self._downsets = None
         self._dmask_pos = None
         self._downset_objs = None
-        self._sieves = {}
         self._covers = None
 
     # -- basic queries ----------------------------------------------------
@@ -249,12 +250,8 @@ class Poset:
 
     def sieve_masks(self, p: int) -> tuple[int, ...]:
         """Masks of the sieves on ``p``: downsets contained in its principal downset."""
-        cached = self._sieves.get(p)
-        if cached is None:
-            top = self._down[p]
-            cached = tuple(m for m in self.downset_masks() if not m & ~top)
-            self._sieves[p] = cached
-        return cached
+        top = self._down[p]
+        return tuple(m for m in self.downset_masks() if not m & ~top)
 
     def sieves(self, p: int) -> tuple[DownSet, ...]:
         return tuple(DownSet._wrap(self, m) for m in self.sieve_masks(p))
@@ -312,6 +309,82 @@ class Poset:
             f"{self.labels[p]}<{self.labels[q]}" for p, q in self.covers()
         )
         return f"Poset({' '.join(self.labels)}{'; ' + rels if rels else ''})"
+
+
+class _Layout:
+    """The tables every layer of the engine reads off one poset, built once
+    by :func:`_layout`, which keeps only the latest poset's (a sweep holds
+    many posets).
+
+    * ``steps``: (i, k, p) for every downset S_i but P, p the least minimal
+      point outside S_i and S_k = S_i + p, larger downsets first.  S_i is
+      S_k meet M_p = P minus the up-set of p, so a meet-preserving j has
+      j(S_i) = j(M_p) & j(S_k), and a map with j(P) = P satisfying every
+      step is the meet of its values on the M_p.
+    * Image planes, plane i * n + p holding bit p of j(S_i): ``tops[p]`` is
+      the first plane of j(M_p), ``above[p]`` the points above p and p.
+    * Topology planes, one per point p and sieve s on p, point after point:
+      ``sieves[p]`` lists the sieves on p, ``index[p][s]`` is the plane,
+      ``ranges[p]`` p's planes (the principal downset last), ``size`` their
+      number.  ``grow`` holds (s, s + a, a, cut of a) for each other s, a
+      the least minimal point of (down p) - s, larger sieves first; the cut
+      of b is (down p) - (up b).  ``stable`` and ``transitive`` list the cut
+      planes the topology plane check compares.
+    * Conversions: ``alt[p]`` is the first image planes of the cone of p
+      and of the cone minus p, ``push`` the image plane (p in j(s)) of each
+      topology plane (p, s), ``pull`` the topology plane (p, S & down p) of
+      each image plane (p in j(S)).
+    """
+
+    __slots__ = ("poset", "n", "d", "steps", "tops", "above", "sieves", "size", "index",
+                 "ranges", "grow", "stable", "transitive", "alt", "push", "pull")
+
+    def __init__(self, poset: Poset):
+        n, down, up, cones = poset.n, poset._down, poset._up, poset._cones
+        dmasks, rank, full = poset.downset_masks(), poset._downset_ranks(), poset.full_mask
+        self.poset, self.n, self.d = poset, n, len(dmasks)
+        self.steps = []
+        for i in range(len(dmasks) - 2, -1, -1):
+            s = dmasks[i]
+            p = next(q for q in range(n) if down[q] & ~s == 1 << q)
+            self.steps.append((i, rank[s | 1 << p], p))
+        self.tops = [rank[full & ~u] * n for u in up]
+        self.above = [tuple(_bits(u)) for u in up]
+        self.sieves = tuple(map(poset.sieve_masks, range(n)))
+        self.index, self.ranges, self.grow, cut = [], [], [], []
+        size = 0
+        for p, sieves in enumerate(self.sieves):
+            at = dict(zip(sieves, range(size, size + len(sieves))))
+            self.index.append(at)
+            self.ranges.append(range(size, size + len(sieves)))
+            size += len(sieves)
+            cut.append({b: at[down[p] & ~up[b]] for b in cones[p]})
+            for s in reversed(sieves[:-1]):
+                a = next(q for q in cones[p] if down[q] & ~s == 1 << q)
+                self.grow.append((at[s], at[s | 1 << a], a, cut[p][a]))
+        self.size = size
+        # b in m_q but not in m_p, for each cover q < p and b <= q
+        self.stable = [(cut[q][b], cut[p][b]) for q, p in poset.covers() for b in cones[q]]
+        # b in m_p, and no q between b and p has b in m_q and q in m_p
+        self.transitive = [
+            (cut[p][b], [(cut[p][q], cut[q][b]) for q in cones[p] if up[b] >> q & 1])
+            for p in range(n) for b in cones[p]
+        ]
+        self.alt = [(rank[c] * n, rank[c & ~(1 << p)] * n) for p, c in enumerate(down)]
+        self.push = [rank[s] * n + p for p, at in enumerate(self.index) for s in at]
+        self.pull = [at[m & c] for m in dmasks for at, c in zip(self.index, down)]
+
+    def meets(self, gens: Sequence[Sequence[int]], ones: int) -> list[int]:
+        """The image planes of j(S) = the meet of ``gens[p]`` over the points
+        p outside S, each ``gens[p]`` n planes, along the meet steps."""
+        n = self.n
+        planes = [ones] * (self.d * n)
+        for i, k, p in self.steps:
+            planes[i * n : i * n + n] = map(and_, gens[p], planes[k * n : k * n + n])
+        return planes
+
+
+_layout = lru_cache(maxsize=1)(_Layout)
 
 
 class Subset:

@@ -13,15 +13,16 @@ Covering sieves are closed under intersection, so J(p) is the sieves on p
 above a least covering sieve m_p.  The enumeration searches these least
 covering sieves.  The validator checks one value sieve by sieve and names
 the first failure; :func:`_topology_fails` decides a whole batch of
-families at once on bit planes.  Like the nucleus module, this works from
-the axioms alone and is intentionally independent of any conversion
-routines.
+families at once on bit planes, reading the sieves and their planes off
+the poset's shared layout (:class:`poset._Layout`).  Like the nucleus
+module, this works from the axioms alone and is intentionally independent
+of any conversion routines, whose maps in the layout it never reads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_, xor
 
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     StabilityFailError,
     TransitivityFailError,
 )
-from .poset import DownSet, Poset, Subset, _bits, _canonical
+from .poset import DownSet, Poset, Subset, _bits, _canonical, _layout
 
 __all__ = [
     "DEFAULT_TOPOLOGY_CAP",
@@ -171,8 +172,8 @@ def _check_topology(
                     raise StabilityFailError(
                         poset.labels[p], poset.labels[q], DownSet._wrap(poset, s)
                     )
-    for p in range(poset.n):
-        for r in poset.sieve_masks(p):
+    for p, sieves in enumerate(_layout(poset).sieves):
+        for r in sieves:
             if r in fam_sets[p]:
                 continue
             # the points where r pulls back to a cover: r breaks
@@ -191,49 +192,13 @@ def _check_topology(
     return tuple(fam_masks)
 
 
-class _Sieves:
-    """One plane per point p and sieve s on p, canonical order point after
-    point: ``index[p][s]`` is the plane, ``ranges[p]`` p's planes, the
-    principal downset last.  ``grow`` holds
-    (s, s + a, a, cut of a) as planes for each other s, a minimal outside s,
-    larger sieves first; the cut of b is (down p) - (up b).  ``stable`` and
-    ``transitive`` list the cut planes :func:`_topology_fails` compares."""
-
-    __slots__ = ("size", "index", "ranges", "grow", "stable", "transitive")
-
-    def __init__(self, poset: Poset):
-        down, up, cones = poset._down, poset._up, poset._cones
-        index, ranges, grow, cut = [], [], [], []
-        size = 0
-        for p in range(poset.n):
-            sieves = poset.sieve_masks(p)
-            at = dict(zip(sieves, range(size, size + len(sieves))))
-            index.append(at)
-            ranges.append(range(size, size + len(sieves)))
-            size += len(sieves)
-            cut.append({b: at[down[p] & ~up[b]] for b in cones[p]})
-            for s in reversed(sieves[:-1]):
-                a = next(q for q in cones[p] if not s >> q & 1 and s | 1 << q in at)
-                grow.append((at[s], at[s | 1 << a], a, cut[p][a]))
-        self.size, self.index, self.ranges, self.grow = size, index, ranges, grow
-        # b in m_q but not in m_p, for each cover q < p and b <= q
-        self.stable = [(cut[q][b], cut[p][b]) for q, p in poset.covers() for b in cones[q]]
-        # b in m_p, and no q between b and p has b in m_q and q in m_p
-        self.transitive = [
-            (cut[p][b], [(cut[p][q], cut[q][b]) for q in cones[p] if up[b] >> q & 1])
-            for p in range(poset.n) for b in cones[p]
-        ]
-
-
-_sieves = lru_cache(maxsize=1)(_Sieves)
-
-
 def _family_planes(poset: Poset, batch: Sequence[Sequence[tuple]]) -> tuple[list[int], bool]:
-    """The planes of a batch of families, ``index[p][s]`` with bit k when s is
-    in ``batch[k][p]`` (other masks are not read), and whether they hold the
-    batch exactly: each family a canonical tuple of sieves, planes ascending.
-    Each distinct family at a point is read once, for all the values holding it."""
-    layout = _sieves(poset)
+    """The planes of a batch of families, the layout's plane ``index[p][s]``
+    with bit k when s is in ``batch[k][p]`` (other masks are not read), and
+    whether they hold the batch exactly: each family a canonical tuple of
+    sieves, planes ascending.  Each distinct family at a point is read once,
+    for all the values holding it."""
+    layout = _layout(poset)
     planes, exact = [0] * layout.size, True
     for at, column in zip(layout.index, zip(*batch)):
         holders: dict[tuple, int] = {}  # bit k set when value k holds the family
@@ -259,7 +224,7 @@ def _topology_fails(poset: Poset, planes: list[int], ones: int) -> int:
     outside it are), m_q lies in m_p for each cover q < p, and each b in m_p
     lies in m_q for some q in m_p: the least-sieve form, stability and
     transitivity of :func:`enumerate_topologies`, exactly the topologies."""
-    layout = _sieves(poset)
+    layout = _layout(poset)
     want = [ones] * layout.size  # every cut of a point outside s is in J(p)
     for t, grown, _, cut in layout.grow:
         want[t] = want[grown] & planes[cut]
@@ -315,7 +280,7 @@ def enumerate_topologies(
     # points, None for down p
     candidates = [tuple((m, tuple([s for s in sieves if not m & ~s]),
                          tuple(_bits(m)) if m != down[p] else None) for m in sieves)
-                  for p, sieves in enumerate(map(poset.sieve_masks, range(n)))]
+                  for p, sieves in enumerate(_layout(poset).sieves)]
     gen = [0] * n
     fams: list[tuple[int, ...]] = [()] * n
     results: list[GrothendieckTopology] = []

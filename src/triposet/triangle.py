@@ -22,9 +22,10 @@ Each edge is one private kernel on a batch of values held as bit planes,
 w-bit ints whose bit k is one bit of value k: n planes for subsets (plane
 q holds point q), d * n for nuclei (plane i * n + p holds bit p of the
 image of the i-th downset) and one membership plane per point p and sieve
-on p for topologies (:class:`topology._Sieves`).  A kernel maps planes to
-planes with a few ``&``, ``|`` and ``^`` each, given the poset's plane
-index tables (:class:`_EdgeRanks`); it reads only what planes hold, the
+on p for topologies.  A kernel maps planes to planes with a few ``&``,
+``|`` and ``^`` each, given the layout the enumerators also read
+(:class:`poset._Layout`), of which only the kernels read the plane index
+maps ``alt``, ``push`` and ``pull``; it reads only what planes hold, the
 bits below n of an image and the sieves of a family.  A public edge runs
 its kernel on a batch of one.
 
@@ -52,8 +53,8 @@ batches, comparing census values as listed; it runs no kernel.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import and_, or_, xor
+from functools import reduce
+from operator import or_, xor
 from time import perf_counter
 from typing import Any
 
@@ -64,20 +65,18 @@ from .nucleus import (
     Nucleus,
     _check_nucleus,
     _image_planes,
-    _meet_steps,
     _nucleus_fails,
     _require_nucleus_cap,
     enumerate_nuclei,
     validate_nucleus,  # noqa: F401 -- looked up here by tests and perfbench
 )
-from .poset import Poset, Subset, _canonical, _columns, _pack, _planes
+from .poset import Poset, Subset, _canonical, _columns, _Layout, _layout, _pack, _planes
 from .topology import (
     DEFAULT_TOPOLOGY_CAP,
     GrothendieckTopology,
     _check_topology,
     _family_planes,
     _require_topology_cap,
-    _sieves,
     _topology_fails,
     enumerate_topologies,
     validate_topology,  # noqa: F401 -- looked up here by tests and perfbench
@@ -101,94 +100,66 @@ Table = tuple[int, ...]  # image masks in canonical downset order
 Families = tuple[tuple[int, ...], ...]
 
 
-class _EdgeRanks:
-    """One poset's plane index tables: ``steps`` (i * n, k * n, p) per step
-    S_i = S_k - p of :func:`_meet_steps`; ``alt[p]`` the first planes of the
-    images of the cone of p and of the cone minus p; ``push`` the nucleus
-    plane (p in j(s)) of each topology plane (p, s), and ``pull`` the
-    topology plane (p, S & down p) of each nucleus plane (p in j(S))."""
-
-    __slots__ = ("poset", "n", "d", "sieves", "steps", "alt", "push", "pull")
-
-    def __init__(self, poset: Poset):
-        self.poset, n, sieves = poset, poset.n, _sieves(poset)
-        dmasks, rank, down = poset.downset_masks(), poset._downset_ranks(), poset._down
-        self.n, self.d, self.sieves = n, len(dmasks), sieves
-        self.steps = [(i * n, k * n, p) for i, p, k in _meet_steps(poset)]
-        self.alt = [(rank[c] * n, rank[c & ~(1 << p)] * n) for p, c in enumerate(down)]
-        self.push = [rank[s] * n + p for p, at in enumerate(sieves.index) for s in at]
-        self.pull = [at[m & c] for m in dmasks for at, c in zip(sieves.index, down)]
-
-
-# one entry, so the tables of a poset live only until the next poset's are built
-_edge_ranks = lru_cache(maxsize=1)(_EdgeRanks)
-
-
 # -- the edge kernels: planes in, planes out; ``ones`` is the batch's all-ones plane
 
 
-def _subset_to_table(r: _EdgeRanks, planes: list[int], ones: int) -> list[int]:
+def _subset_to_table(r: _Layout, planes: list[int], ones: int) -> list[int]:
     # q is in X -> S when no point of X lies in (down q) - S; a meet step
     # S_i = S_k - p adds p to that set for the points q above p
-    n = r.n
     outside = [ones ^ x for x in planes]
-    spread = [[outside[p] if above >> q & 1 else ones for q in range(n)]
+    spread = [[outside[p] if above >> q & 1 else ones for q in range(r.n)]
               for p, above in enumerate(r.poset._up)]
-    images = [ones] * (r.d * n)
-    for i, k, p in r.steps:
-        images[i : i + n] = map(and_, spread[p], images[k : k + n])
-    return images
+    return r.meets(spread, ones)
 
 
-def _table_to_subset(r: _EdgeRanks, planes: list[int], ones: int) -> list[int]:
+def _table_to_subset(r: _Layout, planes: list[int], ones: int) -> list[int]:
     return [ones ^ planes[less + p] for p, (_, less) in enumerate(r.alt)]
 
 
-def _table_to_subset_alt(r: _EdgeRanks, planes: list[int], ones: int) -> list[int]:
+def _table_to_subset_alt(r: _Layout, planes: list[int], ones: int) -> list[int]:
     n = r.n
     return [reduce(or_, map(xor, planes[a : a + n], planes[b : b + n]), 0) for a, b in r.alt]
 
 
-def _table_to_subset_via_topology(r: _EdgeRanks, planes: list[int], ones: int) -> list[int]:
+def _table_to_subset_via_topology(r: _Layout, planes: list[int], ones: int) -> list[int]:
     # the principal downset is the last sieve on p
     at = [planes[k] for k in r.push]
-    return [at[span[-1]] & ~reduce(or_, at[span.start : span[-1]], 0) for span in r.sieves.ranges]
+    return [at[span[-1]] & ~reduce(or_, at[span.start : span[-1]], 0) for span in r.ranges]
 
 
-def _subset_to_families(r: _EdgeRanks, planes: list[int], ones: int) -> list[int]:
+def _subset_to_families(r: _Layout, planes: list[int], ones: int) -> list[int]:
     # s covers p when no point of X lies in (down p) - s; s + a adds one point
     outside = [ones ^ x for x in planes]
-    covers = [ones] * r.sieves.size
-    for t, grown, a, _ in r.sieves.grow:
+    covers = [ones] * r.size
+    for t, grown, a, _ in r.grow:
         covers[t] = covers[grown] & outside[a]
     return covers
 
 
-def _families_to_subset(r: _EdgeRanks, planes: list[int], ones: int) -> list[int]:
+def _families_to_subset(r: _Layout, planes: list[int], ones: int) -> list[int]:
     return [planes[span[-1]] & ~reduce(or_, planes[span.start : span[-1]], 0)
-            for span in r.sieves.ranges]
+            for span in r.ranges]
 
 
-def _table_to_families(r: _EdgeRanks, planes: list[int], ones: int) -> list[int]:
+def _table_to_families(r: _Layout, planes: list[int], ones: int) -> list[int]:
     return list(map(planes.__getitem__, r.push))
 
 
-def _families_to_table(r: _EdgeRanks, planes: list[int], ones: int) -> list[int]:
+def _families_to_table(r: _Layout, planes: list[int], ones: int) -> list[int]:
     return list(map(planes.__getitem__, r.pull))
 
 
 # -- each corner's (lift, lower): its values to planes, and a batch of w back
 
 
-def _lower_tables(r: _EdgeRanks, planes: list[int], w: int) -> list[Table]:
+def _lower_tables(r: _Layout, planes: list[int], w: int) -> list[Table]:
     full, shifts = r.poset.full_mask, [i * r.n for i in range(r.d)]
     return [tuple([c >> s & full for s in shifts]) for c in _columns(planes, w)]
 
 
-def _lower_families(r: _EdgeRanks, planes: list[int], w: int) -> list[Families]:
-    points = [(span.start, tuple(at)) for span, at in zip(r.sieves.ranges, r.sieves.index)]
-    return [tuple([tuple([s for j, s in enumerate(sieves) if c >> start + j & 1])
-                   for start, sieves in points]) for c in _columns(planes, w)]
+def _lower_families(r: _Layout, planes: list[int], w: int) -> list[Families]:
+    return [tuple([tuple([s for j, s in enumerate(sieves, span.start) if c >> j & 1])
+                   for span, sieves in zip(r.ranges, r.sieves)]) for c in _columns(planes, w)]
 
 
 _SUBSETS = (lambda r, xs: _planes(_pack(reversed(xs), r.n), r.n),
@@ -199,7 +170,7 @@ _FAMILIES = (lambda r, batch: _family_planes(r.poset, batch)[0], _lower_families
 
 def _on_one(kernel, source: tuple, target: tuple, poset: Poset, value):
     """``kernel`` on a batch of one ``source`` value, lowered to a ``target`` value."""
-    r = _edge_ranks(poset)
+    r = _layout(poset)
     return target[1](r, kernel(r, source[0](r, [value]), 1), 1)[0]
 
 
@@ -358,7 +329,7 @@ def verify_triangle(
     fams = [J.families for J in enumerate_topologies(poset, cap=topology_cap)]
     counts = {"subsets": 1 << n, "nuclei": len(tables), "topologies": len(fams)}
 
-    r = _edge_ranks(poset)
+    r = _layout(poset)
     nuclei, topologies = list(dict.fromkeys(tables)), list(dict.fromkeys(fams))
     xs = _SUBSETS[0](r, range(1 << n))
     (js, exact_js), (Js, exact_Js) = (_image_planes(poset, nuclei),
@@ -399,7 +370,7 @@ def verify_triangle(
     )
 
 
-def _law_by_law(r: _EdgeRanks, tables: list, fams: list, distinct: tuple, sides: tuple,
+def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, sides: tuple,
                 outputs: tuple):
     """Every law with its witness, read from the batches :func:`verify_triangle`
     computed: ``sides`` pairs the two sides of each roundtrip, commutation

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import triposet
 from triposet import errors
+from triposet.poset import _Layout
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -184,3 +185,68 @@ def test_every_private_definition_is_read_in_the_package():
         "b": "from a import _used\n\n_used()\n\ndef __dunder__():\n    pass\n",
     }
     assert dead_private_names(sample) == ["a._self", "a._Dead"]
+
+
+def cache_reads(sources):
+    """``module: what`` for each top-level statement of ``sources`` (module
+    name -> source) that reads ``lru_cache`` or ``cache``, by name or as an
+    attribute, imports aside: a function or class as its name and
+    parameters, anything else as its source."""
+    found = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) or not any(
+                (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+                in ("lru_cache", "cache") for node in ast.walk(stmt)
+            ):
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                params = ast.unparse(stmt.args) if isinstance(stmt, ast.FunctionDef) else ""
+                found.append(f"{module}: {stmt.name}({params})")
+            else:
+                found.append(f"{module}: {ast.unparse(stmt)}")
+    return found
+
+
+def test_the_layout_is_the_only_per_poset_cache():
+    """One ``lru_cache`` in the package, the layout's, with one entry: no
+    second per-poset table comes back with its own cache.  The only other
+    cache is on a function that takes no arguments."""
+    package = Path(triposet.__file__).resolve().parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert cache_reads(sources) == [
+        "poset: _bit_tables()",
+        "poset: _layout = lru_cache(maxsize=1)(_Layout)",
+    ]
+    sample = {
+        "a": "from functools import cache, lru_cache\n\n@cache\ndef _table():\n    pass\n",
+        "b": "import functools\n\n@functools.lru_cache(maxsize=1)\ndef _steps(poset):\n"
+             "    pass\n\nclass _Rows:\n    pass\n\n_rows = functools.cache(_Rows)\n",
+    }
+    assert cache_reads(sample) == ["a: _table()", "b: _steps(poset)",
+                                   "b: _rows = functools.cache(_Rows)"]
+
+
+CONVERSION_FIELDS = ("alt", "push", "pull")
+
+
+def attribute_reads(source, names):
+    """``line: name`` for each attribute in ``names`` that ``source`` reads."""
+    return [f"{node.lineno}: {node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in names]
+
+
+def test_the_axiom_modules_never_read_the_conversion_tables():
+    """``nucleus.py`` and ``topology.py`` share the layout with the kernels
+    but not its conversion fields, so their enumerators and validators stay
+    an oracle independent of the conversions."""
+    package = Path(triposet.__file__).resolve().parent
+    assert set(CONVERSION_FIELDS) <= set(_Layout.__slots__)
+    reads = {name: attribute_reads((package / f"{name}.py").read_text(encoding="utf-8"),
+                                   CONVERSION_FIELDS)
+             for name in ("nucleus", "topology", "triangle")}
+    assert reads["nucleus"] == reads["topology"] == []
+    assert {read.split(": ")[1] for read in reads["triangle"]} == set(CONVERSION_FIELDS)
+    assert attribute_reads("x = layout.steps\ny = layout.push[0]\n", CONVERSION_FIELDS) == [
+        "2: push"]

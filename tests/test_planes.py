@@ -24,7 +24,8 @@ from triposet import (
 )
 from triposet.errors import TriposetError
 from triposet.nucleus import _check_nucleus, _image_planes, _nucleus_fails
-from triposet.topology import _check_topology, _family_planes, _sieves, _topology_fails
+from triposet.poset import _layout
+from triposet.topology import _check_topology, _family_planes, _topology_fails
 
 
 def random_poset(n, rng):
@@ -42,8 +43,8 @@ def chain(n):
 def family_planes_by_bit(poset, batch):
     """Plane (p, s) has bit k when s is in ``batch[k][p]``; the planes hold
     the batch exactly when each family is its sieves in canonical order."""
-    planes = [0] * _sieves(poset).size
-    for p, at in enumerate(_sieves(poset).index):
+    planes = [0] * _layout(poset).size
+    for p, at in enumerate(_layout(poset).index):
         for m, t in at.items():
             planes[t] = sum((m in f[p]) << k for k, f in enumerate(batch))
     exact = all(f[p] == tuple(m for m in poset.sieve_masks(p) if m in f[p])
@@ -55,7 +56,7 @@ def family_planes_by_bit(poset, batch):
 def test_the_transposes_round_trip(n):
     rng = random.Random(n)
     for poset in (chain(n), random_poset(n, rng)):
-        r = triangle._edge_ranks(poset)
+        r = _layout(poset)
         dmasks = poset.downset_masks()
         for w in (0, 1, 2, 9, 40):
             xs = [rng.randrange(1 << n) for _ in range(w)]

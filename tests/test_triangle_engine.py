@@ -26,7 +26,9 @@ refused before anything is enumerated.
 
 import gc
 import hashlib
+import inspect
 import json
+import textwrap
 from collections import Counter
 
 import pytest
@@ -42,10 +44,13 @@ from triposet import (
     enumerate_posets,
     enumerate_topologies,
     cli,
+    nucleus,
     serialize,
+    topology,
     triangle,
 )
 from triposet.errors import CapExceededError
+from triposet.poset import _Layout, _layout
 
 # public edge -> (kernel, class of the argument, class of the result)
 EDGES = {
@@ -189,7 +194,7 @@ def test_each_public_edge_is_its_wrapped_kernel(diamond):
     posets = [p for n in range(4) for p in enumerate_posets(n)] + [diamond]
     for poset in posets:
         inputs = _inputs(poset)
-        r = triangle._edge_ranks(poset)
+        r = triangle._layout(poset)
         for edge, (kernel, source, cls) in EDGES.items():
             for value in inputs[source]:
                 got = getattr(triangle, edge)(value)
@@ -198,7 +203,7 @@ def test_each_public_edge_is_its_wrapped_kernel(diamond):
 
 
 def _kernels_match_the_reference(poset, inputs):
-    r = triangle._edge_ranks(poset)
+    r = triangle._layout(poset)
     for edge, (kernel, source, target) in EDGES.items():
         reference = REFERENCE_EDGES[edge]
         values = inputs[source]
@@ -224,8 +229,8 @@ def test_kernels_match_the_object_level_edges_past_five_points(poset, nucleus_ca
 
 def test_kernels_match_the_object_level_edges_across_the_per_poset_memos(diamond):
     """Each kernel on A, then on B, equal to A but a distinct object, then on
-    another poset, then on A again.  B reads the tables built for A; A's
-    second turn rebuilds them after the one-entry cache moved on."""
+    another poset, then on A again.  B reads the layout built for A; A's
+    second turn rebuilds it after the one-entry cache moved on."""
     twin = build_poset(diamond.labels, [(diamond.labels[p], diamond.labels[q])
                                         for p, q in diamond.covers()])
     assert twin == diamond and twin is not diamond
@@ -234,33 +239,58 @@ def test_kernels_match_the_object_level_edges_across_the_per_poset_memos(diamond
 
 
 def test_the_kernels_never_look_up_their_table(diamond, monkeypatch):
-    r = triangle._edge_ranks(diamond)
+    """Each kernel reads only the layout it is handed: with every lookup and
+    every build of a layout raising, it still runs and lowers its batch."""
+    r = _layout(diamond)
     inputs = _inputs(diamond)
+    lifted = {kernel: KINDS[source][0](r, [_raw(v) for v in inputs[source]])
+              for kernel, source, _ in EDGES.values()}
 
-    def never(poset):
+    def never(*args):
         raise AssertionError("a kernel looked up its table")
 
-    monkeypatch.setattr(triangle, "_edge_ranks", never)
+    for module in (nucleus, topology, triangle):
+        monkeypatch.setattr(module, "_layout", never)
+    monkeypatch.setattr(_Layout, "__init__", never)
     for kernel, source, target in EDGES.values():
-        run_kernel(kernel, r, source, target, [_raw(v) for v in inputs[source]])
+        w = len(inputs[source])
+        KINDS[target][1](r, getattr(triangle, kernel)(r, lifted[kernel], (1 << w) - 1), w)
 
 
-def test_a_verify_reads_the_table_once(diamond, monkeypatch):
-    looked_up = []
-    original = triangle._edge_ranks
+def test_a_verify_builds_one_layout_shared_by_every_reader(diamond, monkeypatch):
+    """Both enumerators, both plane checks and all eight kernels read one
+    layout, and a verify builds it once."""
+    built, looked_up, handed = [], set(), []
+    build = _Layout.__init__
 
-    def counting(poset):
-        looked_up.append(poset)
-        return original(poset)
+    def counting(layout, poset):
+        built.append(layout)
+        build(layout, poset)
 
-    monkeypatch.setattr(triangle, "_edge_ranks", counting)
+    monkeypatch.setattr(_Layout, "__init__", counting)
+    for module in (nucleus, topology, triangle):
+        def lookup(poset, name=module.__name__):
+            looked_up.add(name)
+            return _layout(poset)
+
+        monkeypatch.setattr(module, "_layout", lookup)
+    for kernel in KERNELS:
+        def recording(r, planes, ones, name=kernel, fn=getattr(triangle, kernel)):
+            handed.append((name, r))
+            return fn(r, planes, ones)
+
+        monkeypatch.setattr(triangle, kernel, recording)
+    _layout.cache_clear()
     assert triangle.verify_triangle(diamond).all_passed
-    assert looked_up == [diamond]
+    assert len(built) == 1 and _layout(diamond) is built[0]
+    assert looked_up == {"triposet.nucleus", "triposet.topology", "triposet.triangle"}
+    assert {name for name, _ in handed} == set(KERNELS)
+    assert all(r is built[0] for _, r in handed)
 
 
 def test_subset_to_families_returns_the_covering_tuples(diamond):
     """Each family is the sieves containing its least one."""
-    r = triangle._edge_ranks(diamond)
+    r = triangle._layout(diamond)
     xs = list(range(1 << diamond.n))
     for families in run_kernel("_subset_to_families", r, Subset, GrothendieckTopology, xs):
         for p, fam in enumerate(families):
@@ -322,6 +352,30 @@ def test_a_broken_edge_fails_the_same_laws(diamond, monkeypatch, edge, breaker, 
     assert [law.name for law in engine.laws if not law.passed] == failing
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
     assert_pinned(f"broken_{edge}", engine)
+
+
+@pytest.mark.parametrize("poset_name", ["chain2", "diamond"])
+@pytest.mark.parametrize("op", ["|", "^"])
+@pytest.mark.parametrize("kernel", ["_families_to_subset", "_table_to_subset_via_topology"])
+def test_a_kernel_output_past_the_batch_width_fails_laws(request, monkeypatch, poset_name,
+                                                          op, kernel):
+    """``& ~`` turned into ``| ~`` or ``^ ~`` gives output planes below 0,
+    with bits past every lane.  The lanes are still values, so the run ends
+    in a failing report equal to the reference's, not a traceback."""
+    poset = request.getfixturevalue(poset_name)
+    source = textwrap.dedent(inspect.getsource(getattr(triangle, kernel)))
+    assert source.count("& ~reduce") == 1
+    namespace = dict(vars(triangle))
+    exec(source.replace("& ~reduce", f"{op} ~reduce"), namespace)
+    mutant = namespace[kernel]
+    [source_class] = [cls for name, cls, _ in EDGES.values() if name == kernel]
+    values = [_raw(v) for v in _inputs(poset)[source_class]]
+    r, ones = _layout(poset), (1 << len(values)) - 1
+    assert min(mutant(r, KINDS[source_class][0](r, values), ones)) < 0
+    monkeypatch.setattr(triangle, kernel, mutant)
+    engine = triangle.verify_triangle(poset)
+    assert not engine.all_passed
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(poset))
 
 
 def test_a_non_topology_from_an_edge_fails_its_laws(chain2, monkeypatch):
@@ -504,7 +558,7 @@ def _verify_recording_calls(poset, monkeypatch):
     sources = {kernel: source for kernel, source, _ in EDGES.values()}
     for name, source in (*sources.items(), *PLANE_CHECKS.items()):
         def on_batch(r, planes, ones, name=name, fn=getattr(triangle, name), source=source):
-            table = r if isinstance(r, triangle._EdgeRanks) else triangle._edge_ranks(r)
+            table = r if isinstance(r, triangle._Layout) else triangle._layout(r)
             calls[name, tuple(KINDS[source][1](table, planes, ones.bit_length()))] += 1
             return fn(r, planes, ones)
 
