@@ -10,11 +10,13 @@ The downset lattice is distributive, and its meet-irreducibles are the n
 downsets M_p = P minus the up-set of p; every downset S is the meet of the
 M_p with p outside S.  A nucleus preserves meets, so it is fixed by its n
 values T_p = j(M_p), and j(S) is the meet of the T_p with p outside S (the
-empty meet being P).  The enumeration searches those n values instead of
-one image per downset.  The validator checks one table downset by downset
-and names the first failure; :func:`_nucleus_fails` decides a whole batch
-of tables at once on bit planes.  Both the enumeration and the plane check
-read the meet steps off the poset's shared layout (:class:`poset._Layout`).
+empty meet being P).  The search lists those n values of each nucleus,
+its generators, and the verifier reads that census; :func:`_images`
+expands a generator tuple into its images.  The validator checks one table
+downset by downset and names the first failure; :func:`_nucleus_fails`
+decides a whole batch of tables at once on bit planes.  Both the expansion
+and the plane check read the meet steps off the poset's shared layout
+(:class:`poset._Layout`).
 
 This module deliberately knows nothing about subsets-as-parameters or
 covering families; the enumeration here is an independent census of the
@@ -36,7 +38,7 @@ from .errors import (
     NotMeetPreservingError,
     PosetMismatchError,
 )
-from .poset import DownSet, Poset, Subset, _bits, _layout, _pack, _planes
+from .poset import DownSet, Poset, Subset, _bits, _layout
 
 __all__ = ["DEFAULT_NUCLEUS_CAP", "Nucleus", "enumerate_nuclei", "validate_nucleus"]
 
@@ -153,20 +155,8 @@ def _check_nucleus(poset: Poset, images: Sequence[int]) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _image_planes(poset: Poset, tables: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
-    """The planes of a batch of image tuples: plane i * n + p holds bit p of
-    the image of the i-th downset; no other bit of an image is read.  Also
-    whether the planes hold the batch exactly: every image in 0..P."""
-    n = poset.n
-    flat = list(chain.from_iterable(reversed(tables)))
-    try:
-        blob, exact = _pack(flat, n), True
-    except (ValueError, OverflowError):  # an image below 0 or past bit n
-        blob, exact = _pack([m & poset.full_mask for m in flat], n), False
-    return _planes(blob, n, len(poset.downset_masks())), exact
-
-
-def _nucleus_fails(poset: Poset, planes: list[int], ones: int) -> int:
+def _nucleus_fails(poset: Poset, planes: list[int], ones: int,
+                   gens: list[int] | None = None) -> int:
     """Bit k set exactly when value k of a batch of image tuples is not a
     nucleus; ``ones`` is the batch's all-ones plane.  With T_p = j(M_p), j
     is a nucleus exactly when j(S) is the meet of the T_p with p outside S
@@ -174,10 +164,13 @@ def _nucleus_fails(poset: Poset, planes: list[int], ones: int) -> int:
     and each T_q is a fixed point: each b outside T_q is outside some T_r,
     r outside T_q (both above q).  A nucleus passes; a map that passes has
     downset images, contains the meet of the M_p with p outside S, which is
-    S, preserves meets, and has j(j(S)) = the meet of the j(T_q) = j(S)."""
+    S, preserves meets, and has j(j(S)) = the meet of the j(T_q) = j(S).
+    With ``gens``, plane p * n + q holding bit q of T_p, the planes are the
+    meets of the T_p, and a value passes only when each j(M_p) is T_p."""
     n, layout, up, covers = poset.n, _layout(poset), poset._up, poset.covers()
     T = [planes[k : k + n] for k in layout.tops]
-    fails = reduce(or_, map(xor, planes, layout.meets(T, ones)), 0)
+    fails = reduce(or_, map(xor, chain.from_iterable(T), gens) if gens is not None
+                   else map(xor, planes, layout.meets(T, ones)), 0)
     for p, (t, above) in enumerate(zip(T, layout.above)):
         fails = reduce(or_, [t[b] & ~t[a] for a, b in covers], fails)
         fails = reduce(or_, [ones ^ t[q] for q in range(n) if not up[p] >> q & 1], fails)
@@ -204,12 +197,20 @@ def _require_nucleus_cap(poset: Poset, cap: int) -> None:
 
 
 def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucleus]:
-    """Every nucleus on the downset lattice, in canonical order.
+    """Every nucleus on the downset lattice, in the lexicographic order of
+    its images' downset ranks, each expanded from its generators (the T_p)."""
+    _require_nucleus_cap(poset, cap)
+    tables = _in_order(_images(poset, _nucleus_generators(poset)))
+    return [Nucleus._wrap(poset, t) for t in tables]
 
-    The search chooses T_p = j(M_p) for each point p.  Any choice of
-    downsets T_p containing M_p gives a map j(S) = meet of the T_p with p
-    outside S that is inflationary and preserves meets by construction.
-    That map is a nucleus exactly when two conditions hold:
+
+def _nucleus_generators(poset: Poset) -> list[tuple[int, ...]]:
+    """The generators (T_p = j(M_p) for each point p) of every nucleus, in
+    search order.
+
+    Any choice of downsets T_p containing M_p gives a map j(S) = meet of
+    the T_p with p outside S that is inflationary and preserves meets by
+    construction.  That map is a nucleus exactly when two conditions hold:
 
     * it extends the choice, which is T_p <= T_q whenever p < q, so T_p is
       searched only among the downsets between M_p and the meet of the T_q
@@ -223,14 +224,10 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
     T_p is chosen every T_q with q above p is fixed and both conditions are
     decided on the spot.  Every leaf is therefore a nucleus, each nucleus
     is reached once, and the search runs over the n points instead of over
-    the downsets.  A leaf fills its images in reverse canonical order from
-    j(S) = T_p & j(S + p), with p a minimal point outside S and j(P) = P.
-    The nuclei are emitted in the lexicographic order of their images'
-    downset ranks.
+    the downsets.  A leaf keeps only its n generators; :func:`_images`
+    expands them.
     """
-    _require_nucleus_cap(poset, cap)
     dmasks = poset.downset_masks()
-    d = len(dmasks)
     n = poset.n
     full = poset.full_mask
     up = poset._up
@@ -240,17 +237,12 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
     # points outside it (all above p) when p is in t, else None
     candidates = [tuple((t, tuple(_bits(up[p] & ~t)) if t >> p & 1 else None)
                         for t in dmasks if not full & ~up[p] & ~t) for p in range(n)]
-    steps = _layout(poset).steps
-
     chosen = [0] * n
-    nuclei: list[Nucleus] = []
+    found: list[tuple[int, ...]] = []
 
     def rec(idx: int) -> None:
         if idx == n:
-            img = [full] * d
-            for i, k, p in steps:
-                img[i] = chosen[p] & img[k]
-            nuclei.append(Nucleus._wrap(poset, tuple(img)))
+            found.append(tuple(chosen))
             return
         p = order[idx]
         bound = full
@@ -270,6 +262,25 @@ def enumerate_nuclei(poset: Poset, cap: int = DEFAULT_NUCLEUS_CAP) -> list[Nucle
 
     rec(0)
     del rec  # it refers to itself; left bound, it would wait for the cyclic collector
-    rank = poset._downset_ranks()
-    nuclei.sort(key=lambda j: [rank[m] for m in j.images])
-    return nuclei
+    return found
+
+
+def _images(poset: Poset, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The image tuple of each generator tuple, in order, filled in reverse
+    canonical order from j(S) = T_p & j(S + p), with p a minimal point
+    outside S and j(P) = P, along the layout's meet steps.  Only the bits
+    below n of a T_p are read."""
+    steps, d, full = _layout(poset).steps, len(poset.downset_masks()), poset.full_mask
+    tables = []
+    for T in gens:
+        img = [full] * d
+        for i, k, p in steps:
+            img[i] = T[p] & img[k]
+        tables.append(tuple(img))
+    return tables
+
+
+def _in_order(tables: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Image tuples in canonical order: lexicographic in the (cardinality,
+    mask) order of their images, which on downsets is their rank order."""
+    return sorted(tables, key=lambda t: [(m.bit_count(), m) for m in t])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, lru_cache
+from itertools import chain
 from operator import and_
 
 from .errors import (
@@ -86,6 +87,19 @@ def _planes(blob: bytes, width: int, fields: int = 1) -> list[int]:
         digits = blob.translate(_bit_tables()[b & 7])
         out[b::width] = [int(digits[f * size + (b >> 3) :: stride], 2) for f in range(fields)]
     return out
+
+
+def _mask_planes(values: Sequence[Sequence[int]], width: int,
+                 fields: int) -> tuple[list[int], bool]:
+    """The planes of a batch of ``fields``-tuples of masks (:func:`_planes`),
+    no bit of a mask past ``width`` read, and whether they hold the batch
+    exactly: every mask in 0..2**width - 1."""
+    flat = list(chain.from_iterable(reversed(values)))
+    try:
+        blob, exact = _pack(flat, width), True
+    except (ValueError, OverflowError):  # a mask below 0 or past the width
+        blob, exact = _pack([m & (1 << width) - 1 for m in flat], width), False
+    return _planes(blob, width, fields), exact
 
 
 def _columns(planes: Sequence[int], w: int) -> list[int]:
@@ -326,10 +340,10 @@ class _Layout:
     * Topology planes, one per point p and sieve s on p, point after point:
       ``sieves[p]`` lists the sieves on p, ``index[p][s]`` is the plane,
       ``ranges[p]`` p's planes (the principal downset last), ``size`` their
-      number.  ``grow`` holds (s, s + a, a, cut of a) for each other s, a
-      the least minimal point of (down p) - s, larger sieves first; the cut
-      of b is (down p) - (up b).  ``stable`` and ``transitive`` list the cut
-      planes the topology plane check compares.
+      number.  ``grow`` holds (s, s + a, p * n + a, cut of a) for each
+      other s, a the least minimal point of (down p) - s, larger sieves
+      first; the cut of b is (down p) - (up b).  ``stable`` and
+      ``transitive`` list the cut planes the topology plane check compares.
     * Conversions: ``alt[p]`` is the first image planes of the cone of p
       and of the cone minus p, ``push`` the image plane (p in j(s)) of each
       topology plane (p, s), ``pull`` the topology plane (p, S & down p) of
@@ -361,7 +375,7 @@ class _Layout:
             cut.append({b: at[down[p] & ~up[b]] for b in cones[p]})
             for s in reversed(sieves[:-1]):
                 a = next(q for q in cones[p] if down[q] & ~s == 1 << q)
-                self.grow.append((at[s], at[s | 1 << a], a, cut[p][a]))
+                self.grow.append((at[s], at[s | 1 << a], p * n + a, cut[p][a]))
         self.size = size
         # b in m_q but not in m_p, for each cover q < p and b <= q
         self.stable = [(cut[q][b], cut[p][b]) for q, p in poset.covers() for b in cones[q]]
@@ -381,6 +395,15 @@ class _Layout:
         planes = [ones] * (self.d * n)
         for i, k, p in self.steps:
             planes[i * n : i * n + n] = map(and_, gens[p], planes[k * n : k * n + n])
+        return planes
+
+    def covering(self, outside: Sequence[int], ones: int) -> list[int]:
+        """The topology planes of J(p) = the sieves on p containing m_p,
+        ``outside[p * n + q]`` the plane of q not in m_p, along the grow
+        steps: s is in J(p) when s + a is and a is not in m_p."""
+        planes = [ones] * self.size
+        for t, grown, a, _ in self.grow:
+            planes[t] = planes[grown] & outside[a]
         return planes
 
 

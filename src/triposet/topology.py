@@ -10,13 +10,15 @@ A topology assigns to every point ``p`` a family J(p) of sieves on ``p``
 
 Families are stored per point as tuples of sieve masks in canonical order.
 Covering sieves are closed under intersection, so J(p) is the sieves on p
-above a least covering sieve m_p.  The enumeration searches these least
-covering sieves.  The validator checks one value sieve by sieve and names
-the first failure; :func:`_topology_fails` decides a whole batch of
-families at once on bit planes, reading the sieves and their planes off
-the poset's shared layout (:class:`poset._Layout`).  Like the nucleus
-module, this works from the axioms alone and is intentionally independent
-of any conversion routines, whose maps in the layout it never reads.
+above a least covering sieve m_p.  The search lists these generators of
+each topology, and the verifier reads that census; :func:`_families`
+expands a generator tuple into families.  The validator checks one value
+sieve by sieve and names the first failure; :func:`_topology_fails`
+decides a whole batch of families at once on bit planes, reading the
+sieves and their planes off the poset's shared layout
+(:class:`poset._Layout`).  Like the nucleus module, this works from the
+axioms alone and is intentionally independent of any conversion routines,
+whose maps in the layout it never reads.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ def _check_topology(
                     raise StabilityFailError(
                         poset.labels[p], poset.labels[q], DownSet._wrap(poset, s)
                     )
-    for p, sieves in enumerate(_layout(poset).sieves):
-        for r in sieves:
+    for p in range(poset.n):
+        for r in poset.sieve_masks(p):
             if r in fam_sets[p]:
                 continue
             # the points where r pulls back to a cover: r breaks
@@ -192,38 +194,30 @@ def _check_topology(
     return tuple(fam_masks)
 
 
-def _family_planes(poset: Poset, batch: Sequence[Sequence[tuple]]) -> tuple[list[int], bool]:
-    """The planes of a batch of families, the layout's plane ``index[p][s]``
-    with bit k when s is in ``batch[k][p]`` (other masks are not read), and
-    whether they hold the batch exactly: each family a canonical tuple of
-    sieves, planes ascending.  Each distinct family at a point is read once,
-    for all the values holding it."""
+def _family_planes(poset: Poset, batch: Sequence[Sequence[tuple]]) -> list[int]:
+    """The planes of a batch of families: the layout's plane ``index[p][s]``
+    has bit k when s is in ``batch[k][p]``; other masks are not read."""
     layout = _layout(poset)
-    planes, exact = [0] * layout.size, True
-    for at, column in zip(layout.index, zip(*batch)):
-        holders: dict[tuple, int] = {}  # bit k set when value k holds the family
-        for k, fam in enumerate(column):
-            holders[fam] = holders.get(fam, 0) | 1 << k
-        for fam, mask in holders.items():
-            last = -1
-            for t in map(at.get, fam):
-                if t is None:
-                    exact = False
-                else:
-                    exact = exact and t > last
-                    last = t
-                    planes[t] |= mask
-    return planes, exact
+    planes = [0] * layout.size
+    for k, families in enumerate(batch):
+        for at, fam in zip(layout.index, families):
+            for s in fam:
+                if s in at:
+                    planes[at[s]] |= 1 << k
+    return planes
 
 
-def _topology_fails(poset: Poset, planes: list[int], ones: int) -> int:
+def _topology_fails(poset: Poset, planes: list[int], ones: int,
+                    gens: list[int] | None = None) -> int:
     """Bit k set exactly when value k of a batch of families is not a
     topology; ``ones`` is the batch's all-ones plane.  With m_p the points
     whose cut is not in J(p), a value passes when each J(p) is the sieves
     containing m_p (a sieve is in J(p) exactly when the cuts of the points
     outside it are), m_q lies in m_p for each cover q < p, and each b in m_p
     lies in m_q for some q in m_p: the least-sieve form, stability and
-    transitivity of :func:`enumerate_topologies`, exactly the topologies."""
+    transitivity of :func:`_topology_generators`, exactly the topologies.
+    With ``gens``, plane p * n + q holding bit q of m_p, a value passes only
+    when each m_p is a sieve on p, and so the least sieve in J(p)."""
     layout = _layout(poset)
     want = [ones] * layout.size  # every cut of a point outside s is in J(p)
     for t, grown, _, cut in layout.grow:
@@ -236,6 +230,12 @@ def _topology_fails(poset: Poset, planes: list[int], ones: int) -> int:
         for q_in_p, b_in_q in pairs:
             alone &= planes[q_in_p] | planes[b_in_q]
         fails |= alone
+    if gens is not None:  # no point outside down p, no b without a for a cover a < b
+        n, covers = poset.n, poset.covers()
+        for p, top in enumerate(poset._down):
+            m = gens[p * n : p * n + n]
+            fails = reduce(or_, [m[q] for q in range(n) if not top >> q & 1], fails)
+            fails = reduce(or_, [m[b] & ~m[a] for a, b in covers], fails)
     return fails
 
 
@@ -249,7 +249,16 @@ def _require_topology_cap(poset: Poset, cap: int) -> None:
 def enumerate_topologies(
     poset: Poset, cap: int = DEFAULT_TOPOLOGY_CAP
 ) -> list[GrothendieckTopology]:
-    """Every Grothendieck topology on the poset, in canonical order.
+    """Every Grothendieck topology on the poset, in the order of its family
+    tuples, each expanded from its generators (the least sieves m_p)."""
+    _require_topology_cap(poset, cap)
+    families = sorted(_families(poset, _topology_generators(poset)))
+    return [GrothendieckTopology._wrap(poset, f) for f in families]
+
+
+def _topology_generators(poset: Poset) -> list[tuple[int, ...]]:
+    """The least covering sieves (m_p for each point p) of every topology,
+    in search order.
 
     Covering sieves are closed under intersection: if R and S cover p, then
     for each q in R the pullback of R & S to q is that of S, which covers q
@@ -269,32 +278,29 @@ def enumerate_topologies(
 
     Both conditions read only generators already chosen below p, so every
     assignment that reaches a leaf is a topology, and every topology is
-    reached once.
+    reached once.  A leaf keeps only its n generators; :func:`_families`
+    expands them.
     """
-    _require_topology_cap(poset, cap)
     n = poset.n
     down = poset._down
     order = sorted(range(n), key=lambda p: (down[p].bit_count(), p))
     below = [tuple(_bits(down[p] & ~(1 << p))) for p in range(n)]
-    # per point p, each sieve m on p with the sieves containing it and its
-    # points, None for down p
-    candidates = [tuple((m, tuple([s for s in sieves if not m & ~s]),
-                         tuple(_bits(m)) if m != down[p] else None) for m in sieves)
+    # per point p, each sieve m on p with its points, None for down p
+    candidates = [tuple((m, tuple(_bits(m)) if m != down[p] else None) for m in sieves)
                   for p, sieves in enumerate(_layout(poset).sieves)]
     gen = [0] * n
-    fams: list[tuple[int, ...]] = [()] * n
-    results: list[GrothendieckTopology] = []
+    found: list[tuple[int, ...]] = []
 
     def rec(idx: int) -> None:
         if idx == n:
-            results.append(GrothendieckTopology._wrap(poset, tuple(fams)))
+            found.append(tuple(gen))
             return
         p = order[idx]
         # stability: every m_q with q < p lies inside m_p exactly when their union does
         union = 0
         for q in below[p]:
             union |= gen[q]
-        for m, fam, points in candidates[p]:
+        for m, points in candidates[p]:
             if union & ~m:
                 continue
             if points is not None:
@@ -304,10 +310,16 @@ def enumerate_topologies(
                 if m & ~reach:
                     continue
             gen[p] = m
-            fams[p] = fam
             rec(idx + 1)
 
     rec(0)
     del rec  # it refers to itself; left bound, it would wait for the cyclic collector
-    results.sort(key=lambda t: t.families)
-    return results
+    return found
+
+
+def _families(poset: Poset, gens: Iterable[Sequence[int]]) -> list[tuple[tuple[int, ...], ...]]:
+    """The families of each generator tuple, in order: J(p) the sieves on p
+    containing m_p, of which only the bits in down p are read."""
+    sieves, down = _layout(poset).sieves, poset._down
+    return [tuple([tuple([s for s in at if not m & top & ~s])
+                   for m, at, top in zip(g, sieves, down)]) for g in gens]

@@ -30,15 +30,22 @@ bits below n of an image and the sieves of a family.  A public edge runs
 its kernel on a batch of one.
 
 :func:`verify_triangle` runs the whole law suite on one poset.  Counts come
-only from the independent enumerators, never from the conversions under
-test.  It runs the kernels on three batches (all subsets and the distinct
-values of each census) and validates each census batch once with the
-plane checks of :mod:`nucleus` and :mod:`topology`.  Every law passes when
-the planes hold both censuses exactly, both counts are 2^n, neither census
-repeats a value, both censuses validate and both sides of every roundtrip,
-commutation and extraction law are equal batches, because then the other
-laws follow:
+only from the independent enumerators' searches, never from the conversions
+under test, and each census stays in generators: T_p = j(M_p) of each
+nucleus and the least covering sieves m_p of each topology, n masks per
+value.  The distinct generator tuples are transposed once and lifted
+straight to planes, the images as the meets of the T_p and the families as
+the sieves containing the m_p.  The kernels run on three batches (all
+subsets and the two censuses), and the plane checks of :mod:`nucleus` and
+:mod:`topology` validate each census batch once, also flagging a value
+whose generators are not its own.  Every law passes when the planes hold
+both generator censuses exactly, both counts are 2^n, neither census
+repeats a generator tuple, both censuses validate and both sides of every
+roundtrip, commutation and extraction law are equal batches, because then
+the other laws follow:
 
+* distinct values: each validated value has its own generators, so T |-> j
+  and m |-> J are one-to-one on the censuses, which hold 2^n values each;
 * bijections: the subset roundtrip makes subset -> nucleus injective, the
   nucleus roundtrip puts every census value in its image, and the census
   holds 2^n distinct values, so the image is the census; likewise for
@@ -47,7 +54,8 @@ laws follow:
   validated, and by commutation the census of each corner maps onto the
   other's.
 
-Otherwise :func:`_law_by_law` finds each law's witness in the same
+Otherwise the censuses are expanded from the same generators, in canonical
+order, and :func:`_law_by_law` finds each law's witness in the same
 batches, comparing census values as listed; it runs no kernel.
 """
 
@@ -64,21 +72,26 @@ from .nucleus import (
     DEFAULT_NUCLEUS_CAP,
     Nucleus,
     _check_nucleus,
-    _image_planes,
+    _images,
+    _in_order,
     _nucleus_fails,
+    _nucleus_generators,
     _require_nucleus_cap,
-    enumerate_nuclei,
+    enumerate_nuclei,  # noqa: F401 -- looked up here by perfbench
     validate_nucleus,  # noqa: F401 -- looked up here by tests and perfbench
 )
-from .poset import Poset, Subset, _canonical, _columns, _Layout, _layout, _pack, _planes
+from .poset import (Poset, Subset, _canonical, _columns, _Layout, _layout, _mask_planes, _pack,
+                    _planes)
 from .topology import (
     DEFAULT_TOPOLOGY_CAP,
     GrothendieckTopology,
     _check_topology,
+    _families,
     _family_planes,
     _require_topology_cap,
     _topology_fails,
-    enumerate_topologies,
+    _topology_generators,
+    enumerate_topologies,  # noqa: F401 -- looked up here by perfbench
     validate_topology,  # noqa: F401 -- looked up here by tests and perfbench
 )
 
@@ -128,12 +141,8 @@ def _table_to_subset_via_topology(r: _Layout, planes: list[int], ones: int) -> l
 
 
 def _subset_to_families(r: _Layout, planes: list[int], ones: int) -> list[int]:
-    # s covers p when no point of X lies in (down p) - s; s + a adds one point
-    outside = [ones ^ x for x in planes]
-    covers = [ones] * r.size
-    for t, grown, a, _ in r.grow:
-        covers[t] = covers[grown] & outside[a]
-    return covers
+    # J(p) is the sieves on p containing X & (down p): m_p is X at every p
+    return r.covering([ones ^ x for x in planes] * r.n, ones)
 
 
 def _families_to_subset(r: _Layout, planes: list[int], ones: int) -> list[int]:
@@ -164,8 +173,8 @@ def _lower_families(r: _Layout, planes: list[int], w: int) -> list[Families]:
 
 _SUBSETS = (lambda r, xs: _planes(_pack(reversed(xs), r.n), r.n),
             lambda r, planes, w: _columns(planes, w))
-_TABLES = (lambda r, tables: _image_planes(r.poset, tables)[0], _lower_tables)
-_FAMILIES = (lambda r, batch: _family_planes(r.poset, batch)[0], _lower_families)
+_TABLES = (lambda r, tables: _mask_planes(tables, r.n, r.d)[0], _lower_tables)
+_FAMILIES = (lambda r, batch: _family_planes(r.poset, batch), _lower_families)
 
 
 def _on_one(kernel, source: tuple, target: tuple, poset: Poset, value):
@@ -297,10 +306,6 @@ _LAWS = (
 )
 
 
-def _law(name: str, witness: dict[str, Any] | None) -> LawResult:
-    return LawResult(name, witness is None, witness)
-
-
 def verify_triangle(
     poset: Poset,
     *,
@@ -325,16 +330,16 @@ def verify_triangle(
     _require_nucleus_cap(poset, nucleus_cap)
     _require_topology_cap(poset, topology_cap)
     n = poset.n
-    tables = [j.images for j in enumerate_nuclei(poset, cap=nucleus_cap)]
-    fams = [J.families for J in enumerate_topologies(poset, cap=topology_cap)]
-    counts = {"subsets": 1 << n, "nuclei": len(tables), "topologies": len(fams)}
+    Ts, ms = _nucleus_generators(poset), _topology_generators(poset)
+    counts = {"subsets": 1 << n, "nuclei": len(Ts), "topologies": len(ms)}
 
     r = _layout(poset)
-    nuclei, topologies = list(dict.fromkeys(tables)), list(dict.fromkeys(fams))
+    gens = list(dict.fromkeys(Ts)), list(dict.fromkeys(ms))
     xs = _SUBSETS[0](r, range(1 << n))
-    (js, exact_js), (Js, exact_Js) = (_image_planes(poset, nuclei),
-                                      _family_planes(poset, topologies))
-    ones, on, ot = ((1 << w) - 1 for w in (1 << n, len(nuclei), len(topologies)))
+    (T, exact_T), (m, exact_m) = (_mask_planes(g, n, n) for g in gens)
+    ones, on, ot = ((1 << w) - 1 for w in (1 << n, *map(len, gens)))
+    js = r.meets([T[p * n : p * n + n] for p in range(n)], on)
+    Js = r.covering([ot ^ x for x in m], ot)
     s2n, s2t = _subset_to_table(r, xs, ones), _subset_to_families(r, xs, ones)
     n2s, n2t = _table_to_subset(r, js, on), _table_to_families(r, js, on)
     alt, via = _table_to_subset_alt(r, js, on), _table_to_subset_via_topology(r, js, on)
@@ -353,14 +358,16 @@ def verify_triangle(
         (_families_to_subset(r, n2t, on), via),
     )
     if (
-        exact_js and exact_Js
-        and len(tables) == len(nuclei) == len(fams) == len(topologies) == 1 << n
-        and not _nucleus_fails(poset, js, on) and not _topology_fails(poset, Js, ot)
+        exact_T and exact_m
+        and len(Ts) == len(gens[0]) == len(ms) == len(gens[1]) == 1 << n
+        and not _nucleus_fails(poset, js, on, T) and not _topology_fails(poset, Js, ot, m)
         and all(a == b for a, b in sides)
     ):
         laws = tuple(LawResult(name, True) for name in _LAWS)
     else:
-        laws = _law_by_law(r, tables, fams, (nuclei, topologies), sides, (s2n, s2t, n2t, t2n))
+        lanes = _images(poset, gens[0]), _families(poset, gens[1])
+        tables, fams = _in_order(_images(poset, Ts)), sorted(_families(poset, ms))
+        laws = _law_by_law(r, tables, fams, lanes, sides, (s2n, s2t, n2t, t2n))
     return TriangleReport(
         poset=poset,
         directed=poset.is_downward_directed(),
@@ -483,4 +490,4 @@ def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, sides: tu
         validity(N, T, n2t),
         validity(T, N, t2n),
     )
-    return tuple(map(_law, _LAWS, witnesses))
+    return tuple(LawResult(name, w is None, w) for name, w in zip(_LAWS, witnesses))

@@ -86,7 +86,7 @@ def check_layout(poset):
     for p in range(n):
         for s in reversed(sieves[p][:-1]):
             a = min(minimal_outside(s, down[p]))
-            grow.append((plane[p, s], plane[p, s | 1 << a], a, cut(p, a)))
+            grow.append((plane[p, s], plane[p, s | 1 << a], p * n + a, cut(p, a)))
     assert list(layout.grow) == grow
     assert list(layout.stable) == [
         (cut(q, b), cut(p, b)) for q, p in covers for b in points[down[q]]]

@@ -3,9 +3,11 @@
 The nucleus enumerator searches the values on the meet-irreducible
 downsets, the topology enumerator chooses the least covering sieve of each
 point, and both validators test membership through the poset's rank dict.
-These tests hold them to the pre-rewrite code: the same nucleus and
-topology lists in the same order, and for every one-entry change of a valid
-table or family set, the same exception with the same message and
+Each search lists 2^n distinct generator tuples, each its value's own,
+which expand in canonical order to the reference census, past the default
+caps too.  These tests hold them to the pre-rewrite code: the same nucleus
+and topology lists in the same order, and for every one-entry change of a
+valid table or family set, the same exception with the same message and
 witnesses, or the same accepted value.  The validators' mask cores, which
 ``verify_triangle`` calls, are held to the public validators on the same
 changes, and both cores accept every census value, past the default caps
@@ -40,9 +42,9 @@ from triposet import (
     validate_topology,
 )
 from triposet.errors import NotMeetPreservingError, TriposetError
-from triposet.nucleus import _check_nucleus
+from triposet.nucleus import _check_nucleus, _images, _in_order, _nucleus_generators
 from triposet.poset import _bits
-from triposet.topology import _check_topology
+from triposet.topology import _check_topology, _families, _topology_generators
 
 
 def chain(n):
@@ -111,6 +113,38 @@ def test_enumerated_nuclei_match_the_reference_in_order():
 )
 def test_large_nucleus_lists_match_the_reference_in_order(poset, cap):
     _nucleus_lists_match(poset, cap)
+
+
+def generator_posets():
+    """All labeled posets with n <= 4, every 10th labeled n = 5 poset, and
+    chain10, antichain7 and the cube, which are past the default caps."""
+    for n in range(5):
+        yield from enumerate_posets(n)
+    for i, poset in enumerate(enumerate_posets(5, cap=5)):
+        if i % 10 == 0:
+            yield poset
+    yield from (chain(10), build_poset([f"a{i}" for i in range(7)]), cube())
+
+
+def test_the_generator_searches_expand_to_the_reference_censuses():
+    """Each search lists 2^n distinct generator tuples, each that of its
+    value (T_p = j(M_p), m_p the least sieve in J(p)), and expanding them
+    in canonical order gives the reference's census."""
+    checked = 0
+    for poset in generator_posets():
+        n, full, up = poset.n, poset.full_mask, poset._up
+        rank = poset._downset_ranks()
+        Ts, ms = _nucleus_generators(poset), _topology_generators(poset)
+        assert len(set(Ts)) == len(Ts) == 1 << n
+        assert len(set(ms)) == len(ms) == 1 << n
+        tables, fams = _images(poset, Ts), _families(poset, ms)
+        assert all(t[rank[full & ~up[p]]] == T[p] for T, t in zip(Ts, tables) for p in range(n))
+        assert all(f[p][0] == m[p] for m, f in zip(ms, fams) for p in range(n))
+        cap = len(poset.downset_masks())
+        assert _in_order(tables) == [j.images for j in reference_enumerate_nuclei(poset, cap=cap)]
+        assert sorted(fams) == [J.families for J in reference_enumerate_topologies(poset, cap=n)]
+        checked += 1
+    assert checked == 243 + 424 + 3
 
 
 @pytest.mark.parametrize("n", range(6))

@@ -2,13 +2,16 @@
 
 A batch of values is held as planes, one int per bit of a value.  The
 transposes round-trip each corner's values for every poset size from 0 to
-10, and a lift reads only the bits and sieves its planes hold, saying
-whether that is all of the batch; the family lift gives the per-bit planes
-however the families of a batch repeat.  The plane checks of ``nucleus.py`` and
-``topology.py`` set bit k of their "fails" mask exactly when the
-axiom-by-axiom witness scan raises on value k: on random batches of broken
-values, on every one-entry change of the nuclei and topologies of small
-posets, and on every census value of the posets with n <= 4.
+10, and a lift reads only the bits and sieves its planes hold (the mask
+lift saying whether that is all of the batch); the family lift gives the
+per-bit planes however the families of a batch repeat.  The plane checks of
+``nucleus.py`` and ``topology.py`` set bit k of their "fails" mask exactly
+when the axiom-by-axiom witness scan raises on value k: on random batches
+of broken values, on every one-entry change of the nuclei and topologies of
+small posets, and on every census value of the posets with n <= 4.  The
+planes ``verify_triangle`` lifts from generator tuples hold the values the
+tuples expand to, and with the generator planes each check also flags a
+value whose generators are not its own.
 """
 
 import random
@@ -23,9 +26,11 @@ from triposet import (
     build_poset, enumerate_nuclei, enumerate_posets, enumerate_topologies, triangle,
 )
 from triposet.errors import TriposetError
-from triposet.nucleus import _check_nucleus, _image_planes, _nucleus_fails
-from triposet.poset import _layout
-from triposet.topology import _check_topology, _family_planes, _topology_fails
+from triposet.nucleus import _check_nucleus, _images, _nucleus_fails, _nucleus_generators
+from triposet.poset import _layout, _mask_planes
+from triposet.topology import (
+    _check_topology, _families, _family_planes, _topology_fails, _topology_generators,
+)
 
 
 def random_poset(n, rng):
@@ -38,6 +43,11 @@ def random_poset(n, rng):
 def chain(n):
     labels = [f"c{i}" for i in range(n)]
     return build_poset(labels, list(zip(labels, labels[1:])))
+
+
+def _image_planes(poset, tables):
+    """The image planes of a batch of image tuples, and whether they hold it exactly."""
+    return _mask_planes(tables, poset.n, len(poset.downset_masks()))
 
 
 def family_planes_by_bit(poset, batch):
@@ -87,7 +97,6 @@ def test_a_lift_reads_only_what_the_planes_hold_and_says_so(poset, cap):
         assert not exact
         assert planes == _image_planes(poset, [tuple(m & full for m in t) for t in batch])[0]
     topologies = [J.families for J in enumerate_topologies(poset, cap=n)]
-    assert _family_planes(poset, topologies)[1]
     sieves = [set(poset.sieve_masks(p)) for p in range(n)]
     for change in (
         lambda f: ((*f[0], full), *f[1:]),  # not a sieve on the least point
@@ -95,11 +104,10 @@ def test_a_lift_reads_only_what_the_planes_hold_and_says_so(poset, cap):
         lambda f: tuple((*fam, fam[0]) for fam in f),
     ):
         batch = [*topologies[:2], change(topologies[2]), *topologies[3:]]
-        planes, exact = _family_planes(poset, batch)
-        assert not exact
         held = [tuple(sorted(set(fam) & at, key=lambda m: (m.bit_count(), m)))
                 for fam, at in zip(batch[2], sieves)]
-        assert planes == _family_planes(poset, [*batch[:2], tuple(held), *batch[3:]])[0]
+        assert _family_planes(poset, batch) == _family_planes(
+            poset, [*batch[:2], tuple(held), *batch[3:]])
 
 
 ZIGZAG = build_poset("abcd", [("a", "c"), ("b", "c"), ("b", "d")])
@@ -108,8 +116,8 @@ ZIGZAG = build_poset("abcd", [("a", "c"), ("b", "c"), ("b", "d")])
 @pytest.mark.parametrize("poset", [chain(4), ZIGZAG], ids=["chain4", "zigzag"])
 def test_a_lift_reads_each_distinct_family_for_every_value_holding_it(poset):
     """Families repeat across values, as one tuple object and as equal but
-    distinct tuples; the lift groups values by family, so each grouping must
-    give the per-bit planes, with ``exact`` as the per-bit rule says."""
+    distinct tuples; the lift gives each value holding a family its bit, as
+    the per-bit rule says."""
     topologies = [J.families for J in enumerate_topologies(poset)]
     first, second = topologies[0], max(topologies, key=lambda f: sum(map(len, f)))
     copy = tuple(tuple(list(fam)) for fam in second)
@@ -123,9 +131,7 @@ def test_a_lift_reads_each_distinct_family_for_every_value_holding_it(poset):
         [*topologies, *topologies[::-1]],
         [reversed_, first, reversed_, tuple(tuple(reversed(fam)) for fam in second)],
     ):
-        assert _family_planes(poset, batch) == family_planes_by_bit(poset, batch)
-    assert not _family_planes(poset, [first, reversed_])[1]
-    assert _family_planes(poset, [first, first])[1]
+        assert _family_planes(poset, batch) == family_planes_by_bit(poset, batch)[0]
 
 
 def _raises(check, poset, value):
@@ -152,7 +158,10 @@ def check_nuclei(poset, batch):
 
 
 def check_topologies(poset, batch):
-    return _check_batch(_topology_fails, _family_planes, _check_topology, poset, batch)
+    def planes_of(poset, batch):
+        return _family_planes(poset, batch), family_planes_by_bit(poset, batch)[1]
+
+    return _check_batch(_topology_fails, planes_of, _check_topology, poset, batch)
 
 
 @st.composite
@@ -238,3 +247,68 @@ def test_every_census_value_passes_both_plane_checks():
             topologies = [J.families for J in enumerate_topologies(poset)]
             assert check_nuclei(poset, nuclei) == {None: 1 << n}
             assert check_topologies(poset, topologies) == {None: 1 << n}
+
+
+def generator_planes(poset, gens, ones):
+    """What ``verify_triangle`` lifts from a batch of generator tuples: the
+    n * n generator planes, the meets of the T_p and the sieves containing
+    the m_p."""
+    r, n = _layout(poset), poset.n
+    planes = _mask_planes(gens, n, n)[0]
+    return (planes, r.meets([planes[p * n : p * n + n] for p in range(n)], ones),
+            r.covering([ones ^ x for x in planes], ones))
+
+
+@st.composite
+def generator_batches(draw, stray=False):
+    """A poset and a batch of generator tuples: those of the census values
+    of either search, with one generator changed to any mask (any int with
+    ``stray``), and random tuples."""
+    poset = draw(posets(max_n=4))
+    census = _nucleus_generators(poset) + _topology_generators(poset)
+    masks = st.integers(-4, 1 << 9) if stray else st.integers(0, poset.full_mask)
+    batch = []
+    for _ in range(draw(st.integers(1, 12))):
+        gens = list(draw(st.sampled_from(census)))
+        how = draw(st.sampled_from(["census", "one", "random"]))
+        if poset.n and how == "one":
+            gens[draw(st.integers(0, poset.n - 1))] = draw(masks)
+        elif how == "random":
+            gens = [draw(masks) for _ in gens]
+        batch.append(tuple(gens))
+    return poset, batch
+
+
+@given(generator_batches(stray=True))
+@settings(max_examples=150, deadline=None)
+def test_the_generator_planes_hold_what_the_expansions_list(case):
+    """The image and family planes lifted from generators lower to the
+    values the law-by-law path lists for them, for any ints."""
+    poset, batch = case
+    r, w = _layout(poset), len(batch)
+    _, images, families = generator_planes(poset, batch, (1 << w) - 1)
+    assert triangle._lower_tables(r, images, w) == _images(poset, batch)
+    assert triangle._lower_families(r, families, w) == _families(poset, batch)
+
+
+@given(generator_batches())
+@settings(max_examples=150, deadline=None)
+def test_the_plane_checks_on_generators_flag_what_is_not_a_value_s_generators(case):
+    """With the generator planes, a value is flagged exactly when the scan
+    rejects its expansion or its generators are not its own: j(M_p) is not
+    T_p, or m_p is not a sieve on p (and so not the least sieve in J(p))."""
+    poset, batch = case
+    n, full, up, down = poset.n, poset.full_mask, poset._up, poset._down
+    rank, dmasks = poset._downset_ranks(), set(poset.downset_masks())
+    ones = (1 << len(batch)) - 1
+    gens, images, families = generator_planes(poset, batch, ones)
+    fails = _nucleus_fails(poset, images, ones, gens)
+    for k, (T, table) in enumerate(zip(batch, _images(poset, batch))):
+        own = all(table[rank[full & ~up[p]]] == T[p] for p in range(n))
+        rejected = _raises(_check_nucleus, poset, table) is not None
+        assert bool(fails >> k & 1) == (not own or rejected)
+    fails = _topology_fails(poset, families, ones, gens)
+    for k, (m, fams) in enumerate(zip(batch, _families(poset, batch))):
+        own = all(m[p] in dmasks and not m[p] & ~down[p] for p in range(n))
+        rejected = _raises(_check_topology, poset, fams) is not None
+        assert bool(fails >> k & 1) == (not own or rejected)

@@ -12,10 +12,12 @@ from triposet import (
     PosetMismatchError,
     StabilityFailError,
     TransitivityFailError,
+    TriposetError,
     build_poset,
     enumerate_topologies,
     validate_topology,
 )
+from triposet.poset import _Layout, _layout
 
 
 def smallest_families(poset):
@@ -196,6 +198,44 @@ class TestEnumerate:
         with pytest.raises(CapExceededError):
             enumerate_topologies(chain3, cap=2)
         assert len(enumerate_topologies(chain3, cap=3)) == 8
+
+
+def test_validation_builds_no_layout(chain2, chain3, singleton, antichain2, monkeypatch):
+    """The validator reads the sieves off the poset, not off the engine's
+    layout, so on a poset with no layout cached it builds none, accepting
+    each valid topology and raising the first error of each bad one as it
+    does with the layout built."""
+    down, sub = chain2.downset, chain2.subset
+    top = chain2.principal_downset
+    cases = [
+        (chain3, smallest_families(chain3)),
+        (chain3, largest_families(chain3)),
+        (chain2, [[top(0)], [down([]), top(1)]]),  # stability
+        (chain2, [[top(0)], [sub("b"), top(1)]]),  # not a sieve
+        (chain2, [[down("ab"), top(0)], [top(1)]]),  # not below its point
+        (singleton, [[singleton.downset([])]]),  # no maximal sieve
+        (chain2, [[down([]), top(0)], [down("a"), top(1)]]),  # transitivity
+        (chain2, [[antichain2.downset("a")], [top(1)]]),  # foreign
+        (chain2, [[sub("b")], [antichain2.downset("a")]]),  # not a sieve, then foreign
+    ]
+
+    def outcome(poset, families):
+        try:
+            return "ok", validate_topology(poset, families).families
+        except (TriposetError, ValueError) as exc:
+            return type(exc), str(exc), vars(exc)
+
+    want = [outcome(*case) for case in cases]
+    assert [w[0] for w in want] == ["ok", "ok", StabilityFailError, NotASieveError,
+                                    NotASieveError, MissingMaximalError, TransitivityFailError,
+                                    PosetMismatchError, NotASieveError]
+
+    def never(*args):
+        raise AssertionError("built a layout")
+
+    _layout.cache_clear()
+    monkeypatch.setattr(_Layout, "__init__", never)
+    assert [outcome(*case) for case in cases] == want
 
 
 @pytest.mark.parametrize(

@@ -11,16 +11,21 @@ of one, and each kernel reads only the edge table it is handed.  A fault is
 injected into a kernel by lowering its batch to values, changing one value
 and lifting the batch again.  A fault in any kernel sends the poset to the
 law-by-law path, and a broken kernel fails ``verify --max-n`` the same
-way; a short enumeration fails the census laws, and a census value the
-planes do not hold exactly (an image out of range, a family that is not a
-canonical tuple of sieves) is compared as listed, off the planes.  The
-law-by-law path runs no kernel: it reads every conversion from the batches
-the plane check computed, so a kernel output outside the census travels
-only in the batches of the laws that read it, and a non-nucleus that two
-edges output is scanned once; a value a plane check flags but its
-validator accepts is an error, not a pass.  A census that lists a nucleus twice is
-reported as the reference reports it, and neither a run nor a poset
-stream leaves anything for the cyclic collector.  An oversize job is
+way.  A census fault is injected as generator tuples through the engine's
+generator globals, the reference reading the values they expand to: a
+short census fails the census laws, generators that are not their
+value's own (out of range, not monotone, without M_p, not a downset, an
+m_p that is not a sieve on p) are not decided on planes, and a listed
+value the planes do not hold (an image out of range, a family that is not
+a canonical tuple of sieves) is compared as listed, off the planes.  A
+passing verify builds no census object.  The law-by-law path runs no
+kernel: it reads every conversion from the batches the plane check
+computed, so a kernel output outside the census travels only in the
+batches of the laws that read it, and a non-nucleus that two edges output
+is scanned once; a value a plane check flags but its validator accepts is
+an error, not a pass.  A census that lists a value twice is reported as
+the reference reports it, and neither a run nor a poset stream leaves
+anything for the cyclic collector.  An oversize job is
 refused before anything is enumerated.
 """
 
@@ -49,7 +54,7 @@ from triposet import (
     topology,
     triangle,
 )
-from triposet.errors import CapExceededError
+from triposet.errors import CapExceededError, ImageNotDownsetError
 from triposet.poset import _Layout, _layout
 
 # public edge -> (kernel, class of the argument, class of the result)
@@ -414,22 +419,18 @@ def test_a_passing_verify_builds_no_subsets(diamond, monkeypatch):
     assert triangle.verify_triangle(diamond).all_passed
 
 
-def test_a_passing_verify_wraps_each_enumerated_nucleus_once(diamond, monkeypatch):
-    wrapped = []
-    wrap = Nucleus._wrap
+def test_a_passing_verify_builds_no_nucleus_and_no_topology(diamond, monkeypatch):
+    """The censuses stay generator tuples: no value is expanded into an
+    object, checked or trusted, on the way to an all-pass report."""
+    def never(*args):
+        raise AssertionError(f"built a census object from {args[-1]}")
 
-    def counting(cls, poset, images):
-        wrapped.append(images)
-        return wrap(poset, images)
-
-    def never(self, poset, images):
-        raise AssertionError(f"checked Nucleus {images}")
-
-    monkeypatch.setattr(Nucleus, "_wrap", classmethod(counting))
-    monkeypatch.setattr(Nucleus, "__init__", never)
+    for cls in (Nucleus, GrothendieckTopology):
+        monkeypatch.setattr(cls, "_wrap", classmethod(never))
+        monkeypatch.setattr(cls, "__init__", never)
     report = triangle.verify_triangle(diamond)
     assert report.all_passed
-    assert len(wrapped) == report.counts["nuclei"]
+    assert report.counts == {"subsets": 16, "nuclei": 16, "topologies": 16}
 
 
 def _break_nucleus_to_subset_on_two_points(monkeypatch):
@@ -467,14 +468,38 @@ def test_a_failing_sweep_reports_each_failure_and_exits_1(monkeypatch, capsys):
     assert data["failures"] == json.loads(json.dumps(want))
 
 
+# census -> (generator global in ``triangle``, expansion in search order,
+# canonical order, class, public enumerator the reference reads)
+CENSUSES = {
+    "nuclei": ("_nucleus_generators", nucleus._images, nucleus._in_order, Nucleus,
+               "enumerate_nuclei"),
+    "topologies": ("_topology_generators", topology._families, sorted, GrothendieckTopology,
+                   "enumerate_topologies"),
+}
+
+
+def _census(monkeypatch, which, change):
+    """Make the generator census of ``which`` list ``change(gens)``, ``gens``
+    being its generator tuples in the canonical order of their values.  The
+    engine reads it through its generator global, and the reference reads
+    the values it expands to, in canonical order, as the public census."""
+    search, expand, order, cls, public = CENSUSES[which]
+    original = getattr(triangle, search)
+
+    def census(poset):
+        gens = original(poset)
+        value = dict(zip(expand(poset, gens), gens))
+        return change([value[v] for v in order(value)])
+
+    def listed(poset, cap):
+        return [cls._wrap(poset, v) for v in order(expand(poset, census(poset)))]
+
+    monkeypatch.setattr(triangle, search, census)
+    monkeypatch.setattr(reference_triangle, public, listed)
+
+
 def test_a_short_nucleus_census_fails_the_count_and_the_bijection(diamond, monkeypatch):
-    original = triangle.enumerate_nuclei
-
-    def short(poset, cap):
-        return original(poset, cap=cap)[:-1]
-
-    monkeypatch.setattr(triangle, "enumerate_nuclei", short)
-    monkeypatch.setattr(reference_triangle, "enumerate_nuclei", short)
+    _census(monkeypatch, "nuclei", lambda gens: gens[:-1])
     engine = triangle.verify_triangle(diamond)
     assert {law.name: law.witness for law in engine.laws if not law.passed} == {
         "nucleus_count": {"expected": 16, "got": 15},
@@ -484,18 +509,10 @@ def test_a_short_nucleus_census_fails_the_count_and_the_bijection(diamond, monke
     assert_pinned("short_census", engine)
 
 
-def _in_census(monkeypatch, enumerator, k, change):
-    """Make ``enumerator`` list ``change`` of the raw k-th value in its place,
-    for the engine and the reference alike."""
-    original = getattr(triangle, enumerator)
-
-    def census(poset, cap):
-        found = original(poset, cap=cap)
-        found[k] = type(found[k])._wrap(poset, change(_raw(found[k])))
-        return found
-
-    monkeypatch.setattr(triangle, enumerator, census)
-    monkeypatch.setattr(reference_triangle, enumerator, census)
+def _in_census(monkeypatch, which, k, change):
+    """Make the census of ``which`` list ``change`` of the k-th generator
+    tuple in its place, for the engine and the reference alike."""
+    _census(monkeypatch, which, lambda gens: [*gens[:k], change(gens[k]), *gens[k + 1:]])
 
 
 def _law_by_law_runs(monkeypatch):
@@ -511,6 +528,86 @@ def _law_by_law_runs(monkeypatch):
 
 
 STRAYS = {"bit_n": 1 << 4, "bit_8": 1 << 8, "negative": -1}
+
+
+def _first(which, test, change):
+    """Change the first generator tuple (in the canonical order of the
+    values) that passes ``test``."""
+    def census(gens):
+        k = next(k for k, g in enumerate(gens) if test(g))
+        return [*gens[:k], change(gens[k]), *gens[k + 1:]]
+
+    return lambda m: _census(m, which, census)
+
+
+# name -> (poset, fault); on the diamond o < a, b < t, points 0..3, the
+# meet-irreducibles are M_o = {}, M_a = {o, b}, M_b = {o, a} and M_t = {o, a, b}
+GENERATOR_FAULTS = {
+    # T_a = {} on the antichain a, b, without M_a = {b}; the meet at M_a is T_a
+    "t_without_m": ("antichain2", _first("nuclei", lambda T: True, lambda T: (0, T[1]))),
+    # T_a = P above T_t = M_t: the meet at M_a is M_t, not T_a
+    "t_not_monotone": ("diamond", _first("nuclei", lambda T: T[3] == 0b0111 and T[1] != 0b1111,
+                                         lambda T: (T[0], 0b1111, *T[2:]))),
+    "t_bit_n": ("diamond", _first("nuclei", lambda T: True, lambda T: (T[0] | 1 << 4, *T[1:]))),
+    "t_negative": ("diamond", _first("nuclei", lambda T: True, lambda T: (-1, *T[1:]))),
+    # m_o = {o, a}, a downset outside down o = {o}; J(o) reads only {o}
+    "m_outside_its_cone": ("diamond", _first("topologies", lambda m: m[0] == 0b0001,
+                                             lambda m: (0b0011, *m[1:]))),
+    # m_t = {a} in place of {o, a}: the same sieves on t contain both
+    "m_not_a_downset": ("diamond", _first("topologies", lambda m: m[3] == 0b0011,
+                                          lambda m: (*m[:3], 0b0010))),
+}
+
+
+@pytest.mark.parametrize("poset_name, case", GENERATOR_FAULTS.values(), ids=GENERATOR_FAULTS)
+def test_a_census_generator_fault_is_not_decided_on_planes(request, monkeypatch, poset_name,
+                                                           case):
+    """Generator tuples that are not those of their values go to the
+    law-by-law path, whose report is the reference's on the values they
+    expand to."""
+    poset = request.getfixturevalue(poset_name)
+    case(monkeypatch)
+    runs = _law_by_law_runs(monkeypatch)
+    engine = triangle.verify_triangle(poset)
+    assert runs == [poset]
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(poset))
+
+
+def test_a_generator_that_is_not_a_downset_is_not_decided_on_planes(diamond, monkeypatch):
+    """T_a = {o, b, t} under T_t = P: t without a, and the meet at M_a is
+    T_a, so only the downset check on the T_p flags it.  Its value has an
+    image that is not a downset, which the reference cannot report: its
+    topology -> nucleus edge raises on the nucleus roundtrip."""
+    _first("nuclei", lambda T: T[3] == 0b1111, lambda T: (T[0], 0b1101, *T[2:]))(monkeypatch)
+    runs = _law_by_law_runs(monkeypatch)
+    engine = triangle.verify_triangle(diamond)
+    assert runs == [diamond]
+    assert _failing(engine) == ["nucleus_roundtrip", "nucleus_bijection",
+                                "nucleus_to_topology_valid"]
+    with pytest.raises(ImageNotDownsetError):
+        reference_verify_triangle(diamond)
+
+
+def _listed_off_the_planes(monkeypatch, which, k, change):
+    """List ``change`` of the k-th value of ``which`` in place of the value,
+    in the engine's law-by-law path and in the reference, while the planes
+    hold the value itself, as they hold no generators for such a change.  A
+    bit past n in the value's first generator, which its expansion does not
+    read, sends the engine to that path."""
+    search, expand, order, cls, public = CENSUSES[which]
+    _in_census(monkeypatch, which, k, lambda g: (g[0] | 1 << 8, *g[1:]))
+
+    def listed(poset, gens):
+        return [change(v) if g[0] >> 8 else v for g, v in zip(gens, expand(poset, gens))]
+
+    def census(poset, cap):
+        values = listed(poset, getattr(triangle, search)(poset))
+        return [cls._wrap(poset, v) for v in order(values)]
+
+    monkeypatch.setattr(triangle, expand.__name__, listed)
+    monkeypatch.setattr(reference_triangle, public, census)
+
+
 FAMILY_CHANGES = {
     "non_sieve": lambda f: (f[0], (*f[1], 0b0100), *f[2:]),  # {b} is not a sieve on a
     "out_of_order": lambda f: tuple(tuple(reversed(fam)) for fam in f),
@@ -522,7 +619,8 @@ def _image_out_of_range(monkeypatch, stray):
     # the planes hold only bits 0..n-1 of an image, so this nucleus is not
     # held exactly; the laws compare it as listed.  A nucleus is shown by its
     # raw images here, since a bit outside the poset has no label to show.
-    _in_census(monkeypatch, "enumerate_nuclei", 5, lambda t: (t[0] | stray, *t[1:]))
+    # bits below n are left alone: an image off the meet formula has no generators
+    _listed_off_the_planes(monkeypatch, "nuclei", 5, lambda t: (t[0] | stray & ~0b1111, *t[1:]))
     monkeypatch.setattr(Nucleus, "to_jsonable", lambda j: list(j.images))
 
 
@@ -538,7 +636,7 @@ def test_a_census_image_out_of_range_is_not_decided_on_planes(diamond, monkeypat
 
 @pytest.mark.parametrize("change", FAMILY_CHANGES.values(), ids=FAMILY_CHANGES)
 def test_a_census_family_not_held_exactly_is_not_decided_on_planes(diamond, monkeypatch, change):
-    _in_census(monkeypatch, "enumerate_topologies", 5, change)
+    _listed_off_the_planes(monkeypatch, "topologies", 5, change)
     runs = _law_by_law_runs(monkeypatch)
     engine = triangle.verify_triangle(diamond)
     assert runs == [diamond]
@@ -557,10 +655,11 @@ def _verify_recording_calls(poset, monkeypatch):
     calls = Counter()
     sources = {kernel: source for kernel, source, _ in EDGES.values()}
     for name, source in (*sources.items(), *PLANE_CHECKS.items()):
-        def on_batch(r, planes, ones, name=name, fn=getattr(triangle, name), source=source):
+        def on_batch(r, planes, ones, *gens, name=name, fn=getattr(triangle, name),
+                     source=source):
             table = r if isinstance(r, triangle._Layout) else triangle._layout(r)
             calls[name, tuple(KINDS[source][1](table, planes, ones.bit_length()))] += 1
-            return fn(r, planes, ones)
+            return fn(r, planes, ones, *gens)
 
         monkeypatch.setattr(triangle, name, on_batch)
     for name in CORES:
@@ -638,24 +737,34 @@ def test_a_non_topology_from_an_edge_is_read_only_by_the_laws_that_need_it(diamo
 @pytest.mark.parametrize(
     "census, failing",
     [
-        (lambda found: [*found, found[5]], ["nucleus_count"]),
-        (lambda found: [*found[:-1], found[5]], ["nucleus_bijection"]),
+        (lambda gens: [*gens, gens[5]], ["nucleus_count"]),
+        (lambda gens: [*gens[:-1], gens[5]], ["nucleus_bijection"]),
     ],
     ids=["added", "in_place_of_the_last"],
 )
 def test_a_nucleus_listed_twice_by_the_census(diamond, monkeypatch, census, failing):
-    original = triangle.enumerate_nuclei
-
-    def twice(poset, cap):
-        return census(original(poset, cap=cap))
-
-    monkeypatch.setattr(triangle, "enumerate_nuclei", twice)
-    monkeypatch.setattr(reference_triangle, "enumerate_nuclei", twice)
+    _census(monkeypatch, "nuclei", census)
     engine, calls = _verify_recording_calls(diamond, monkeypatch)
     assert max(calls.values()) == 1
     assert _failing(engine) == failing
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
     assert_pinned(f"nucleus_twice_{failing[0]}", engine)
+
+
+@pytest.mark.parametrize(
+    "census, failing",
+    [
+        (lambda gens: [*gens, gens[5]], ["topology_count"]),
+        (lambda gens: [*gens[:-1], gens[5]], ["topology_bijection"]),
+    ],
+    ids=["added", "in_place_of_the_last"],
+)
+def test_a_topology_listed_twice_by_the_census(diamond, monkeypatch, census, failing):
+    _census(monkeypatch, "topologies", census)
+    engine, calls = _verify_recording_calls(diamond, monkeypatch)
+    assert max(calls.values()) == 1
+    assert _failing(engine) == failing
+    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
 @pytest.mark.parametrize(
@@ -757,8 +866,10 @@ FALLBACKS = {
     "non_topology_output": _non_topology_output,
     **{f"image_{name}": lambda p, m, stray=stray: _image_out_of_range(m, stray)
        for name, stray in STRAYS.items()},
-    **{f"family_{name}": lambda p, m, change=change: _in_census(m, "enumerate_topologies", 5, change)
+    **{f"family_{name}": lambda p, m, change=change: _listed_off_the_planes(m, "topologies", 5,
+                                                                            change)
        for name, change in FAMILY_CHANGES.items()},
+    "generator_t_not_monotone": lambda p, m: GENERATOR_FAULTS["t_not_monotone"][1](m),
 }
 
 
@@ -815,8 +926,9 @@ def test_oversize_jobs_are_refused_before_any_enumeration(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("enumerated before the caps were checked")
 
-    monkeypatch.setattr(triangle, "enumerate_nuclei", never)
-    monkeypatch.setattr(triangle, "enumerate_topologies", never)
+    for search in ("enumerate_nuclei", "enumerate_topologies", "_nucleus_generators",
+                   "_topology_generators"):
+        monkeypatch.setattr(triangle, search, never)
     monkeypatch.setattr(triangle.Poset, "subsets", never)
     # 7 downsets fit the nucleus cap; 6 elements exceed the topology cap 5
     with pytest.raises(
