@@ -340,10 +340,8 @@ class _Layout:
     * Topology planes, one per point p and sieve s on p, point after point:
       ``sieves[p]`` lists the sieves on p, ``index[p][s]`` is the plane,
       ``ranges[p]`` p's planes (the principal downset last), ``size`` their
-      number.  ``grow`` holds (s, s + a, p * n + a, cut of a) for each
-      other s, a the least minimal point of (down p) - s, larger sieves
-      first; the cut of b is (down p) - (up b).  ``stable`` and
-      ``transitive`` list the cut planes the topology plane check compares.
+      number.  ``grow`` holds (s, s + a, p * n + a) for each other s, a
+      the least minimal point of (down p) - s, larger sieves first.
     * Conversions: ``alt[p]`` is the first image planes of the cone of p
       and of the cone minus p, ``push`` the image plane (p in j(s)) of each
       topology plane (p, s), ``pull`` the topology plane (p, S & down p) of
@@ -351,7 +349,7 @@ class _Layout:
     """
 
     __slots__ = ("poset", "n", "d", "steps", "tops", "above", "sieves", "size", "index",
-                 "ranges", "grow", "stable", "transitive", "alt", "push", "pull")
+                 "ranges", "grow", "alt", "push", "pull")
 
     def __init__(self, poset: Poset):
         n, down, up, cones = poset.n, poset._down, poset._up, poset._cones
@@ -365,25 +363,17 @@ class _Layout:
         self.tops = [rank[full & ~u] * n for u in up]
         self.above = [tuple(_bits(u)) for u in up]
         self.sieves = tuple(map(poset.sieve_masks, range(n)))
-        self.index, self.ranges, self.grow, cut = [], [], [], []
+        self.index, self.ranges, self.grow = [], [], []
         size = 0
         for p, sieves in enumerate(self.sieves):
             at = dict(zip(sieves, range(size, size + len(sieves))))
             self.index.append(at)
             self.ranges.append(range(size, size + len(sieves)))
             size += len(sieves)
-            cut.append({b: at[down[p] & ~up[b]] for b in cones[p]})
             for s in reversed(sieves[:-1]):
                 a = next(q for q in cones[p] if down[q] & ~s == 1 << q)
-                self.grow.append((at[s], at[s | 1 << a], p * n + a, cut[p][a]))
+                self.grow.append((at[s], at[s | 1 << a], p * n + a))
         self.size = size
-        # b in m_q but not in m_p, for each cover q < p and b <= q
-        self.stable = [(cut[q][b], cut[p][b]) for q, p in poset.covers() for b in cones[q]]
-        # b in m_p, and no q between b and p has b in m_q and q in m_p
-        self.transitive = [
-            (cut[p][b], [(cut[p][q], cut[q][b]) for q in cones[p] if up[b] >> q & 1])
-            for p in range(n) for b in cones[p]
-        ]
         self.alt = [(rank[c] * n, rank[c & ~(1 << p)] * n) for p, c in enumerate(down)]
         self.push = [rank[s] * n + p for p, at in enumerate(self.index) for s in at]
         self.pull = [at[m & c] for m in dmasks for at, c in zip(self.index, down)]
@@ -402,7 +392,7 @@ class _Layout:
         ``outside[p * n + q]`` the plane of q not in m_p, along the grow
         steps: s is in J(p) when s + a is and a is not in m_p."""
         planes = [ones] * self.size
-        for t, grown, a, _ in self.grow:
+        for t, grown, a in self.grow:
             planes[t] = planes[grown] & outside[a]
         return planes
 

@@ -14,8 +14,9 @@ above a least covering sieve m_p.  The search lists these generators of
 each topology, and the verifier reads that census; :func:`_families`
 expands a generator tuple into families.  The validator checks one value
 sieve by sieve and names the first failure; :func:`_topology_fails`
-decides a whole batch of families at once on bit planes, reading the
-sieves and their planes off the poset's shared layout
+decides a whole batch of families at once on bit planes, as the nucleus
+check does: it reads each value's m_p off its planes and checks the value
+against them.  Both read the sieves off the poset's shared layout
 (:class:`poset._Layout`).  Like the nucleus module, this works from the
 axioms alone and is intentionally independent of any conversion routines,
 whose maps in the layout it never reads.
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
-from operator import or_, xor
+from itertools import chain
+from operator import and_, or_, xor
 
 from .errors import (
     CapExceededError,
@@ -210,32 +212,26 @@ def _family_planes(poset: Poset, batch: Sequence[Sequence[tuple]]) -> list[int]:
 def _topology_fails(poset: Poset, planes: list[int], ones: int,
                     gens: list[int] | None = None) -> int:
     """Bit k set exactly when value k of a batch of families is not a
-    topology; ``ones`` is the batch's all-ones plane.  With m_p the points
-    whose cut is not in J(p), a value passes when each J(p) is the sieves
-    containing m_p (a sieve is in J(p) exactly when the cuts of the points
-    outside it are), m_q lies in m_p for each cover q < p, and each b in m_p
-    lies in m_q for some q in m_p: the least-sieve form, stability and
-    transitivity of :func:`_topology_generators`, exactly the topologies.
-    With ``gens``, plane p * n + q holding bit q of m_p, a value passes only
-    when each m_p is a sieve on p, and so the least sieve in J(p)."""
-    layout = _layout(poset)
-    want = [ones] * layout.size  # every cut of a point outside s is in J(p)
-    for t, grown, _, cut in layout.grow:
-        want[t] = want[grown] & planes[cut]
-    fails = reduce(or_, map(xor, planes, want), 0)
-    for below, above in layout.stable:
-        fails |= planes[above] & ~planes[below]
-    for cut, pairs in layout.transitive:
-        alone = ones ^ planes[cut]
-        for q_in_p, b_in_q in pairs:
-            alone &= planes[q_in_p] | planes[b_in_q]
-        fails |= alone
-    if gens is not None:  # no point outside down p, no b without a for a cover a < b
-        n, covers = poset.n, poset.covers()
-        for p, top in enumerate(poset._down):
-            m = gens[p * n : p * n + n]
-            fails = reduce(or_, [m[q] for q in range(n) if not top >> q & 1], fails)
-            fails = reduce(or_, [m[b] & ~m[a] for a, b in covers], fails)
+    topology; ``ones`` is the batch's all-ones plane.  With m_p the points b
+    whose cut (down p) - (up b) is not in J(p), a value passes when each
+    J(p) is the sieves containing m_p (along the layout's grow steps), m_a
+    lies in m_b for each cover a < b, and each b in m_p lies in m_q for some
+    q in m_p above b: the least-sieve form, stability and transitivity of
+    :func:`_topology_generators`, exactly the topologies.  A read-off m_p is
+    always a sieve on p.  With ``gens``, plane p * n + b holding bit b of
+    m_p, the planes are the sieves containing the m_p, and a value passes
+    only when each read-off m_p is the given one."""
+    layout, up, cones = _layout(poset), poset._up, poset._cones
+    m = [[ones ^ planes[at[top & ~u]] if top >> b & 1 else 0 for b, u in enumerate(up)]
+         for at, top in zip(layout.index, poset._down)]
+    flat = list(chain.from_iterable(m))
+    fails = reduce(or_, map(xor, flat, gens) if gens is not None
+                   else map(xor, planes, layout.covering([ones ^ x for x in flat], ones)), 0)
+    for a, b in poset.covers():
+        fails = reduce(or_, [m[a][q] & ~m[b][q] for q in cones[a]], fails)
+    for mp, cone in zip(m, cones):
+        for b in cone:
+            fails |= reduce(and_, [ones ^ (mp[q] & m[q][b]) for q in cone if up[b] >> q & 1], mp[b])
     return fails
 
 

@@ -228,6 +228,33 @@ def test_the_layout_is_the_only_per_poset_cache():
                                    "b: _rows = functools.cache(_Rows)"]
 
 
+def fields_read(sources):
+    """The attribute names the ``sources`` read, outside ``_Layout.__init__``."""
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        builder = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "_Layout"
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                   for node in ast.walk(fn)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load) and id(node) not in builder}
+    return read
+
+
+def test_every_layout_field_is_read_outside_its_builder():
+    """Every poset pays for every table the layout builds, so each name in
+    ``_Layout.__slots__`` is read somewhere in the package outside
+    ``_Layout.__init__``."""
+    package = Path(triposet.__file__).resolve().parent
+    read = fields_read(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
+    assert [name for name in _Layout.__slots__ if name not in read] == []
+    sample = ("class _Layout:\n    def __init__(self, poset):\n        self.cut = []\n"
+              "        self.cut.append(0)\n        self.stable = self.cut[:]\n\n"
+              "    def covering(self):\n        return self.cut\n")
+    assert fields_read([sample]) >= {"cut"} and not fields_read([sample]) & {"stable", "append"}
+
+
 CONVERSION_FIELDS = ("alt", "push", "pull")
 
 

@@ -8,7 +8,9 @@ per-bit planes however the families of a batch repeat.  The plane checks of
 ``nucleus.py`` and ``topology.py`` set bit k of their "fails" mask exactly
 when the axiom-by-axiom witness scan raises on value k: on random batches
 of broken values, on every one-entry change of the nuclei and topologies of
-small posets, and on every census value of the posets with n <= 4.  The
+small posets, on every census value of the posets with n <= 4, and on
+every family tuple and generator tuple of the labeled posets with n <= 3
+and every image tuple of those with n <= 2.  The
 planes ``verify_triangle`` lifts from generator tuples hold the values the
 tuples expand to, and with the generator planes each check also flags a
 value whose generators are not its own.
@@ -16,6 +18,7 @@ value whose generators are not its own.
 
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -312,3 +315,49 @@ def test_the_plane_checks_on_generators_flag_what_is_not_a_value_s_generators(ca
         own = all(m[p] in dmasks and not m[p] & ~down[p] for p in range(n))
         rejected = _raises(_check_topology, poset, fams) is not None
         assert bool(fails >> k & 1) == (not own or rejected)
+
+
+def labeled_posets(top):
+    return [poset for n in range(top + 1) for poset in enumerate_posets(n)]
+
+
+def test_every_family_tuple_of_the_small_posets_is_flagged_exactly():
+    """Each J(p) any set of sieves on p, on every labeled poset with n <= 3."""
+    total, kinds = 0, Counter()
+    for poset in labeled_posets(3):
+        choices = [[tuple(s for k, s in enumerate(sieves) if pick >> k & 1)
+                    for pick in range(1 << len(sieves))]
+                   for sieves in map(poset.sieve_masks, range(poset.n))]
+        batch = list(product(*choices))
+        kinds += check_topologies(poset, batch)
+        total += len(batch)
+    assert total == 6293
+    assert set(kinds) - {None} == {"MissingMaximalError", "StabilityFailError",
+                                   "TransitivityFailError"}
+
+
+def test_every_generator_tuple_of_the_small_posets_is_flagged_exactly():
+    """Each of the n generators any mask below 2**n, on every labeled poset
+    with n <= 3: flagged exactly when the tuple is not in the census."""
+    total = 0
+    for poset in labeled_posets(3):
+        batch = list(product(range(1 << poset.n), repeat=poset.n))
+        ones = (1 << len(batch)) - 1
+        gens, images, families = generator_planes(poset, batch, ones)
+        for fails, census in ((_nucleus_fails(poset, images, ones, gens),
+                               set(_nucleus_generators(poset))),
+                              (_topology_fails(poset, families, ones, gens),
+                               set(_topology_generators(poset)))):
+            assert [fails >> k & 1 for k in range(len(batch))] == [g not in census for g in batch]
+        total += len(batch)
+    assert total == 9779
+
+
+def test_every_image_tuple_of_the_smallest_posets_is_flagged_exactly():
+    """Each image any mask, on every labeled poset with n <= 2."""
+    kinds = Counter()
+    for poset in labeled_posets(2):
+        kinds += check_nuclei(poset, list(product(range(1 << poset.n),
+                                                  repeat=len(poset.downset_masks()))))
+    assert set(kinds) - {None} == {"ImageNotDownsetError", "NotInflationaryError",
+                                   "NotIdempotentError", "NotMeetPreservingError"}
