@@ -10,17 +10,17 @@ The downset lattice is distributive, and its meet-irreducibles are the n
 downsets M_p = P minus the up-set of p; every downset S is the meet of the
 M_p with p outside S.  A nucleus preserves meets, so it is fixed by its n
 values T_p = j(M_p), and j(S) is the meet of the T_p with p outside S (the
-empty meet being P).  The search lists those n values of each nucleus,
-its generators, and the verifier reads that census; :func:`_images`
-expands a generator tuple into its images.  The validator checks one table
-downset by downset and names the first failure; :func:`_nucleus_fails`
-decides a whole batch of tables at once on bit planes.  Both the expansion
-and the plane check read the meet steps off the poset's shared layout
+empty meet being P).  The census lists those generators of each nucleus
+by the topology census's search, run on the up-sets P - T_p;
+:func:`_images` expands them.  The validator checks one table downset by
+downset and names the first failure; :func:`_nucleus_fails` decides a
+whole batch of tables at once on bit planes.  Both the expansion and the
+plane check read the meet steps off the poset's shared layout
 (:class:`poset._Layout`).
 
-This module deliberately knows nothing about subsets-as-parameters or
-covering families; the enumeration here is an independent census of the
-axioms, usable as an oracle against any other construction of nuclei.
+This module knows nothing about subsets-as-parameters or covering
+families: its census is independent of the conversions, not of the
+topology census, and is an oracle against any conversion to nuclei.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     NotMeetPreservingError,
     PosetMismatchError,
 )
-from .poset import DownSet, Poset, Subset, _bits, _layout
+from .poset import DownSet, Poset, Subset, _layout, _least_generators
 
 __all__ = ["DEFAULT_NUCLEUS_CAP", "Nucleus", "enumerate_nuclei", "validate_nucleus"]
 
@@ -210,59 +210,24 @@ def _nucleus_generators(poset: Poset) -> list[tuple[int, ...]]:
 
     Any choice of downsets T_p containing M_p gives a map j(S) = meet of
     the T_p with p outside S that is inflationary and preserves meets by
-    construction.  That map is a nucleus exactly when two conditions hold:
+    construction.  With C_p = P - T_p, an up-set inside up p, that map is
+    a nucleus exactly when
 
-    * it extends the choice, which is T_p <= T_q whenever p < q, so T_p is
-      searched only among the downsets between M_p and the meet of the T_q
-      strictly above p;
-    * it is idempotent, which holds once every T_p is a fixed point: the
-      meet of the T_q with q outside T_p is T_p.  A downset containing M_p
-      but not p is M_p itself, which is always a fixed point; otherwise
-      every q outside T_p lies strictly above p.
+    * it extends the choice, T_p <= T_q whenever p < q: C_q is inside C_p
+      for every q above p;
+    * it is idempotent, which holds once every T_p is a fixed point, the
+      meet of the T_q with q outside T_p: C_p is the union of the C_q over
+      q in C_p.  C_p = up p (T_p = M_p) always is; otherwise each such q
+      lies strictly above p, so by the first condition C_p need only lie
+      in the union.
 
-    Points are taken tops first (ascending size of their up-set), so when
-    T_p is chosen every T_q with q above p is fixed and both conditions are
-    decided on the spot.  Every leaf is therefore a nucleus, each nucleus
-    is reached once, and the search runs over the n points instead of over
-    the downsets.  A leaf keeps only its n generators; :func:`_images`
-    expands them.
+    These are the conditions of :func:`poset._least_generators` on the
+    principal up-sets, each C_p recording T_p, which takes points tops
+    first: every leaf is a nucleus and each nucleus is reached once.
+    :func:`_images` expands the generators.
     """
-    dmasks = poset.downset_masks()
-    n = poset.n
     full = poset.full_mask
-    up = poset._up
-    order = sorted(range(n), key=lambda p: (up[p].bit_count(), p))
-    above = [tuple(_bits(up[p] & ~(1 << p))) for p in range(n)]
-    # per point p, each downset t containing M_p = full & ~up[p], with the
-    # points outside it (all above p) when p is in t, else None
-    candidates = [tuple((t, tuple(_bits(up[p] & ~t)) if t >> p & 1 else None)
-                        for t in dmasks if not full & ~up[p] & ~t) for p in range(n)]
-    chosen = [0] * n
-    found: list[tuple[int, ...]] = []
-
-    def rec(idx: int) -> None:
-        if idx == n:
-            found.append(tuple(chosen))
-            return
-        p = order[idx]
-        bound = full
-        for q in above[p]:
-            bound &= chosen[q]
-        for t, outside in candidates[p]:
-            if t & ~bound:
-                continue
-            if outside is not None:
-                meet = full
-                for q in outside:
-                    meet &= chosen[q]
-                if meet != t:
-                    continue
-            chosen[p] = t
-            rec(idx + 1)
-
-    rec(0)
-    del rec  # it refers to itself; left bound, it would wait for the cyclic collector
-    return found
+    return _least_generators(poset._up, [(full ^ t, t) for t in poset.downset_masks()])
 
 
 def _images(poset: Poset, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:

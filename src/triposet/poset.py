@@ -41,7 +41,7 @@ __all__ = [
 
 LATTICE_CAP = 16        # elements; 2**16 masks is the most the lattice ops will scan
 DEFAULT_STREAM_CAP = 4  # labeled-poset streaming default
-HARD_STREAM_CAP = 5     # 3**10 candidate relations is the last tractable size
+HARD_STREAM_CAP = 5     # bounds the time a verify of every streamed poset takes
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -398,6 +398,53 @@ class _Layout:
 
 
 _layout = lru_cache(maxsize=1)(_Layout)
+
+
+def _least_generators(cones: Sequence[int],
+                      closed: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Every choice of one closed set g_p inside the cone of each point p
+    with g_q inside g_p for each q in the cone of p, and g_p the whole cone
+    or inside the union of the g_q over the points q of g_p, in search order.
+
+    ``cones[p]`` is the principal downset (or up-set) of p, and ``closed``
+    lists the downsets (or up-sets) in candidate order, each with the value
+    a leaf records for it.  Points are taken smallest cone first, so both
+    conditions read only the g_q already chosen: every leaf satisfies them,
+    and each such choice is reached once.
+    """
+    n = len(cones)
+    order = sorted(range(n), key=lambda p: (cones[p].bit_count(), p))
+    inner = [tuple(_bits(c & ~(1 << p))) for p, c in enumerate(cones)]
+    # per point p, (g, value, points of g or None for the whole cone) for g in its cone
+    candidates = [tuple((g, v, tuple(_bits(g)) if g != c else None)
+                        for g, v in closed if not g & ~c) for c in cones]
+    gen, value = [0] * n, [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def rec(idx: int) -> None:
+        if idx == n:
+            found.append(tuple(value))
+            return
+        p = order[idx]
+        # every g_q with q in the cone lies inside g_p exactly when their union does
+        union = 0
+        for q in inner[p]:
+            union |= gen[q]
+        for g, v, points in candidates[p]:
+            if union & ~g:
+                continue
+            if points is not None:
+                reach = 0
+                for q in points:
+                    reach |= gen[q]
+                if g & ~reach:
+                    continue
+            gen[p], value[p] = g, v
+            rec(idx + 1)
+
+    rec(0)
+    del rec  # it refers to itself; left bound, it would wait for the cyclic collector
+    return found
 
 
 class Subset:

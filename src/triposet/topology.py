@@ -10,16 +10,16 @@ A topology assigns to every point ``p`` a family J(p) of sieves on ``p``
 
 Families are stored per point as tuples of sieve masks in canonical order.
 Covering sieves are closed under intersection, so J(p) is the sieves on p
-above a least covering sieve m_p.  The search lists these generators of
-each topology, and the verifier reads that census; :func:`_families`
-expands a generator tuple into families.  The validator checks one value
+above a least covering sieve m_p.  The census lists these generators of
+each topology by the search the nucleus census also runs, here on the
+downsets; :func:`_families` expands them.  The validator checks one value
 sieve by sieve and names the first failure; :func:`_topology_fails`
 decides a whole batch of families at once on bit planes, as the nucleus
 check does: it reads each value's m_p off its planes and checks the value
 against them.  Both read the sieves off the poset's shared layout
 (:class:`poset._Layout`).  Like the nucleus module, this works from the
-axioms alone and is intentionally independent of any conversion routines,
-whose maps in the layout it never reads.
+axioms alone and never reads the conversions or their layout maps: the
+two censuses are independent of the conversions, not of each other.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     StabilityFailError,
     TransitivityFailError,
 )
-from .poset import DownSet, Poset, Subset, _bits, _canonical, _layout
+from .poset import DownSet, Poset, Subset, _canonical, _layout, _least_generators
 
 __all__ = [
     "DEFAULT_TOPOLOGY_CAP",
@@ -262,8 +262,7 @@ def _topology_generators(poset: Poset) -> list[tuple[int, ...]]:
     poset J(p) therefore has a least sieve m_p, and it is exactly the sieves
     on p that contain m_p: such a sieve pulls back to the whole principal
     downset of each q in m_p, which covers q.  So the search chooses one
-    generator m_p per point, along a linear extension (everything below a
-    point first), and keeps it when
+    generator m_p per point and keeps it when
 
     * stability holds: m_q is inside m_p for every q < p, because m_p pulls
       back to m_p & (down q), which must contain m_q;
@@ -272,45 +271,12 @@ def _topology_generators(poset: Poset) -> list[tuple[int, ...]]:
       least sieve whose pullback to every q in m_p covers q, so it must
       cover p.
 
-    Both conditions read only generators already chosen below p, so every
-    assignment that reaches a leaf is a topology, and every topology is
-    reached once.  A leaf keeps only its n generators; :func:`_families`
-    expands them.
+    These are the conditions of :func:`poset._least_generators` on the
+    principal downsets, each sieve recording itself: every leaf is a
+    topology and each topology is reached once.  :func:`_families` expands
+    the generators.
     """
-    n = poset.n
-    down = poset._down
-    order = sorted(range(n), key=lambda p: (down[p].bit_count(), p))
-    below = [tuple(_bits(down[p] & ~(1 << p))) for p in range(n)]
-    # per point p, each sieve m on p with its points, None for down p
-    candidates = [tuple((m, tuple(_bits(m)) if m != down[p] else None) for m in sieves)
-                  for p, sieves in enumerate(_layout(poset).sieves)]
-    gen = [0] * n
-    found: list[tuple[int, ...]] = []
-
-    def rec(idx: int) -> None:
-        if idx == n:
-            found.append(tuple(gen))
-            return
-        p = order[idx]
-        # stability: every m_q with q < p lies inside m_p exactly when their union does
-        union = 0
-        for q in below[p]:
-            union |= gen[q]
-        for m, points in candidates[p]:
-            if union & ~m:
-                continue
-            if points is not None:
-                reach = 0
-                for q in points:
-                    reach |= gen[q]
-                if m & ~reach:
-                    continue
-            gen[p] = m
-            rec(idx + 1)
-
-    rec(0)
-    del rec  # it refers to itself; left bound, it would wait for the cyclic collector
-    return found
+    return _least_generators(poset._down, [(m, m) for m in poset.downset_masks()])
 
 
 def _families(poset: Poset, gens: Iterable[Sequence[int]]) -> list[tuple[tuple[int, ...], ...]]:

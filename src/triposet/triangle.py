@@ -30,8 +30,9 @@ bits below n of an image and the sieves of a family.  A public edge runs
 its kernel on a batch of one.
 
 :func:`verify_triangle` runs the whole law suite on one poset.  Counts come
-only from the independent enumerators' searches, never from the conversions
-under test, and each census stays in generators: T_p = j(M_p) of each
+only from the censuses, never from the conversions under test (the two
+censuses run one search, so they are not independent of each other), and
+each census stays in generators: T_p = j(M_p) of each
 nucleus and the least covering sieves m_p of each topology, n masks per
 value.  The distinct generator tuples are transposed once and lifted
 straight to planes, the images as the meets of the T_p and the families as
@@ -316,7 +317,7 @@ def verify_triangle(
 
     Round trips and commutation are checked over all 2^n subsets; the
     identity laws over every enumerated nucleus; counts and bijections
-    against the independent axiom-census enumerators.  A failing law
+    against the conversion-free axiom censuses.  A failing law
     records a minimal witness and the remaining laws still run.
 
     Every kernel runs once on each batch it reads, and each census batch

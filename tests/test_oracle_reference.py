@@ -29,6 +29,7 @@ from triposet import (
     DEFAULT_NUCLEUS_CAP,
     GrothendieckTopology,
     Nucleus,
+    Poset,
     Subset,
     build_poset,
     enumerate_nuclei,
@@ -129,7 +130,8 @@ def generator_posets():
 def test_the_generator_searches_expand_to_the_reference_censuses():
     """Each search lists 2^n distinct generator tuples, each that of its
     value (T_p = j(M_p), m_p the least sieve in J(p)), and expanding them
-    in canonical order gives the reference's census."""
+    in canonical order gives the reference's census.  The complements of
+    the T_p are the least sieves of the opposite poset's topologies."""
     checked = 0
     for poset in generator_posets():
         n, full, up = poset.n, poset.full_mask, poset._up
@@ -143,6 +145,9 @@ def test_the_generator_searches_expand_to_the_reference_censuses():
         cap = len(poset.downset_masks())
         assert _in_order(tables) == [j.images for j in reference_enumerate_nuclei(poset, cap=cap)]
         assert sorted(fams) == [J.families for J in reference_enumerate_topologies(poset, cap=n)]
+        # one search: the nucleus search is the topology search on the up-sets
+        dual = _topology_generators(Poset(poset.labels, up))
+        assert set(Ts) == {tuple(full ^ g for g in m) for m in dual}
         checked += 1
     assert checked == 243 + 424 + 3
 
