@@ -14,9 +14,9 @@ empty meet being P).  The census lists those generators of each nucleus
 by the topology census's search, run on the up-sets P - T_p;
 :func:`_images` expands them.  The validator checks one table downset by
 downset and names the first failure; :func:`_nucleus_fails` decides a
-whole batch of tables at once on bit planes.  Both the expansion and the
-plane check read the meet steps off the poset's shared layout
-(:class:`poset._Layout`).
+whole batch of tables at once on bit planes.  The search, the expansion and
+the plane check read the poset's shared layout (:class:`poset._Layout`):
+its up-set candidates and its meet steps.
 
 This module knows nothing about subsets-as-parameters or covering
 families: its census is independent of the conversions, not of the
@@ -90,7 +90,7 @@ class Nucleus:
         )
 
     def __hash__(self) -> int:
-        return hash((self.poset._hash, self.images))
+        return hash((self.poset, self.images))
 
     def __repr__(self) -> str:
         rows = ", ".join(f"{s}->{img}" for s, img in self.pairs())
@@ -222,12 +222,11 @@ def _nucleus_generators(poset: Poset) -> list[tuple[int, ...]]:
       in the union.
 
     These are the conditions of :func:`poset._least_generators` on the
-    principal up-sets, each C_p recording T_p, which takes points tops
-    first: every leaf is a nucleus and each nucleus is reached once.
+    layout's ``upset_search``, each C_p recording T_p, points tops first:
+    every leaf is a nucleus and each nucleus is reached once.
     :func:`_images` expands the generators.
     """
-    full = poset.full_mask
-    return _least_generators(poset._up, [(full ^ t, t) for t in poset.downset_masks()])
+    return _least_generators(_layout(poset).upset_search)
 
 
 def _images(poset: Poset, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:

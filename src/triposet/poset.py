@@ -7,10 +7,11 @@ exactly one encoding.  The canonical order on downsets (and on subsets,
 where one is needed) is ascending by (cardinality, mask); every enumeration
 in the package emits that order.
 
-All objects here are immutable once built and safe to share across threads;
-the downset list, its ranks and the covers are cached on the poset.  The
-tables the engine reads off a poset are one private :class:`_Layout`, kept
-for the latest poset only.
+All objects here are immutable once built and safe to share across threads.
+A poset computes its hash, its cone point lists, the downset list and its
+ranks, and the covers on first use and keeps them, so a streamed poset that
+is never read costs only its rows.  The tables the engine reads off a poset
+are one private :class:`_Layout`, kept for the latest poset only.
 """
 
 from __future__ import annotations
@@ -73,33 +74,31 @@ def _pack(values: Iterable[int], width: int) -> bytes:
     return blob
 
 
-def _planes(blob: bytes, width: int, fields: int = 1) -> list[int]:
-    """The bit planes of a batch, plane j an int whose bit k is bit j of
-    value k.  ``blob`` holds the values last first, each ``fields`` fields
-    of ``width`` bits, in whole little-endian bytes; plane f * width + b is
-    bit b of field f, read as a column of bytes translated to digits."""
+def _planes(blob: bytes, width: int) -> list[int]:
+    """The bit planes of a batch, plane b an int whose bit k is bit b of
+    value k.  ``blob`` holds the values last first, in whole little-endian
+    bytes; plane b is read as a column of bytes translated to digits."""
     if not blob or not width:
-        return [0] * (fields * width)
+        return [0] * width
     size = (width + 7) >> 3
-    stride = fields * size
-    out = [0] * (fields * width)
-    for b in range(width):
-        digits = blob.translate(_bit_tables()[b & 7])
-        out[b::width] = [int(digits[f * size + (b >> 3) :: stride], 2) for f in range(fields)]
-    return out
+    return [int(blob.translate(_bit_tables()[b & 7])[b >> 3 :: size], 2) for b in range(width)]
 
 
 def _mask_planes(values: Sequence[Sequence[int]], width: int,
                  fields: int) -> tuple[list[int], bool]:
-    """The planes of a batch of ``fields``-tuples of masks (:func:`_planes`),
-    no bit of a mask past ``width`` read, and whether they hold the batch
-    exactly: every mask in 0..2**width - 1."""
-    flat = list(chain.from_iterable(reversed(values)))
+    """The planes of a batch of ``fields``-tuples of masks, plane f * width
+    + b holding bit b of field f, no bit of a mask past ``width`` read, and
+    whether they hold the batch exactly: every mask in 0..2**width - 1.
+    The masks are transposed as one batch, field f of value k in lane
+    f * w + k, whose planes are cut into the fields."""
+    w, flat = len(values), list(chain.from_iterable(zip(*values)))
+    flat.reverse()
     try:
         blob, exact = _pack(flat, width), True
     except (ValueError, OverflowError):  # a mask below 0 or past the width
         blob, exact = _pack([m & (1 << width) - 1 for m in flat], width), False
-    return _planes(blob, width, fields), exact
+    planes, ones = _planes(blob, width), (1 << w) - 1
+    return [plane >> f * w & ones for f in range(fields) for plane in planes], exact
 
 
 def _columns(planes: Sequence[int], w: int) -> list[int]:
@@ -126,7 +125,7 @@ class Poset:
         "labels",
         "_down",
         "_up",
-        "_cones",
+        "_cone_points",
         "_index",
         "_hash",
         "_downsets",
@@ -156,10 +155,8 @@ class Poset:
             if not row >> p & 1:
                 raise ValueError(f"relation is not reflexive at {labels[p]!r}")
         up = [0] * n
-        cones = []
         for p in range(n):
-            cone = tuple(_bits(down[p]))
-            for q in cone:
+            for q in _bits(down[p]):
                 if q != p and down[q] >> p & 1:
                     raise CycleDetectedError(labels[min(p, q)], labels[max(p, q)])
                 if down[q] & ~down[p]:
@@ -167,25 +164,24 @@ class Poset:
                         f"relation is not transitive at {labels[q]!r} <= {labels[p]!r}"
                     )
                 up[q] |= 1 << p
-            cones.append(cone)
-        self._fill(labels, index, down, tuple(up), tuple(cones))
+        self._fill(labels, index, down, tuple(up))
 
     @classmethod
-    def _wrap(cls, labels: tuple, index: dict, down: tuple, up: tuple, cones: tuple):
+    def _wrap(cls, labels: tuple, index: dict, down: tuple, up: tuple):
         """Trusted constructor: ``down`` is already a partial order, ``up``
-        its transpose, ``cones`` the points of each row, ``index`` each label's."""
+        its transpose, ``index`` each label's."""
         obj = object.__new__(cls)
-        obj._fill(labels, index, down, up, cones)
+        obj._fill(labels, index, down, up)
         return obj
 
-    def _fill(self, labels, index, down, up, cones) -> None:
+    def _fill(self, labels, index, down, up) -> None:
         self.n = len(labels)
         self.labels = labels
         self._down = down
         self._up = up
-        self._cones = cones  # the points of each principal downset, ascending
+        self._cone_points = None
         self._index = index
-        self._hash = hash((labels, down))
+        self._hash = None
         self._downsets = None
         self._dmask_pos = None
         self._downset_objs = None
@@ -196,6 +192,12 @@ class Poset:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @property
+    def _cones(self) -> tuple[tuple[int, ...], ...]:  # each principal downset's points
+        if self._cone_points is None:
+            self._cone_points = tuple(tuple(_bits(row)) for row in self._down)
+        return self._cone_points
 
     def index(self, label: str) -> int:
         try:
@@ -239,11 +241,17 @@ class Poset:
             )
 
     def downset_masks(self) -> tuple[int, ...]:
-        """All downset bitmasks in canonical (cardinality, mask) order."""
+        """All downset bitmasks in canonical (cardinality, mask) order, by a
+        walk of the ideals (Squire 1995): adding the points along a linear
+        extension, each downset so far grows by q when it holds all below q."""
         if self._downsets is None:
             self._require_lattice_cap()
-            self._downsets = _canonical(filter(self.is_downset_mask, range(1 << self.n)))
-            self._dmask_pos = {m: i for i, m in enumerate(self._downsets)}
+            down, found = self._down, [0]
+            for q in sorted(range(self.n), key=lambda q: down[q].bit_count()):
+                below = down[q] ^ 1 << q
+                found += [s | 1 << q for s in found if not below & ~s]
+            self._downsets = tuple(sorted(sorted(found), key=int.bit_count))
+            self._dmask_pos = dict(zip(self._downsets, range(len(found))))
         return self._downsets
 
     def _downset_ranks(self) -> dict[int, int]:
@@ -316,6 +324,8 @@ class Poset:
         return self.labels == other.labels and self._down == other._down
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.labels, self._down))
         return self._hash
 
     def __repr__(self) -> str:
@@ -346,19 +356,24 @@ class _Layout:
       and of the cone minus p, ``push`` the image plane (p in j(s)) of each
       topology plane (p, s), ``pull`` the topology plane (p, S & down p) of
       each image plane (p in j(S)).
+    * Census searches (:func:`_search_plan`): ``sieve_search`` chooses a
+      sieve on each p, ``upset_search`` an up-set P - T inside up p and
+      records T, candidates in canonical order of their downsets.
     """
 
     __slots__ = ("poset", "n", "d", "steps", "tops", "above", "sieves", "size", "index",
-                 "ranges", "grow", "alt", "push", "pull")
+                 "ranges", "grow", "alt", "push", "pull", "sieve_search", "upset_search")
 
     def __init__(self, poset: Poset):
-        n, down, up, cones = poset.n, poset._down, poset._up, poset._cones
+        n, down, up = poset.n, poset._down, poset._up
         dmasks, rank, full = poset.downset_masks(), poset._downset_ranks(), poset.full_mask
+        strict = [row ^ 1 << q for q, row in enumerate(down)]
         self.poset, self.n, self.d = poset, n, len(dmasks)
         self.steps = []
         for i in range(len(dmasks) - 2, -1, -1):
-            s = dmasks[i]
-            p = next(q for q in range(n) if down[q] & ~s == 1 << q)
+            s, p = dmasks[i], 0
+            while s >> p & 1 or strict[p] & ~s:  # up to the least minimal point outside s
+                p += 1
             self.steps.append((i, rank[s | 1 << p], p))
         self.tops = [rank[full & ~u] * n for u in up]
         self.above = [tuple(_bits(u)) for u in up]
@@ -371,12 +386,17 @@ class _Layout:
             self.ranges.append(range(size, size + len(sieves)))
             size += len(sieves)
             for s in reversed(sieves[:-1]):
-                a = next(q for q in cones[p] if down[q] & ~s == 1 << q)
+                rest, a = down[p] & ~s, 0
+                while not rest >> a & 1 or strict[a] & ~s:
+                    a += 1
                 self.grow.append((at[s], at[s | 1 << a], p * n + a))
         self.size = size
         self.alt = [(rank[c] * n, rank[c & ~(1 << p)] * n) for p, c in enumerate(down)]
         self.push = [rank[s] * n + p for p, at in enumerate(self.index) for s in at]
         self.pull = [at[m & c] for m in dmasks for at, c in zip(self.index, down)]
+        self.sieve_search = _search_plan(down, poset._cones, self.sieves, 0)
+        self.upset_search = _search_plan(
+            up, self.above, [[full ^ t for t in dmasks if t | u == full] for u in up], full)
 
     def meets(self, gens: Sequence[Sequence[int]], ones: int) -> list[int]:
         """The image planes of j(S) = the meet of ``gens[p]`` over the points
@@ -400,24 +420,29 @@ class _Layout:
 _layout = lru_cache(maxsize=1)(_Layout)
 
 
-def _least_generators(cones: Sequence[int],
-                      closed: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+def _search_plan(cones: Sequence[int], points: Sequence[Sequence[int]],
+                 closed: Sequence[Sequence[int]], flip: int) -> tuple:
+    """Per point p, smallest cone first: p, the ``points`` of its cone (its
+    principal downset or up-set) and (g, g ^ ``flip``, the points of g or
+    None for the whole cone) for each closed set g in ``closed[p]``."""
+    return tuple((p, points[p],
+                  tuple([(g, g ^ flip, None if g == cones[p] else tuple(_bits(g)))
+                         for g in closed[p]]))
+                 for p in sorted(range(len(cones)), key=lambda p: cones[p].bit_count()))
+
+
+def _least_generators(plan: Sequence[tuple]) -> list[tuple[int, ...]]:
     """Every choice of one closed set g_p inside the cone of each point p
     with g_q inside g_p for each q in the cone of p, and g_p the whole cone
-    or inside the union of the g_q over the points q of g_p, in search order.
+    or inside the union of the g_q over the points q of g_p, in search
+    order, as the value of each g_p.
 
-    ``cones[p]`` is the principal downset (or up-set) of p, and ``closed``
-    lists the downsets (or up-sets) in candidate order, each with the value
-    a leaf records for it.  Points are taken smallest cone first, so both
-    conditions read only the g_q already chosen: every leaf satisfies them,
-    and each such choice is reached once.
+    ``plan`` is a layout's :func:`_search_plan`, built once per poset.
+    Points are taken smallest cone first, so both conditions read only the
+    g_q already chosen: every leaf satisfies them, and each such choice is
+    reached once.
     """
-    n = len(cones)
-    order = sorted(range(n), key=lambda p: (cones[p].bit_count(), p))
-    inner = [tuple(_bits(c & ~(1 << p))) for p, c in enumerate(cones)]
-    # per point p, (g, value, points of g or None for the whole cone) for g in its cone
-    candidates = [tuple((g, v, tuple(_bits(g)) if g != c else None)
-                        for g, v in closed if not g & ~c) for c in cones]
+    n = len(plan)
     gen, value = [0] * n, [0] * n
     found: list[tuple[int, ...]] = []
 
@@ -425,12 +450,12 @@ def _least_generators(cones: Sequence[int],
         if idx == n:
             found.append(tuple(value))
             return
-        p = order[idx]
-        # every g_q with q in the cone lies inside g_p exactly when their union does
+        p, cone, candidates = plan[idx]
+        # the g_q of the cone (g_p is 0 until chosen) lie in g_p when their union does
         union = 0
-        for q in inner[p]:
+        for q in cone:
             union |= gen[q]
-        for g, v, points in candidates[p]:
+        for g, v, points in candidates:
             if union & ~g:
                 continue
             if points is not None:
@@ -441,6 +466,7 @@ def _least_generators(cones: Sequence[int],
                     continue
             gen[p], value[p] = g, v
             rec(idx + 1)
+        gen[p] = 0
 
     rec(0)
     del rec  # it refers to itself; left bound, it would wait for the cyclic collector
@@ -520,7 +546,7 @@ class Subset:
         )
 
     def __hash__(self) -> int:
-        return hash((self.poset._hash, self.mask))
+        return hash((self.poset, self.mask))
 
     def __str__(self) -> str:
         return "{" + " ".join(self.labels()) + "}"
@@ -601,15 +627,13 @@ def enumerate_posets(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[Poset]:
         )
     labels = tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     index = {lab: i for i, lab in enumerate(labels)}
-    cone = [tuple(_bits(row)) for row in range(1 << n)]  # the points of each row
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     down = [1 << i for i in range(n)]
     up = down.copy()
 
     def rec(k: int) -> Iterator[Poset]:
         if k == len(pairs):
-            rows = tuple(down)
-            yield Poset._wrap(labels, index, rows, tuple(up), tuple(map(cone.__getitem__, rows)))
+            yield Poset._wrap(labels, index, tuple(down), tuple(up))
             return
         # the triples {a, b, c} with a < b are those whose last pair is (b, c)
         b, c = pairs[k]

@@ -16,10 +16,11 @@ downsets; :func:`_families` expands them.  The validator checks one value
 sieve by sieve and names the first failure; :func:`_topology_fails`
 decides a whole batch of families at once on bit planes, as the nucleus
 check does: it reads each value's m_p off its planes and checks the value
-against them.  Both read the sieves off the poset's shared layout
-(:class:`poset._Layout`).  Like the nucleus module, this works from the
-axioms alone and never reads the conversions or their layout maps: the
-two censuses are independent of the conversions, not of each other.
+against them.  The search, the expansion and the plane check read the
+sieves off the poset's shared layout (:class:`poset._Layout`).  Like the
+nucleus module, this works from the axioms alone and never reads the
+conversions or their layout maps: the two censuses are independent of the
+conversions, not of each other.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class GrothendieckTopology:
         )
 
     def __hash__(self) -> int:
-        return hash((self.poset._hash, self.families))
+        return hash((self.poset, self.families))
 
     def __repr__(self) -> str:
         parts = []
@@ -272,11 +273,11 @@ def _topology_generators(poset: Poset) -> list[tuple[int, ...]]:
       cover p.
 
     These are the conditions of :func:`poset._least_generators` on the
-    principal downsets, each sieve recording itself: every leaf is a
+    layout's ``sieve_search``, each sieve recording itself: every leaf is a
     topology and each topology is reached once.  :func:`_families` expands
     the generators.
     """
-    return _least_generators(poset._down, [(m, m) for m in poset.downset_masks()])
+    return _least_generators(_layout(poset).sieve_search)
 
 
 def _families(poset: Poset, gens: Iterable[Sequence[int]]) -> list[tuple[tuple[int, ...], ...]]:

@@ -178,6 +178,11 @@ _TABLES = (lambda r, tables: _mask_planes(tables, r.n, r.d)[0], _lower_tables)
 _FAMILIES = (lambda r, batch: _family_planes(r.poset, batch), _lower_families)
 
 
+def _all_subsets(n: int, ones: int) -> list[int]:
+    """The planes of all 2^n subsets, subset k in lane k: 2^q 0s, 2^q 1s, ... in plane q."""
+    return [ones // ((1 << (2 << q)) - 1) * (((1 << (1 << q)) - 1) << (1 << q)) for q in range(n)]
+
+
 def _on_one(kernel, source: tuple, target: tuple, poset: Poset, value):
     """``kernel`` on a batch of one ``source`` value, lowered to a ``target`` value."""
     r = _layout(poset)
@@ -336,9 +341,9 @@ def verify_triangle(
 
     r = _layout(poset)
     gens = list(dict.fromkeys(Ts)), list(dict.fromkeys(ms))
-    xs = _SUBSETS[0](r, range(1 << n))
     (T, exact_T), (m, exact_m) = (_mask_planes(g, n, n) for g in gens)
     ones, on, ot = ((1 << w) - 1 for w in (1 << n, *map(len, gens)))
+    xs = _all_subsets(n, ones)
     js = r.meets([T[p * n : p * n + n] for p in range(n)], on)
     Js = r.covering([ot ^ x for x in m], ot)
     s2n, s2t = _subset_to_table(r, xs, ones), _subset_to_families(r, xs, ones)

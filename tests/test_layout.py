@@ -2,9 +2,10 @@
 
 Every table that the enumerators, the plane checks and the edge kernels
 read off a poset is rebuilt here from the order relation alone: downsets
-by filtering all 2**n masks, minimal points by scanning the relation.
-The posets are every labeled poset with n <= 5, chain10, antichain7,
-boolean3 and seeded random posets with n <= 10.
+by filtering all 2**n masks, minimal points by scanning the relation,
+and each census search's candidates as the closed sets inside each cone.
+The posets are every labeled poset with n <= 5, chain10, chain16,
+antichain7, antichain12, boolean3 and seeded random posets with n <= 10.
 """
 
 import random
@@ -88,6 +89,20 @@ def check_layout(poset):
     assert list(layout.push) == [rank[s] * n + p for p, s in planes]
     assert list(layout.pull) == [plane[p, m & down[p]] for m in dmasks for p in range(n)]
 
+    # each search: per point, smallest cone first, its cone's points and the
+    # closed sets inside the cone in canonical order of their downsets, the
+    # whole cone without its points
+    for search, cones, closed, value in (
+        (layout.sieve_search, down, dmasks, lambda g: g),
+        (layout.upset_search, up, [full ^ t for t in dmasks], lambda g: full ^ g),
+    ):
+        order = sorted(range(n), key=lambda p: (bin(cones[p]).count("1"), p))
+        assert [tuple(step) for step in search] == [
+            (p, tuple(points[cones[p]]),
+             tuple((g, value(g), None if g == cones[p] else tuple(points[g]))
+                   for g in closed if not g & ~cones[p]))
+            for p in order]
+
 
 @pytest.mark.parametrize("n", range(6))
 def test_the_layout_of_every_labeled_poset(n):
@@ -97,8 +112,9 @@ def test_the_layout_of_every_labeled_poset(n):
 
 @pytest.mark.parametrize(
     "poset",
-    [chain(10), build_poset([f"a{i}" for i in range(7)]), boolean_lattice(3)],
-    ids=["chain10", "antichain7", "boolean3"],
+    [chain(10), chain(16), build_poset([f"a{i}" for i in range(7)]),
+     build_poset([f"a{i}" for i in range(12)]), boolean_lattice(3)],
+    ids=["chain10", "chain16", "antichain7", "antichain12", "boolean3"],
 )
 def test_the_layout_past_five_points(poset):
     check_layout(poset)

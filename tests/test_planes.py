@@ -10,7 +10,8 @@ when the axiom-by-axiom witness scan raises on value k: on random batches
 of broken values, on every one-entry change of the nuclei and topologies of
 small posets, on every census value of the posets with n <= 4, and on
 every family tuple and generator tuple of the labeled posets with n <= 3
-and every image tuple of those with n <= 2.  The
+and every image tuple of those with n <= 2.  The closed-form planes of
+all 2**n subsets are their transpose for n <= 16.  The
 planes ``verify_triangle`` lifts from generator tuples hold the values the
 tuples expand to, and with the generator planes each check also flags a
 value whose generators are not its own.
@@ -19,6 +20,7 @@ value whose generators are not its own.
 import random
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,14 @@ def test_the_transposes_round_trip(n):
             planes = triangle._FAMILIES[0](r, fams)
             assert planes == family_planes_by_bit(poset, fams)[0]
             assert triangle._lower_families(r, planes, w) == fams
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_the_closed_form_planes_of_all_subsets_are_their_transpose(n):
+    # the subset lift reads only n off the layout
+    layout = SimpleNamespace(n=n)
+    assert triangle._all_subsets(n, (1 << (1 << n)) - 1) == triangle._SUBSETS[0](
+        layout, range(1 << n))
 
 
 @pytest.mark.parametrize("poset, cap", [(chain(4), 5), (chain(10), 11)], ids=["chain4", "chain10"])

@@ -352,10 +352,15 @@ def test_each_streamed_poset_is_the_one_the_checking_constructor_builds(n):
     """The stream builds its posets without the constructor's checks; each
     must be the poset the checking constructor makes from its rows."""
     for p in enumerate_posets(n, cap=5):
+        # a streamed poset builds its hash and cones only when they are read
+        assert p._hash is None and p._cone_points is None
         checked = Poset(p.labels, p._down)
         assert p == checked and hash(p) == hash(checked)
         assert (p.n, p._down, p._up, p._cones, p._index) == (
             checked.n, checked._down, checked._up, checked._cones, checked._index
         )
+        mask = p.full_mask & 0b10110
+        assert Subset(p, mask) == Subset(checked, mask)
+        assert hash(Subset(p, mask)) == hash(Subset(checked, mask))
         assert p.covers() == checked.covers()
         assert list(map(p.index, p.labels)) == list(map(checked.index, p.labels))
