@@ -264,7 +264,7 @@ def _cmd_verify(args, out, parser) -> int:
     failures = []
     for n in range(args.max_n + 1):
         total = verified = 0
-        for poset in enumerate_posets(n, cap=args.max_n):
+        for poset in enumerate_posets(n):
             total += 1
             if args.directed_only and not poset.is_downward_directed():
                 continue

@@ -16,7 +16,7 @@ by the topology census's search, run on the up-sets P - T_p;
 downset and names the first failure; :func:`_nucleus_fails` decides a
 whole batch of tables at once on bit planes.  The search, the expansion and
 the plane check read the poset's shared layout (:class:`poset._Layout`):
-its up-set candidates and its meet steps.
+the points above each p and its meet steps.
 
 This module knows nothing about subsets-as-parameters or covering
 families: its census is independent of the conversions, not of the
@@ -222,11 +222,13 @@ def _nucleus_generators(poset: Poset) -> list[tuple[int, ...]]:
       in the union.
 
     These are the conditions of :func:`poset._least_generators` on the
-    layout's ``upset_search``, each C_p recording T_p, points tops first:
-    every leaf is a nucleus and each nucleus is reached once.
+    up-sets P - T inside each up p, each C_p recording T_p, points tops
+    first: every leaf is a nucleus and each nucleus is reached once.
     :func:`_images` expands the generators.
     """
-    return _least_generators(_layout(poset).upset_search)
+    up, full, dmasks = poset._up, poset.full_mask, poset.downset_masks()
+    return _least_generators(up, _layout(poset).above,
+                             [[full ^ t for t in dmasks if t | u == full] for u in up], full)
 
 
 def _images(poset: Poset, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:

@@ -30,7 +30,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DEFAULT_STREAM_CAP",
     "DownSet",
     "HARD_STREAM_CAP",
     "LATTICE_CAP",
@@ -40,9 +39,8 @@ __all__ = [
     "enumerate_posets",
 ]
 
-LATTICE_CAP = 16        # elements; 2**16 masks is the most the lattice ops will scan
-DEFAULT_STREAM_CAP = 4  # labeled-poset streaming default
-HARD_STREAM_CAP = 5     # bounds the time a verify of every streamed poset takes
+LATTICE_CAP = 16     # elements; 2**16 masks is the most the lattice ops will scan
+HARD_STREAM_CAP = 5  # bounds the time a verify of every streamed poset takes
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -130,7 +128,6 @@ class Poset:
         "_hash",
         "_downsets",
         "_dmask_pos",
-        "_downset_objs",
         "_covers",
     )
 
@@ -184,7 +181,6 @@ class Poset:
         self._hash = None
         self._downsets = None
         self._dmask_pos = None
-        self._downset_objs = None
         self._covers = None
 
     # -- basic queries ----------------------------------------------------
@@ -264,11 +260,7 @@ class Poset:
         return self._downset_ranks()[mask]
 
     def downsets(self) -> tuple[DownSet, ...]:
-        if self._downset_objs is None:
-            self._downset_objs = tuple(
-                DownSet._wrap(self, m) for m in self.downset_masks()
-            )
-        return self._downset_objs
+        return tuple(DownSet._wrap(self, m) for m in self.downset_masks())
 
     def sieve_masks(self, p: int) -> tuple[int, ...]:
         """Masks of the sieves on ``p``: downsets contained in its principal downset."""
@@ -356,13 +348,12 @@ class _Layout:
       and of the cone minus p, ``push`` the image plane (p in j(s)) of each
       topology plane (p, s), ``pull`` the topology plane (p, S & down p) of
       each image plane (p in j(S)).
-    * Census searches (:func:`_search_plan`): ``sieve_search`` chooses a
-      sieve on each p, ``upset_search`` an up-set P - T inside up p and
-      records T, candidates in canonical order of their downsets.
+    * The census searches build their plans (:func:`_least_generators`)
+      when they run, from ``sieves`` and ``above``.
     """
 
     __slots__ = ("poset", "n", "d", "steps", "tops", "above", "sieves", "size", "index",
-                 "ranges", "grow", "alt", "push", "pull", "sieve_search", "upset_search")
+                 "ranges", "grow", "alt", "push", "pull")
 
     def __init__(self, poset: Poset):
         n, down, up = poset.n, poset._down, poset._up
@@ -394,9 +385,6 @@ class _Layout:
         self.alt = [(rank[c] * n, rank[c & ~(1 << p)] * n) for p, c in enumerate(down)]
         self.push = [rank[s] * n + p for p, at in enumerate(self.index) for s in at]
         self.pull = [at[m & c] for m in dmasks for at, c in zip(self.index, down)]
-        self.sieve_search = _search_plan(down, poset._cones, self.sieves, 0)
-        self.upset_search = _search_plan(
-            up, self.above, [[full ^ t for t in dmasks if t | u == full] for u in up], full)
 
     def meets(self, gens: Sequence[Sequence[int]], ones: int) -> list[int]:
         """The image planes of j(S) = the meet of ``gens[p]`` over the points
@@ -431,46 +419,47 @@ def _search_plan(cones: Sequence[int], points: Sequence[Sequence[int]],
                  for p in sorted(range(len(cones)), key=lambda p: cones[p].bit_count()))
 
 
-def _least_generators(plan: Sequence[tuple]) -> list[tuple[int, ...]]:
-    """Every choice of one closed set g_p inside the cone of each point p
-    with g_q inside g_p for each q in the cone of p, and g_p the whole cone
-    or inside the union of the g_q over the points q of g_p, in search
-    order, as the value of each g_p.
+def _least_generators(cones: Sequence[int], points: Sequence[Sequence[int]],
+                      closed: Sequence[Sequence[int]], flip: int) -> list[tuple[int, ...]]:
+    """Every choice of one closed set g_p in ``closed[p]`` inside the cone
+    of each point p with g_q inside g_p for each q in the cone of p, and
+    g_p the whole cone or inside the union of the g_q over the points q of
+    g_p, in search order, as g_p ^ ``flip`` for each p.
 
-    ``plan`` is a layout's :func:`_search_plan`, built once per poset.
-    Points are taken smallest cone first, so both conditions read only the
-    g_q already chosen: every leaf satisfies them, and each such choice is
-    reached once.
+    The search builds its :func:`_search_plan` and descends it: points are
+    taken smallest cone first, so both conditions read only the g_q already
+    chosen, every leaf satisfies them, and each such choice is reached once.
     """
-    n = len(plan)
-    gen, value = [0] * n, [0] * n
     found: list[tuple[int, ...]] = []
-
-    def rec(idx: int) -> None:
-        if idx == n:
-            found.append(tuple(value))
-            return
-        p, cone, candidates = plan[idx]
-        # the g_q of the cone (g_p is 0 until chosen) lie in g_p when their union does
-        union = 0
-        for q in cone:
-            union |= gen[q]
-        for g, v, points in candidates:
-            if union & ~g:
-                continue
-            if points is not None:
-                reach = 0
-                for q in points:
-                    reach |= gen[q]
-                if g & ~reach:
-                    continue
-            gen[p], value[p] = g, v
-            rec(idx + 1)
-        gen[p] = 0
-
-    rec(0)
-    del rec  # it refers to itself; left bound, it would wait for the cyclic collector
+    _descend(_search_plan(cones, points, closed, flip), 0, [0] * len(cones), [0] * len(cones),
+             found)
     return found
+
+
+def _descend(plan: Sequence[tuple], idx: int, gen: list[int], value: list[int],
+             found: list[tuple[int, ...]]) -> None:
+    """Append to ``found`` each leaf below the choices ``gen`` and ``value``
+    made at the first ``idx`` steps of ``plan``."""
+    if idx == len(plan):
+        found.append(tuple(value))
+        return
+    p, cone, candidates = plan[idx]
+    # the g_q of the cone (g_p is 0 until chosen) lie in g_p when their union does
+    union = 0
+    for q in cone:
+        union |= gen[q]
+    for g, v, points in candidates:
+        if union & ~g:
+            continue
+        if points is not None:
+            reach = 0
+            for q in points:
+                reach |= gen[q]
+            if g & ~reach:
+                continue
+        gen[p], value[p] = g, v
+        _descend(plan, idx + 1, gen, value, found)
+    gen[p] = 0
 
 
 class Subset:
@@ -600,7 +589,7 @@ def build_poset(
     return Poset(labels, down)
 
 
-def enumerate_posets(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[Poset]:
+def enumerate_posets(n: int, cap: int = HARD_STREAM_CAP) -> Iterator[Poset]:
     """Stream every labeled poset on ``n`` elements exactly once.
 
     Each unordered pair of elements is independently incomparable, ordered
@@ -616,49 +605,47 @@ def enumerate_posets(n: int, cap: int = DEFAULT_STREAM_CAP) -> Iterator[Poset]:
     A leaf is a partial order by construction (reflexive from the start,
     antisymmetric because each pair takes one of its three choices, and
     transitive by the triple checks), so its poset is built without the
-    constructor's checks, from the rows the search keeps in both directions.
+    constructor's checks.  ``cap`` can only lower :data:`HARD_STREAM_CAP`,
+    and both caps are checked at the call, before any work.
     """
+    cap = min(cap, HARD_STREAM_CAP)
     if n < 0:
         raise ValueError("poset size must be nonnegative")
-    if n > cap or n > HARD_STREAM_CAP:
-        raise CapExceededError(
-            f"streaming posets on {n} elements exceeds the cap "
-            f"{min(cap, HARD_STREAM_CAP)}"
-        )
+    if n > cap:
+        raise CapExceededError(f"streaming posets on {n} elements exceeds the cap {cap}")
     labels = tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     index = {lab: i for i, lab in enumerate(labels)}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     down = [1 << i for i in range(n)]
-    up = down.copy()
+    return _choose(labels, index, pairs, 0, down, down.copy())
 
-    def rec(k: int) -> Iterator[Poset]:
-        if k == len(pairs):
-            yield Poset._wrap(labels, index, tuple(down), tuple(up))
-            return
-        # the triples {a, b, c} with a < b are those whose last pair is (b, c)
-        b, c = pairs[k]
-        earlier = (1 << b) - 1
-        db, ub = down[b] & earlier, up[b] & earlier
-        dc, uc = down[c] & earlier, up[c] & earlier
-        # incomparable: no a with b <= a <= c or c <= a <= b
-        if not ub & dc and not uc & db:
-            yield from rec(k + 1)
-        # b below c: a <= b forces a <= c, and c <= a forces b <= a
-        if not db & ~dc and not uc & ~ub:
-            down[c] |= 1 << b
-            up[b] |= 1 << c
-            yield from rec(k + 1)
-            down[c] ^= 1 << b
-            up[b] ^= 1 << c
-        # c below b: the same with b and c swapped
-        if not dc & ~db and not ub & ~uc:
-            down[b] |= 1 << c
-            up[c] |= 1 << b
-            yield from rec(k + 1)
-            down[b] ^= 1 << c
-            up[c] ^= 1 << b
 
-    try:
-        yield from rec(0)
-    finally:
-        del rec  # it refers to itself; left bound, it would wait for the cyclic collector
+def _choose(labels: tuple[str, ...], index: dict[str, int], pairs: Sequence[tuple[int, int]],
+            k: int, down: list[int], up: list[int]) -> Iterator[Poset]:
+    """The posets whose first ``k`` pairs are set as in the rows ``down`` and
+    ``up``, in stream order."""
+    if k == len(pairs):
+        yield Poset._wrap(labels, index, tuple(down), tuple(up))
+        return
+    # the triples {a, b, c} with a < b are those whose last pair is (b, c)
+    b, c = pairs[k]
+    earlier = (1 << b) - 1
+    db, ub = down[b] & earlier, up[b] & earlier
+    dc, uc = down[c] & earlier, up[c] & earlier
+    # incomparable: no a with b <= a <= c or c <= a <= b
+    if not ub & dc and not uc & db:
+        yield from _choose(labels, index, pairs, k + 1, down, up)
+    # b below c: a <= b forces a <= c, and c <= a forces b <= a
+    if not db & ~dc and not uc & ~ub:
+        down[c] |= 1 << b
+        up[b] |= 1 << c
+        yield from _choose(labels, index, pairs, k + 1, down, up)
+        down[c] ^= 1 << b
+        up[b] ^= 1 << c
+    # c below b: the same with b and c swapped
+    if not dc & ~db and not ub & ~uc:
+        down[b] |= 1 << c
+        up[c] |= 1 << b
+        yield from _choose(labels, index, pairs, k + 1, down, up)
+        down[b] ^= 1 << c
+        up[c] ^= 1 << b

@@ -273,11 +273,11 @@ def _topology_generators(poset: Poset) -> list[tuple[int, ...]]:
       cover p.
 
     These are the conditions of :func:`poset._least_generators` on the
-    layout's ``sieve_search``, each sieve recording itself: every leaf is a
-    topology and each topology is reached once.  :func:`_families` expands
-    the generators.
+    sieves on each p, each recording itself: every leaf is a topology and
+    each topology is reached once.  :func:`_families` expands the
+    generators.
     """
-    return _least_generators(_layout(poset).sieve_search)
+    return _least_generators(poset._down, poset._cones, _layout(poset).sieves, 0)
 
 
 def _families(poset: Poset, gens: Iterable[Sequence[int]]) -> list[tuple[tuple[int, ...], ...]]:

@@ -52,6 +52,10 @@ class TestLattice:
                 for c in ds:
                     assert meet(a, b | c) == meet(a, b) | meet(a, c)
 
+    def test_meet_rejects_a_plain_subset(self, chain2):
+        with pytest.raises(TypeError, match="meet is defined on downsets"):
+            meet(chain2.subset("a"), chain2.downset("a"))
+
     def test_cross_poset_operands_rejected(self, chain2, antichain2):
         with pytest.raises(PosetMismatchError):
             meet(chain2.downset("a"), antichain2.downset("a"))

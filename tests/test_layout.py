@@ -3,17 +3,21 @@
 Every table that the enumerators, the plane checks and the edge kernels
 read off a poset is rebuilt here from the order relation alone: downsets
 by filtering all 2**n masks, minimal points by scanning the relation,
-and each census search's candidates as the closed sets inside each cone.
+and the plan each census search runs as the closed sets inside each cone.
 The posets are every labeled poset with n <= 5, chain10, chain16,
 antichain7, antichain12, boolean3 and seeded random posets with n <= 10.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
+import triposet.poset
 from triposet import build_poset, enumerate_posets
-from triposet.poset import _layout
+from triposet.nucleus import _nucleus_generators
+from triposet.poset import _layout, _search_plan
+from triposet.topology import _topology_generators
 
 
 def chain(n):
@@ -89,12 +93,22 @@ def check_layout(poset):
     assert list(layout.push) == [rank[s] * n + p for p, s in planes]
     assert list(layout.pull) == [plane[p, m & down[p]] for m in dmasks for p in range(n)]
 
-    # each search: per point, smallest cone first, its cone's points and the
-    # closed sets inside the cone in canonical order of their downsets, the
-    # whole cone without its points
+    # the plan each census search builds and runs: per point, smallest cone
+    # first, its cone's points and the closed sets inside the cone in
+    # canonical order of their downsets, the whole cone without its points
+    plans = []
+
+    def record(*args):
+        plans.append(_search_plan(*args))
+        return plans[-1]
+
+    with mock.patch.object(triposet.poset, "_search_plan", record):
+        # one topology and one nucleus per subset
+        assert len(_topology_generators(poset)) == len(_nucleus_generators(poset)) == 1 << n
+    assert len(plans) == 2
     for search, cones, closed, value in (
-        (layout.sieve_search, down, dmasks, lambda g: g),
-        (layout.upset_search, up, [full ^ t for t in dmasks], lambda g: full ^ g),
+        (plans[0], down, dmasks, lambda g: g),
+        (plans[1], up, [full ^ t for t in dmasks], lambda g: full ^ g),
     ):
         order = sorted(range(n), key=lambda p: (bin(cones[p]).count("1"), p))
         assert [tuple(step) for step in search] == [

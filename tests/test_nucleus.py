@@ -101,6 +101,12 @@ class TestValidate:
         with pytest.raises(PosetMismatchError):
             validate_nucleus(chain2, table)
 
+    def test_foreign_image_rejected(self, chain2, antichain2):
+        table = identity_table(chain2)
+        table[chain2.downset("a")] = antichain2.downset("a")
+        with pytest.raises(PosetMismatchError, match="table image belongs to a different poset"):
+            validate_nucleus(chain2, table)
+
 
 class TestApply:
     def test_identity_application(self, chain3):
@@ -126,6 +132,14 @@ class TestApply:
     def test_pairs_follow_canonical_order(self, chain2):
         j = validate_nucleus(chain2, identity_table(chain2))
         assert [s.labels() for s, _ in j.pairs()] == [(), ("a",), ("a", "b")]
+
+    def test_repr_lists_the_rows(self, chain2):
+        assert repr(validate_nucleus(chain2, identity_table(chain2))) == (
+            "Nucleus({}->{}, {a}->{a}, {a b}->{a b})")
+
+    def test_equality_with_a_non_nucleus_is_false(self, chain2):
+        j = validate_nucleus(chain2, identity_table(chain2))
+        assert (j == j.images) is False
 
     def test_table_equality(self, chain2):
         a = validate_nucleus(chain2, identity_table(chain2))

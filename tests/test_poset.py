@@ -48,6 +48,10 @@ class TestBuild:
         with pytest.raises(UnknownLabelError):
             build_poset(["a", "b"], [("a", "z")])
 
+    def test_unknown_lower_endpoint_rejected(self):
+        with pytest.raises(UnknownLabelError, match="unknown label 'z'"):
+            build_poset(["a"], [("z", "a")])
+
     def test_declaration_order_fixes_indices(self):
         p = build_poset(["z", "y", "x"])
         assert p.labels == ("z", "y", "x")
@@ -61,6 +65,29 @@ class TestBuild:
         # a below b, b below c, but a<c missing
         with pytest.raises(ValueError):
             Poset(("a", "b", "c"), [0b001, 0b011, 0b110])
+
+    def test_raw_constructor_rejects_a_length_mismatch(self):
+        with pytest.raises(ValueError, match="labels and relation rows disagree in length"):
+            Poset(("a", "b"), [0b01])
+
+    def test_raw_constructor_rejects_a_non_string_label(self):
+        with pytest.raises(TypeError, match="label 1 is not a string"):
+            Poset(("a", 1), [0b01, 0b10])
+
+    def test_raw_constructor_rejects_a_repeated_label(self):
+        with pytest.raises(DuplicateLabelError, match="duplicate label 'a'"):
+            Poset(("a", "a"), [0b01, 0b10])
+
+    def test_raw_constructor_rejects_a_row_past_the_carrier(self):
+        with pytest.raises(ValueError, match="relation row for 'a' is out of range"):
+            Poset(("a",), [0b11])
+
+    def test_repr_lists_the_covers(self, diamond, antichain2):
+        assert repr(diamond) == "Poset(o a b t; o<a o<b a<t b<t)"
+        assert repr(antichain2) == "Poset(a b)"
+
+    def test_equality_with_a_non_poset_is_false(self, chain2):
+        assert (chain2 == ("a", "b")) is False
 
 
 class TestOrder:
@@ -182,6 +209,10 @@ class TestSubsets:
         with pytest.raises(UnknownLabelError):
             chain2.subset(["q"])
 
+    def test_member_index_out_of_range(self, chain2):
+        with pytest.raises(ValueError, match="element 2 out of range"):
+            chain2.subset([2])
+
     def test_operators_preserve_downset_type(self, antichain2):
         a, b = antichain2.downset("a"), antichain2.downset("b")
         assert isinstance(a & b, DownSet)
@@ -195,6 +226,16 @@ class TestSubsets:
     def test_render(self, chain2):
         assert str(chain2.downset("ab")) == "{a b}"
         assert str(chain2.downset([])) == "{}"
+
+    def test_repr_names_the_class(self, chain2):
+        assert repr(chain2.subset("b")) == "Subset({b})"
+        assert repr(chain2.downset([])) == "DownSet({})"
+
+    def test_length_is_the_cardinality(self, vee):
+        assert [len(vee.subset(m)) for m in ([], "c", "ac", "abc")] == [0, 1, 2, 3]
+
+    def test_equality_with_a_non_subset_is_false(self, chain2):
+        assert (chain2.subset("a") == 0b01) is False
 
     def test_subsets_cover_the_powerset(self, vee):
         assert len(vee.subsets()) == 8
@@ -231,8 +272,9 @@ class TestEnumeration:
         assert first == second
 
     def test_default_cap(self):
+        assert sum(1 for _ in enumerate_posets(5)) == 4231
         with pytest.raises(CapExceededError):
-            list(enumerate_posets(5))
+            enumerate_posets(6)
 
     def test_hard_cap_wins_over_argument(self):
         with pytest.raises(CapExceededError):

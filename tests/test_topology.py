@@ -141,6 +141,10 @@ class TestFamilies:
         J = validate_topology(singleton, [[d, d]])
         assert J.sieves_at(0) == (d,)
 
+    def test_constructor_rejects_the_wrong_number_of_families(self, chain2):
+        with pytest.raises(ValueError, match="1 families for a poset with 2 elements"):
+            GrothendieckTopology(chain2, [[1]])
+
     def test_constructor_rejects_a_non_int_mask(self, chain2):
         with pytest.raises(TypeError, match=r"mask 1\.0 is not an int"):
             GrothendieckTopology(chain2, [[1.0], [3]])
@@ -148,6 +152,14 @@ class TestFamilies:
     def test_constructor_rejects_an_out_of_range_mask(self, chain2):
         with pytest.raises(ValueError, match="mask 0x7 out of range for n=2"):
             GrothendieckTopology(chain2, [[7], [99]])
+
+    def test_repr_lists_each_point_family(self, chain2):
+        assert repr(validate_topology(chain2, largest_families(chain2))) == (
+            "GrothendieckTopology(a: {} {a}; b: {} {a} {a b})")
+
+    def test_equality_with_a_non_topology_is_false(self, chain2):
+        J = validate_topology(chain2, smallest_families(chain2))
+        assert (J == J.families) is False
 
     def test_equality_is_per_point_families(self, chain2):
         small = validate_topology(chain2, smallest_families(chain2))
