@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .errors import (
-    CapExceededError,
     NucleusAxiomError,
     TopologyAxiomError,
     TriposetError,
@@ -29,7 +28,7 @@ from .formats import (
     topology_from_jsonable,
 )
 from .nucleus import enumerate_nuclei
-from .poset import HARD_STREAM_CAP, LATTICE_CAP, Poset, enumerate_posets
+from .poset import LATTICE_CAP, Poset, enumerate_posets
 from .topology import enumerate_topologies
 from .triangle import (
     nucleus_to_subset,
@@ -256,15 +255,13 @@ def _cmd_verify(args, out, parser) -> int:
 
     if args.max_n < 0:
         parser.error("--max-n must be nonnegative")
-    if args.max_n > HARD_STREAM_CAP:
-        raise CapExceededError(
-            f"--max-n {args.max_n} exceeds the poset streaming cap {HARD_STREAM_CAP}"
-        )
+    # a size past the stream cap is refused here, before any poset is verified
+    streams = [enumerate_posets(n) for n in range(args.max_n + 1)]
     sizes = []
     failures = []
-    for n in range(args.max_n + 1):
+    for n, stream in enumerate(streams):
         total = verified = 0
-        for poset in enumerate_posets(n):
+        for poset in stream:
             total += 1
             if args.directed_only and not poset.is_downward_directed():
                 continue

@@ -17,8 +17,7 @@ are one private :class:`_Layout`, kept for the latest poset only.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cache, lru_cache
-from itertools import chain
+from functools import lru_cache
 from operator import and_
 
 from .errors import (
@@ -54,56 +53,6 @@ def _bits(mask: int) -> Iterator[int]:
 def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
     """The distinct ``masks`` in canonical (cardinality, mask) order."""
     return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
-
-
-@cache
-def _bit_tables() -> tuple[bytes, ...]:
-    """Per bit b < 8, the translation of a byte to the digit of its bit b."""
-    return tuple(bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8))
-
-
-def _pack(values: Iterable[int], width: int) -> bytes:
-    """``values`` below 2**width, as (width + 7) // 8 little-endian bytes each
-    (one when width <= 8); any other value raises ValueError or OverflowError."""
-    size = max(1, (width + 7) >> 3)
-    blob = bytes(values) if size == 1 else b"".join([v.to_bytes(size, "little") for v in values])
-    if blob[size - 1 :: size].translate(None, bytes(range(1 << width + 8 - 8 * size))):
-        raise ValueError(f"a value is not below 2**{width}")
-    return blob
-
-
-def _planes(blob: bytes, width: int) -> list[int]:
-    """The bit planes of a batch, plane b an int whose bit k is bit b of
-    value k.  ``blob`` holds the values last first, in whole little-endian
-    bytes; plane b is read as a column of bytes translated to digits."""
-    if not blob or not width:
-        return [0] * width
-    size = (width + 7) >> 3
-    return [int(blob.translate(_bit_tables()[b & 7])[b >> 3 :: size], 2) for b in range(width)]
-
-
-def _mask_planes(values: Sequence[Sequence[int]], width: int,
-                 fields: int) -> tuple[list[int], bool]:
-    """The planes of a batch of ``fields``-tuples of masks, plane f * width
-    + b holding bit b of field f, no bit of a mask past ``width`` read, and
-    whether they hold the batch exactly: every mask in 0..2**width - 1.
-    The masks are transposed as one batch, field f of value k in lane
-    f * w + k, whose planes are cut into the fields."""
-    w, flat = len(values), list(chain.from_iterable(zip(*values)))
-    flat.reverse()
-    try:
-        blob, exact = _pack(flat, width), True
-    except (ValueError, OverflowError):  # a mask below 0 or past the width
-        blob, exact = _pack([m & (1 << width) - 1 for m in flat], width), False
-    planes, ones = _planes(blob, width), (1 << w) - 1
-    return [plane >> f * w & ones for f in range(fields) for plane in planes], exact
-
-
-def _columns(planes: Sequence[int], w: int) -> list[int]:
-    """The ``w`` values of a batch: bit j of value k is bit k of ``planes[j]``,
-    which is :func:`_planes` with the planes as its values.  Bits past lane
-    w - 1 are not read, so a plane below 0 or past the batch lowers too."""
-    return _planes(_pack(map(((1 << w) - 1).__and__, reversed(planes)), w), w)
 
 
 class Poset:

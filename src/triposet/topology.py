@@ -197,19 +197,6 @@ def _check_topology(
     return tuple(fam_masks)
 
 
-def _family_planes(poset: Poset, batch: Sequence[Sequence[tuple]]) -> list[int]:
-    """The planes of a batch of families: the layout's plane ``index[p][s]``
-    has bit k when s is in ``batch[k][p]``; other masks are not read."""
-    layout = _layout(poset)
-    planes = [0] * layout.size
-    for k, families in enumerate(batch):
-        for at, fam in zip(layout.index, families):
-            for s in fam:
-                if s in at:
-                    planes[at[s]] |= 1 << k
-    return planes
-
-
 def _topology_fails(poset: Poset, planes: list[int], ones: int,
                     gens: list[int] | None = None) -> int:
     """Bit k set exactly when value k of a batch of families is not a

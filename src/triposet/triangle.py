@@ -22,7 +22,9 @@ Each edge is one private kernel on a batch of values held as bit planes,
 w-bit ints whose bit k is one bit of value k: n planes for subsets (plane
 q holds point q), d * n for nuclei (plane i * n + p holds bit p of the
 image of the i-th downset) and one membership plane per point p and sieve
-on p for topologies.  A kernel maps planes to planes with a few ``&``,
+on p for topologies.  This module holds the whole encoding: one transpose
+lifts subsets and image masks and lowers every batch, and families are
+lifted sieve by sieve.  A kernel maps planes to planes with a few ``&``,
 ``|`` and ``^`` each, given the layout the enumerators also read
 (:class:`poset._Layout`), of which only the kernels read the plane index
 maps ``alt``, ``push`` and ``pull``; it reads only what planes hold, the
@@ -62,7 +64,9 @@ batches, comparing census values as listed; it runs no kernel.
 
 from __future__ import annotations
 
-from functools import reduce
+from collections.abc import Iterable, Sequence
+from functools import cache, reduce
+from itertools import chain
 from operator import or_, xor
 from time import perf_counter
 from typing import Any
@@ -81,14 +85,12 @@ from .nucleus import (
     enumerate_nuclei,  # noqa: F401 -- looked up here by perfbench
     validate_nucleus,  # noqa: F401 -- looked up here by tests and perfbench
 )
-from .poset import (Poset, Subset, _canonical, _columns, _Layout, _layout, _mask_planes, _pack,
-                    _planes)
+from .poset import Poset, Subset, _canonical, _Layout, _layout
 from .topology import (
     DEFAULT_TOPOLOGY_CAP,
     GrothendieckTopology,
     _check_topology,
     _families,
-    _family_planes,
     _require_topology_cap,
     _topology_fails,
     _topology_generators,
@@ -162,6 +164,62 @@ def _families_to_table(r: _Layout, planes: list[int], ones: int) -> list[int]:
 # -- each corner's (lift, lower): its values to planes, and a batch of w back
 
 
+@cache
+def _bit_tables() -> tuple[bytes, ...]:
+    """Per bit b < 8, the translation of a byte to the digit of its bit b."""
+    return tuple(bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8))
+
+
+def _transpose(values: Iterable[int], width: int) -> list[int]:
+    """The bit planes of a batch of ``values`` below 2**width, plane b an
+    int whose bit k is bit b of value k; any other value raises ValueError
+    or OverflowError.  Packed big-endian, (width + 7) // 8 bytes each (one
+    when width <= 8), and reversed, the blob holds the values last first and
+    little-endian; plane b is read as a column of it translated to digits."""
+    size = max(1, (width + 7) >> 3)
+    blob = (bytes(values) if size == 1
+            else b"".join([v.to_bytes(size, "big") for v in values]))[::-1]
+    if blob[size - 1 :: size].translate(None, bytes(range(1 << width + 8 - 8 * size))):
+        raise ValueError(f"a value is not below 2**{width}")
+    if not blob:
+        return [0] * width
+    return [int(blob.translate(_bit_tables()[b & 7])[b >> 3 :: size], 2) for b in range(width)]
+
+
+def _columns(planes: Sequence[int], w: int) -> list[int]:
+    """The ``w`` values of a batch: bit j of value k is bit k of ``planes[j]``,
+    which is :func:`_transpose` with the planes as its values.  Bits past
+    lane w - 1 are not read, so a plane below 0 or past the batch lowers too."""
+    return _transpose(map(((1 << w) - 1).__and__, planes), w)
+
+
+def _mask_planes(values: Sequence[Sequence[int]], width: int,
+                 fields: int) -> tuple[list[int], bool]:
+    """The planes of a batch of ``fields``-tuples of masks, plane f * width
+    + b holding bit b of field f, no bit of a mask past ``width`` read, and
+    whether they hold the batch exactly: every mask in 0..2**width - 1.
+    The masks are transposed as one batch, field f of value k in lane
+    f * w + k, whose planes are cut into the fields."""
+    w, ones, flat = len(values), (1 << len(values)) - 1, list(chain.from_iterable(zip(*values)))
+    try:
+        planes, exact = _transpose(flat, width), True
+    except (ValueError, OverflowError):  # a mask below 0 or past the width
+        planes, exact = _transpose([m & (1 << width) - 1 for m in flat], width), False
+    return [plane >> f * w & ones for f in range(fields) for plane in planes], exact
+
+
+def _family_planes(r: _Layout, batch: Sequence[Sequence[tuple]]) -> list[int]:
+    """The planes of a batch of families: the layout's plane ``index[p][s]``
+    has bit k when s is in ``batch[k][p]``; other masks are not read."""
+    planes = [0] * r.size
+    for k, families in enumerate(batch):
+        for at, fam in zip(r.index, families):
+            for s in fam:
+                if s in at:
+                    planes[at[s]] |= 1 << k
+    return planes
+
+
 def _lower_tables(r: _Layout, planes: list[int], w: int) -> list[Table]:
     full, shifts = r.poset.full_mask, [i * r.n for i in range(r.d)]
     return [tuple([c >> s & full for s in shifts]) for c in _columns(planes, w)]
@@ -172,10 +230,9 @@ def _lower_families(r: _Layout, planes: list[int], w: int) -> list[Families]:
                    for span, sieves in zip(r.ranges, r.sieves)]) for c in _columns(planes, w)]
 
 
-_SUBSETS = (lambda r, xs: _planes(_pack(reversed(xs), r.n), r.n),
-            lambda r, planes, w: _columns(planes, w))
+_SUBSETS = (lambda r, xs: _transpose(xs, r.n), lambda r, planes, w: _columns(planes, w))
 _TABLES = (lambda r, tables: _mask_planes(tables, r.n, r.d)[0], _lower_tables)
-_FAMILIES = (lambda r, batch: _family_planes(r.poset, batch), _lower_families)
+_FAMILIES = (_family_planes, _lower_families)
 
 
 def _all_subsets(n: int, ones: int) -> list[int]:

@@ -216,8 +216,8 @@ def test_the_layout_is_the_only_per_poset_cache():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(package.glob("*.py"))}
     assert cache_reads(sources) == [
-        "poset: _bit_tables()",
         "poset: _layout = lru_cache(maxsize=1)(_Layout)",
+        "triangle: _bit_tables()",
     ]
     sample = {
         "a": "from functools import cache, lru_cache\n\n@cache\ndef _table():\n    pass\n",

@@ -11,7 +11,8 @@ of broken values, on every one-entry change of the nuclei and topologies of
 small posets, on every census value of the posets with n <= 4, and on
 every family tuple and generator tuple of the labeled posets with n <= 3
 and every image tuple of those with n <= 2.  The closed-form planes of
-all 2**n subsets are their transpose for n <= 16.  The
+all 2**n subsets are their transpose for n <= 16.  The transpose inverts
+itself and refuses a value out of range at widths from 0 to 200 bits.  The
 planes ``verify_triangle`` lifts from generator tuples hold the values the
 tuples expand to, and with the generator planes each check also flags a
 value whose generators are not its own.
@@ -32,10 +33,9 @@ from triposet import (
 )
 from triposet.errors import TriposetError
 from triposet.nucleus import _check_nucleus, _images, _nucleus_fails, _nucleus_generators
-from triposet.poset import _layout, _mask_planes
-from triposet.topology import (
-    _check_topology, _families, _family_planes, _topology_fails, _topology_generators,
-)
+from triposet.poset import _layout
+from triposet.topology import _check_topology, _families, _topology_fails, _topology_generators
+from triposet.triangle import _columns, _mask_planes, _transpose
 
 
 def random_poset(n, rng):
@@ -98,6 +98,29 @@ def test_the_closed_form_planes_of_all_subsets_are_their_transpose(n):
         layout, range(1 << n))
 
 
+@pytest.mark.parametrize("w", [0, 1, 2, 9, 40])
+@pytest.mark.parametrize("width", [*range(25), 63, 64, 65, 200])
+def test_the_transpose_round_trips_and_refuses_a_value_out_of_range(width, w):
+    """1-, 2-, 3-, 8-, 9- and 25-byte values: the transpose inverts itself,
+    a value below 0 or past the width raises at any lane, and the mask lift
+    reads such a batch as its masked values and says it is not exact."""
+    rng = random.Random(width * 41 + w)
+    values = [rng.randrange(1 << width) for _ in range(w)]
+    planes = _transpose(values, width)
+    assert planes == [sum((v >> b & 1) << k for k, v in enumerate(values)) for b in range(width)]
+    assert _columns(planes, w) == values
+    full = (1 << width) - 1
+    for stray in (-1, 1 << width):
+        at = rng.randrange(w + 1)
+        batch = [*values[:at], stray, *values[at:]]
+        with pytest.raises((ValueError, OverflowError)):
+            _transpose(batch, width)
+        pairs = list(zip(batch, reversed(batch)))
+        masked = [m & full for m in batch]
+        assert _mask_planes(pairs, width, 2) == (
+            _transpose(masked, width) + _transpose(masked[::-1], width), False)
+
+
 @pytest.mark.parametrize("poset, cap", [(chain(4), 5), (chain(10), 11)], ids=["chain4", "chain10"])
 def test_a_lift_reads_only_what_the_planes_hold_and_says_so(poset, cap):
     # past the packed bytes, inside them past bit n, and below 0
@@ -119,8 +142,8 @@ def test_a_lift_reads_only_what_the_planes_hold_and_says_so(poset, cap):
         batch = [*topologies[:2], change(topologies[2]), *topologies[3:]]
         held = [tuple(sorted(set(fam) & at, key=lambda m: (m.bit_count(), m)))
                 for fam, at in zip(batch[2], sieves)]
-        assert _family_planes(poset, batch) == _family_planes(
-            poset, [*batch[:2], tuple(held), *batch[3:]])
+        assert triangle._family_planes(_layout(poset), batch) == triangle._family_planes(
+            _layout(poset), [*batch[:2], tuple(held), *batch[3:]])
 
 
 ZIGZAG = build_poset("abcd", [("a", "c"), ("b", "c"), ("b", "d")])
@@ -144,7 +167,8 @@ def test_a_lift_reads_each_distinct_family_for_every_value_holding_it(poset):
         [*topologies, *topologies[::-1]],
         [reversed_, first, reversed_, tuple(tuple(reversed(fam)) for fam in second)],
     ):
-        assert _family_planes(poset, batch) == family_planes_by_bit(poset, batch)[0]
+        assert triangle._family_planes(_layout(poset), batch) == family_planes_by_bit(
+            poset, batch)[0]
 
 
 def _raises(check, poset, value):
@@ -172,7 +196,8 @@ def check_nuclei(poset, batch):
 
 def check_topologies(poset, batch):
     def planes_of(poset, batch):
-        return _family_planes(poset, batch), family_planes_by_bit(poset, batch)[1]
+        return triangle._family_planes(_layout(poset), batch), family_planes_by_bit(
+            poset, batch)[1]
 
     return _check_batch(_topology_fails, planes_of, _check_topology, poset, batch)
 
