@@ -8,10 +8,11 @@ where one is needed) is ascending by (cardinality, mask); every enumeration
 in the package emits that order.
 
 All objects here are immutable once built and safe to share across threads.
-A poset computes its hash, its cone point lists, the downset list and its
-ranks, and the covers on first use and keeps them, so a streamed poset that
-is never read costs only its rows.  The tables the engine reads off a poset
-are one private :class:`_Layout`, kept for the latest poset only.
+A poset computes its hash, the downset list and its ranks, and the covers
+on first use and keeps them, so a streamed poset that is never read costs
+only its rows.  The tables the engine reads off a poset, its cone point
+lists among them, are one private :class:`_Layout`, kept for the latest
+poset only.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ class Poset:
         "labels",
         "_down",
         "_up",
-        "_cone_points",
         "_index",
         "_hash",
         "_downsets",
@@ -125,7 +125,6 @@ class Poset:
         self.labels = labels
         self._down = down
         self._up = up
-        self._cone_points = None
         self._index = index
         self._hash = None
         self._downsets = None
@@ -137,12 +136,6 @@ class Poset:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    @property
-    def _cones(self) -> tuple[tuple[int, ...], ...]:  # each principal downset's points
-        if self._cone_points is None:
-            self._cone_points = tuple(tuple(_bits(row)) for row in self._down)
-        return self._cone_points
 
     def index(self, label: str) -> int:
         try:
@@ -287,7 +280,8 @@ class _Layout:
       j(S_i) = j(M_p) & j(S_k), and a map with j(P) = P satisfying every
       step is the meet of its values on the M_p.
     * Image planes, plane i * n + p holding bit p of j(S_i): ``tops[p]`` is
-      the first plane of j(M_p), ``above[p]`` the points above p and p.
+      the first plane of j(M_p); ``above[p]`` lists the points of the
+      up-set of p and ``cones[p]`` those of its principal downset.
     * Topology planes, one per point p and sieve s on p, point after point:
       ``sieves[p]`` lists the sieves on p, ``index[p][s]`` is the plane,
       ``ranges[p]`` p's planes (the principal downset last), ``size`` their
@@ -301,8 +295,8 @@ class _Layout:
       when they run, from ``sieves`` and ``above``.
     """
 
-    __slots__ = ("poset", "n", "d", "steps", "tops", "above", "sieves", "size", "index",
-                 "ranges", "grow", "alt", "push", "pull")
+    __slots__ = ("poset", "n", "d", "steps", "tops", "above", "cones", "sieves", "size",
+                 "index", "ranges", "grow", "alt", "push", "pull")
 
     def __init__(self, poset: Poset):
         n, down, up = poset.n, poset._down, poset._up
@@ -317,6 +311,7 @@ class _Layout:
             self.steps.append((i, rank[s | 1 << p], p))
         self.tops = [rank[full & ~u] * n for u in up]
         self.above = [tuple(_bits(u)) for u in up]
+        self.cones = [tuple(_bits(c)) for c in down]
         self.sieves = tuple(map(poset.sieve_masks, range(n)))
         self.index, self.ranges, self.grow = [], [], []
         size = 0

@@ -38,7 +38,7 @@ from .errors import (
     StabilityFailError,
     TransitivityFailError,
 )
-from .poset import DownSet, Poset, Subset, _canonical, _layout, _least_generators
+from .poset import DownSet, Poset, Subset, _bits, _canonical, _layout, _least_generators
 
 __all__ = [
     "DEFAULT_TOPOLOGY_CAP",
@@ -158,7 +158,7 @@ def _check_topology(
     sieve check reaches them."""
     rank = poset._downset_ranks()
     down = poset._down
-    cones = poset._cones
+    cones = [tuple(_bits(c)) for c in down]
     fam_masks: list[tuple[int, ...]] = []
     for p, entries in enumerate(families):
         for m in entries:
@@ -209,15 +209,15 @@ def _topology_fails(poset: Poset, planes: list[int], ones: int,
     always a sieve on p.  With ``gens``, plane p * n + b holding bit b of
     m_p, the planes are the sieves containing the m_p, and a value passes
     only when each read-off m_p is the given one."""
-    layout, up, cones = _layout(poset), poset._up, poset._cones
+    layout, up = _layout(poset), poset._up
     m = [[ones ^ planes[at[top & ~u]] if top >> b & 1 else 0 for b, u in enumerate(up)]
          for at, top in zip(layout.index, poset._down)]
     flat = list(chain.from_iterable(m))
     fails = reduce(or_, map(xor, flat, gens) if gens is not None
                    else map(xor, planes, layout.covering([ones ^ x for x in flat], ones)), 0)
     for a, b in poset.covers():
-        fails = reduce(or_, [m[a][q] & ~m[b][q] for q in cones[a]], fails)
-    for mp, cone in zip(m, cones):
+        fails = reduce(or_, [m[a][q] & ~m[b][q] for q in layout.cones[a]], fails)
+    for mp, cone in zip(m, layout.cones):
         for b in cone:
             fails |= reduce(and_, [ones ^ (mp[q] & m[q][b]) for q in cone if up[b] >> q & 1], mp[b])
     return fails
@@ -264,7 +264,8 @@ def _topology_generators(poset: Poset) -> list[tuple[int, ...]]:
     each topology is reached once.  :func:`_families` expands the
     generators.
     """
-    return _least_generators(poset._down, poset._cones, _layout(poset).sieves, 0)
+    layout = _layout(poset)
+    return _least_generators(poset._down, layout.cones, layout.sieves, 0)
 
 
 def _families(poset: Poset, gens: Iterable[Sequence[int]]) -> list[tuple[tuple[int, ...], ...]]:

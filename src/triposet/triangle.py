@@ -23,8 +23,9 @@ w-bit ints whose bit k is one bit of value k: n planes for subsets (plane
 q holds point q), d * n for nuclei (plane i * n + p holds bit p of the
 image of the i-th downset) and one membership plane per point p and sieve
 on p for topologies.  This module holds the whole encoding: one transpose
-lifts subsets and image masks and lowers every batch, and families are
-lifted sieve by sieve.  A kernel maps planes to planes with a few ``&``,
+lifts and lowers every batch, through the three corner records (subsets,
+nuclei, topologies), each holding its lift, its lowering, its value class
+and its key in a witness.  A kernel maps planes to planes with a few ``&``,
 ``|`` and ``^`` each, given the layout the enumerators also read
 (:class:`poset._Layout`), of which only the kernels read the plane index
 maps ``alt``, ``push`` and ``pull``; it reads only what planes hold, the
@@ -161,7 +162,7 @@ def _families_to_table(r: _Layout, planes: list[int], ones: int) -> list[int]:
     return list(map(planes.__getitem__, r.pull))
 
 
-# -- each corner's (lift, lower): its values to planes, and a batch of w back
+# -- each corner: its values to planes, and a batch of w back
 
 
 @cache
@@ -210,14 +211,10 @@ def _mask_planes(values: Sequence[Sequence[int]], width: int,
 
 def _family_planes(r: _Layout, batch: Sequence[Sequence[tuple]]) -> list[int]:
     """The planes of a batch of families: the layout's plane ``index[p][s]``
-    has bit k when s is in ``batch[k][p]``; other masks are not read."""
-    planes = [0] * r.size
-    for k, families in enumerate(batch):
-        for at, fam in zip(r.index, families):
-            for s in fam:
-                if s in at:
-                    planes[at[s]] |= 1 << k
-    return planes
+    has bit k when s is in ``batch[k][p]``; other masks are not read.  Each
+    value is the mask of its planes, transposed."""
+    return _transpose([reduce(or_, [1 << at[s] for at, fam in zip(r.index, families)
+                                    for s in fam if s in at], 0) for families in batch], r.size)
 
 
 def _lower_tables(r: _Layout, planes: list[int], w: int) -> list[Table]:
@@ -230,9 +227,22 @@ def _lower_families(r: _Layout, planes: list[int], w: int) -> list[Families]:
                    for span, sieves in zip(r.ranges, r.sieves)]) for c in _columns(planes, w)]
 
 
-_SUBSETS = (lambda r, xs: _transpose(xs, r.n), lambda r, planes, w: _columns(planes, w))
-_TABLES = (lambda r, tables: _mask_planes(tables, r.n, r.d)[0], _lower_tables)
-_FAMILIES = (_family_planes, _lower_families)
+class _Corner:
+    """One corner of the triangle: its key in a witness, the class of its
+    values, ``lift(r, values)`` to planes and ``lower(r, planes, w)``, a
+    batch of w back to values."""
+
+    __slots__ = ("key", "cls", "lift", "lower")
+
+    def __init__(self, key: str, cls: type, lift, lower):
+        self.key, self.cls, self.lift, self.lower = key, cls, lift, lower
+
+
+_SUBSET = _Corner("subset", Subset, lambda r, xs: _transpose(xs, r.n),
+                  lambda r, planes, w: _columns(planes, w))
+_NUCLEUS = _Corner("nucleus", Nucleus, lambda r, tables: _mask_planes(tables, r.n, r.d)[0],
+                   _lower_tables)
+_TOPOLOGY = _Corner("topology", GrothendieckTopology, _family_planes, _lower_families)
 
 
 def _all_subsets(n: int, ones: int) -> list[int]:
@@ -240,10 +250,10 @@ def _all_subsets(n: int, ones: int) -> list[int]:
     return [ones // ((1 << (2 << q)) - 1) * (((1 << (1 << q)) - 1) << (1 << q)) for q in range(n)]
 
 
-def _on_one(kernel, source: tuple, target: tuple, poset: Poset, value):
-    """``kernel`` on a batch of one ``source`` value, lowered to a ``target`` value."""
+def _on_one(kernel, source: _Corner, target: _Corner, poset: Poset, value):
+    """``kernel`` on a batch of one ``source`` value, as a ``target`` object."""
     r = _layout(poset)
-    return target[1](r, kernel(r, source[0](r, [value]), 1), 1)[0]
+    return target.cls._wrap(poset, target.lower(r, kernel(r, source.lift(r, [value]), 1), 1)[0])
 
 
 # -- the public edges ------------------------------------------------------
@@ -251,19 +261,17 @@ def _on_one(kernel, source: tuple, target: tuple, poset: Poset, value):
 
 def subset_to_nucleus(x: Subset) -> Nucleus:
     """The nucleus S |-> (x -> S)."""
-    return Nucleus._wrap(x.poset, _on_one(_subset_to_table, _SUBSETS, _TABLES, x.poset, x.mask))
+    return _on_one(_subset_to_table, _SUBSET, _NUCLEUS, x.poset, x.mask)
 
 
 def nucleus_to_subset(j: Nucleus) -> Subset:
     """The points p not swallowed by j applied to everything strictly below p."""
-    return Subset._wrap(j.poset, _on_one(_table_to_subset, _TABLES, _SUBSETS, j.poset, j.images))
+    return _on_one(_table_to_subset, _NUCLEUS, _SUBSET, j.poset, j.images)
 
 
 def nucleus_to_subset_alt(j: Nucleus) -> Subset:
     """Alternate extraction: p where j separates the cone of p from the punctured cone."""
-    return Subset._wrap(
-        j.poset, _on_one(_table_to_subset_alt, _TABLES, _SUBSETS, j.poset, j.images)
-    )
+    return _on_one(_table_to_subset_alt, _NUCLEUS, _SUBSET, j.poset, j.images)
 
 
 def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
@@ -273,35 +281,28 @@ def nucleus_to_subset_via_topology(j: Nucleus) -> Subset:
     principal downset be the only sieve S on p with p in j(S); this
     evaluates that condition directly.
     """
-    return Subset._wrap(
-        j.poset, _on_one(_table_to_subset_via_topology, _TABLES, _SUBSETS, j.poset, j.images)
-    )
+    return _on_one(_table_to_subset_via_topology, _NUCLEUS, _SUBSET, j.poset, j.images)
 
 
 def subset_to_topology(x: Subset) -> GrothendieckTopology:
     """Covers at p are the sieves containing x cut down to the cone of p."""
-    return GrothendieckTopology._wrap(
-        x.poset, _on_one(_subset_to_families, _SUBSETS, _FAMILIES, x.poset, x.mask)
-    )
+    return _on_one(_subset_to_families, _SUBSET, _TOPOLOGY, x.poset, x.mask)
 
 
 def topology_to_subset(J: GrothendieckTopology) -> Subset:
     """The points covered by nothing but their own principal downset."""
-    return Subset._wrap(
-        J.poset, _on_one(_families_to_subset, _FAMILIES, _SUBSETS, J.poset, J.families)
-    )
+    return _on_one(_families_to_subset, _TOPOLOGY, _SUBSET, J.poset, J.families)
 
 
 def nucleus_to_topology(j: Nucleus) -> GrothendieckTopology:
     """Covers at p are the sieves sent over p by the nucleus."""
-    return GrothendieckTopology._wrap(
-        j.poset, _on_one(_table_to_families, _TABLES, _FAMILIES, j.poset, j.images)
-    )
+    return _on_one(_table_to_families, _NUCLEUS, _TOPOLOGY, j.poset, j.images)
 
 
 def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
     """j(S) collects the points where S pulls back to a covering sieve."""
-    return Nucleus(J.poset, _on_one(_families_to_table, _FAMILIES, _TABLES, J.poset, J.families))
+    return Nucleus(J.poset, _on_one(_families_to_table, _TOPOLOGY, _NUCLEUS, J.poset,
+                                    J.families).images)
 
 
 # -- the verifier ----------------------------------------------------------
@@ -454,38 +455,36 @@ def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, sides: tu
     on the first flagged value; the two laws that validate one corner share
     the core's witnesses, so no value is scanned twice."""
     poset, n = r.poset, r.n
+    S, N, T = _SUBSET, _NUCLEUS, _TOPOLOGY
+    visits = {S: _canonical(range(1 << n)), N: tables, T: fams}
+    listed = {S: range(1 << n), N: distinct[0], T: distinct[1]}  # the value of each lane
+    lanes = {c: {v: k for k, v in enumerate(values)} for c, values in listed.items()}
+    memo = {N: {}, T: {}}  # the validator core's witness of each value it ran on
 
-    def corner(key, visits, listed, wrap, lower):
-        """(its key in a witness, the values its laws visit, a value's JSON,
-        a batch back to values, the value of each lane, each value's lane,
-        the validator core's witness of each value it ran on)"""
-        return (key, visits, lambda v: wrap(poset, v).to_jsonable(), lower, listed,
-                {v: k for k, v in enumerate(listed)}, {})
-
-    S = corner("subset", _canonical(range(1 << n)), range(1 << n), Subset._wrap, _SUBSETS[1])
-    N = corner("nucleus", tables, distinct[0], Nucleus._wrap, _lower_tables)
-    T = corner("topology", fams, distinct[1], GrothendieckTopology._wrap, _lower_families)
+    def shown(kind, v):
+        return kind.cls._wrap(poset, v).to_jsonable()
 
     def lower(kind, target, planes):
-        return target[3](r, planes, len(kind[4]))
+        return target.lower(r, planes, len(listed[kind]))
 
     def differ(kind, got, want):
         """The first value of ``kind`` whose lanes in ``got`` and ``want``
         differ: its index, it and both sides."""
-        for i, v in enumerate(kind[1]):
-            k = kind[5][v]
+        lane = lanes[kind]
+        for i, v in enumerate(visits[kind]):
+            k = lane[v]
             if got[k] != want[k]:
                 return i, v, got[k], want[k]
         return None
 
     def roundtrip(kind, side):
-        hit = differ(kind, lower(kind, kind, side[0]), kind[4])
-        return hit and {kind[0]: kind[2](hit[1]), "got": kind[2](hit[2])}
+        hit = differ(kind, lower(kind, kind, side[0]), listed[kind])
+        return hit and {kind.key: shown(kind, hit[1]), "got": shown(kind, hit[2])}
 
     def agree(kind, target, side, name_a, name_b):
         hit = differ(kind, lower(kind, target, side[0]), lower(kind, target, side[1]))
-        return hit and {kind[0]: kind[2](hit[1]), name_a: target[2](hit[2]),
-                        name_b: target[2](hit[3])}
+        return hit and {kind.key: shown(kind, hit[1]), name_a: shown(target, hit[2]),
+                        name_b: shown(target, hit[3])}
 
     def extraction_agreement(side):
         hit = differ(N, lower(N, S, side[0]), lower(N, S, side[1]))
@@ -494,9 +493,9 @@ def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, sides: tu
         i, j, got, direct = hit
         diff = direct ^ got
         return {
-            "nucleus": N[2](j),
-            "direct": S[2](direct),
-            "other": S[2](got),
+            "nucleus": shown(N, j),
+            "direct": shown(S, direct),
+            "other": shown(S, got),
             "first_difference": poset.labels[(diff & -diff).bit_length() - 1],
             "nucleus_index": i,
         }
@@ -515,21 +514,22 @@ def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, sides: tu
     def validity(kind, target, planes):
         fails, check = ((_nucleus_fails, _check_nucleus) if target is N
                         else (_topology_fails, _check_topology))
-        bad = fails(poset, planes, (1 << len(kind[4])) - 1)
+        bad = fails(poset, planes, (1 << len(listed[kind])) - 1)
         if not bad:
             return None
         # the laws visit every lane, and a flagged value fails its core
-        v = next(v for v in kind[1] if bad >> kind[5][v] & 1)
-        out, memo = lower(kind, target, planes)[kind[5][v]], target[6]
-        if out not in memo:
+        v = next(v for v in visits[kind] if bad >> lanes[kind][v] & 1)
+        out, seen = lower(kind, target, planes)[lanes[kind][v]], memo[target]
+        if out not in seen:
             try:
                 check(poset, out)
             except TriposetError as exc:
-                memo[out] = {"error": str(exc), "kind": type(exc).__name__}
+                seen[out] = {"error": str(exc), "kind": type(exc).__name__}
             else:
-                raise AssertionError(f"the {target[0]} plane check flagged {target[2](out)}"
-                                     f" from {kind[0]} {kind[2](v)}, which its validator accepts")
-        return {"input": kind[2](v), **memo[out]}
+                raise AssertionError(f"the {target.key} plane check flagged {shown(target, out)}"
+                                     f" from {kind.key} {shown(kind, v)}, which its validator"
+                                     " accepts")
+        return {"input": shown(kind, v), **seen[out]}
 
     s2n, s2t, n2t, t2n = outputs
     witnesses = (

@@ -13,6 +13,13 @@ reference and the engine alike.
 moved onto per-poset rank arrays: object in, object out, recomputing
 every implication, rank and sieve list on each call.  Tests hold the
 kernels to them.
+
+Known gap: a census nucleus whose image is not a downset makes
+:func:`reference_verify_triangle` raise ``ImageNotDownsetError``, because
+its nucleus roundtrip goes through the checked ``topology_to_nucleus``;
+the engine reports the failing laws instead.  The test that pins this is
+``test_a_generator_that_is_not_a_downset_is_not_decided_on_planes`` in
+``test_triangle_engine.py``.
 """
 
 from __future__ import annotations

@@ -236,11 +236,12 @@ def test_criterion_8_byte_identical_enumeration(tmp_path):
         "poset v1\nelements d b a c\nrel b<d\nrel a<d\nrel c<b\nrel c<a\n",
         encoding="utf-8",
     )
+    src = str(Path(triposet.__file__).resolve().parent.parent)
     ok = True
     for kind in ("subsets", "nuclei", "topologies"):
         runs = []
         for seed in ("0", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
             proc = subprocess.run(
                 [sys.executable, "-m", "triposet", "enumerate", str(path),
                  "--kind", kind, "--json"],

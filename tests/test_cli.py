@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,9 +317,10 @@ class TestSurface:
         assert main(["frobnicate"]) == 2
 
     def test_module_entry_point(self, chain2_file):
+        src = Path(cli.__file__).resolve().parent.parent
         proc = subprocess.run(
             [sys.executable, "-m", "triposet", "check", chain2_file],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0
         assert "n=2" in proc.stdout

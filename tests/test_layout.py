@@ -73,6 +73,7 @@ def check_layout(poset):
     assert list(layout.steps) == steps
     assert list(layout.tops) == [rank[full & ~up[p]] * n for p in range(n)]
     assert list(layout.above) == [tuple(points[up[p]]) for p in range(n)]
+    assert list(layout.cones) == [tuple(points[down[p]]) for p in range(n)]
 
     assert tuple(layout.sieves) == tuple(sieves)
     assert all(s[-1] == down[p] for p, s in enumerate(sieves))

@@ -78,23 +78,23 @@ def test_the_transposes_round_trip(n):
             tables = [tuple(rng.randrange(1 << n) for _ in dmasks) for _ in range(w)]
             fams = [tuple(tuple(m for m in poset.sieve_masks(p) if rng.random() < 0.5)
                           for p in range(n)) for _ in range(w)]
-            planes = triangle._SUBSETS[0](r, xs)
+            planes = triangle._SUBSET.lift(r, xs)
             assert planes == [sum((x >> q & 1) << k for k, x in enumerate(xs)) for q in range(n)]
-            assert triangle._SUBSETS[1](r, planes, w) == xs
-            planes = triangle._TABLES[0](r, tables)
+            assert triangle._SUBSET.lower(r, planes, w) == xs
+            planes = triangle._NUCLEUS.lift(r, tables)
             assert planes == [sum((t[i] >> p & 1) << k for k, t in enumerate(tables))
                               for i in range(len(dmasks)) for p in range(n)]
-            assert triangle._lower_tables(r, planes, w) == tables
-            planes = triangle._FAMILIES[0](r, fams)
+            assert triangle._NUCLEUS.lower(r, planes, w) == tables
+            planes = triangle._TOPOLOGY.lift(r, fams)
             assert planes == family_planes_by_bit(poset, fams)[0]
-            assert triangle._lower_families(r, planes, w) == fams
+            assert triangle._TOPOLOGY.lower(r, planes, w) == fams
 
 
 @pytest.mark.parametrize("n", range(17))
 def test_the_closed_form_planes_of_all_subsets_are_their_transpose(n):
     # the subset lift reads only n off the layout
     layout = SimpleNamespace(n=n)
-    assert triangle._all_subsets(n, (1 << (1 << n)) - 1) == triangle._SUBSETS[0](
+    assert triangle._all_subsets(n, (1 << (1 << n)) - 1) == triangle._SUBSET.lift(
         layout, range(1 << n))
 
 

@@ -18,6 +18,7 @@ from triposet import (
     build_poset,
     enumerate_posets,
 )
+from triposet.poset import _layout
 
 
 class TestBuild:
@@ -384,9 +385,9 @@ def test_build_poset_matches_a_searched_closure(case):
 def test_cones_list_each_principal_downset_ascending():
     for n in range(5):
         for poset in enumerate_posets(n):
-            assert poset._cones == tuple(
+            assert _layout(poset).cones == [
                 tuple(q for q in range(n) if poset._down[p] >> q & 1) for p in range(n)
-            )
+            ]
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -394,12 +395,12 @@ def test_each_streamed_poset_is_the_one_the_checking_constructor_builds(n):
     """The stream builds its posets without the constructor's checks; each
     must be the poset the checking constructor makes from its rows."""
     for p in enumerate_posets(n, cap=5):
-        # a streamed poset builds its hash and cones only when they are read
-        assert p._hash is None and p._cone_points is None
+        # a streamed poset carries its rows; its hash, downsets and covers wait until read
+        assert (p._hash, p._downsets, p._covers) == (None, None, None)
         checked = Poset(p.labels, p._down)
         assert p == checked and hash(p) == hash(checked)
-        assert (p.n, p._down, p._up, p._cones, p._index) == (
-            checked.n, checked._down, checked._up, checked._cones, checked._index
+        assert (p.n, p._down, p._up, p._index) == (
+            checked.n, checked._down, checked._up, checked._index
         )
         mask = p.full_mask & 0b10110
         assert Subset(p, mask) == Subset(checked, mask)

@@ -71,19 +71,15 @@ EDGES = {
 KERNELS = tuple(kernel for kernel, _, _ in EDGES.values())
 CORES = ("_check_nucleus", "_check_topology")
 PLANE_CHECKS = {"_nucleus_fails": Nucleus, "_topology_fails": GrothendieckTopology}
-# class -> (lift, lower): values to planes and back
-KINDS = {
-    Subset: triangle._SUBSETS,
-    Nucleus: triangle._TABLES,
-    GrothendieckTopology: triangle._FAMILIES,
-}
+# class -> its corner, which lifts values to planes and lowers them back
+CORNERS = {c.cls: c for c in (triangle._SUBSET, triangle._NUCLEUS, triangle._TOPOLOGY)}
 
 
 def run_kernel(kernel, r, source, target, values):
     """``kernel`` on the batch of ``values``, lowered to values."""
     w = len(values)
-    planes = getattr(triangle, kernel)(r, KINDS[source][0](r, values), (1 << w) - 1)
-    return KINDS[target][1](r, planes, w)
+    planes = getattr(triangle, kernel)(r, CORNERS[source].lift(r, values), (1 << w) - 1)
+    return CORNERS[target].lower(r, planes, w)
 
 
 def inject(monkeypatch, edge, fault):
@@ -95,9 +91,9 @@ def inject(monkeypatch, edge, fault):
 
     def faulty(r, planes, ones):
         w = ones.bit_length()
-        values = KINDS[source][1](r, planes, w)
-        outputs = KINDS[target][1](r, original(r, planes, ones), w)
-        return KINDS[target][0](r, [fault(r, v, out) for v, out in zip(values, outputs)])
+        values = CORNERS[source].lower(r, planes, w)
+        outputs = CORNERS[target].lower(r, original(r, planes, ones), w)
+        return CORNERS[target].lift(r, [fault(r, v, out) for v, out in zip(values, outputs)])
 
     monkeypatch.setattr(triangle, kernel, faulty)
 
@@ -248,7 +244,7 @@ def test_the_kernels_never_look_up_their_table(diamond, monkeypatch):
     every build of a layout raising, it still runs and lowers its batch."""
     r = _layout(diamond)
     inputs = _inputs(diamond)
-    lifted = {kernel: KINDS[source][0](r, [_raw(v) for v in inputs[source]])
+    lifted = {kernel: CORNERS[source].lift(r, [_raw(v) for v in inputs[source]])
               for kernel, source, _ in EDGES.values()}
 
     def never(*args):
@@ -259,7 +255,7 @@ def test_the_kernels_never_look_up_their_table(diamond, monkeypatch):
     monkeypatch.setattr(_Layout, "__init__", never)
     for kernel, source, target in EDGES.values():
         w = len(inputs[source])
-        KINDS[target][1](r, getattr(triangle, kernel)(r, lifted[kernel], (1 << w) - 1), w)
+        CORNERS[target].lower(r, getattr(triangle, kernel)(r, lifted[kernel], (1 << w) - 1), w)
 
 
 def test_a_verify_builds_one_layout_shared_by_every_reader(diamond, monkeypatch):
@@ -376,7 +372,7 @@ def test_a_kernel_output_past_the_batch_width_fails_laws(request, monkeypatch, p
     [source_class] = [cls for name, cls, _ in EDGES.values() if name == kernel]
     values = [_raw(v) for v in _inputs(poset)[source_class]]
     r, ones = _layout(poset), (1 << len(values)) - 1
-    assert min(mutant(r, KINDS[source_class][0](r, values), ones)) < 0
+    assert min(mutant(r, CORNERS[source_class].lift(r, values), ones)) < 0
     monkeypatch.setattr(triangle, kernel, mutant)
     engine = triangle.verify_triangle(poset)
     assert not engine.all_passed
@@ -658,7 +654,7 @@ def _verify_recording_calls(poset, monkeypatch):
         def on_batch(r, planes, ones, *gens, name=name, fn=getattr(triangle, name),
                      source=source):
             table = r if isinstance(r, triangle._Layout) else triangle._layout(r)
-            calls[name, tuple(KINDS[source][1](table, planes, ones.bit_length()))] += 1
+            calls[name, tuple(CORNERS[source].lower(table, planes, ones.bit_length()))] += 1
             return fn(r, planes, ones, *gens)
 
         monkeypatch.setattr(triangle, name, on_batch)
