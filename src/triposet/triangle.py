@@ -22,15 +22,15 @@ Each edge is one private kernel on a batch of values held as bit planes,
 w-bit ints whose bit k is one bit of value k: n planes for subsets (plane
 q holds point q), d * n for nuclei (plane i * n + p holds bit p of the
 image of the i-th downset) and one membership plane per point p and sieve
-on p for topologies.  This module holds the whole encoding: one transpose
-lifts and lowers every batch, through the three corner records (subsets,
-nuclei, topologies), each holding its lift, its lowering, its value class
-and its key in a witness.  A kernel maps planes to planes with a few ``&``,
-``|`` and ``^`` each, given the layout the enumerators also read
-(:class:`poset._Layout`), of which only the kernels read the plane index
-maps ``alt``, ``push`` and ``pull``; it reads only what planes hold, the
-bits below n of an image and the sieves of a family.  A public edge runs
-its kernel on a batch of one.
+on p for topologies.  This module holds the whole encoding in three corner
+records (subsets, nuclei, topologies), each holding its lift, its lowering,
+its value class and its key in a witness: one transpose lowers every batch
+and lifts subsets and image masks, and families are lifted sieve by sieve.
+A kernel maps planes to planes with a few ``&``, ``|`` and ``^`` each,
+given the layout the enumerators also read (:class:`poset._Layout`), of
+which only the kernels read the plane index maps ``alt``, ``push`` and
+``pull``; it reads only what planes hold, the bits below n of an image and
+the sieves of a family.  A public edge runs its kernel on a batch of one.
 
 :func:`verify_triangle` runs the whole law suite on one poset.  Counts come
 only from the censuses, never from the conversions under test (the two
@@ -65,6 +65,7 @@ batches, comparing census values as listed; it runs no kernel.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cache, reduce
 from itertools import chain
@@ -211,10 +212,15 @@ def _mask_planes(values: Sequence[Sequence[int]], width: int,
 
 def _family_planes(r: _Layout, batch: Sequence[Sequence[tuple]]) -> list[int]:
     """The planes of a batch of families: the layout's plane ``index[p][s]``
-    has bit k when s is in ``batch[k][p]``; other masks are not read.  Each
-    value is the mask of its planes, transposed."""
-    return _transpose([reduce(or_, [1 << at[s] for at, fam in zip(r.index, families)
-                                    for s in fam if s in at], 0) for families in batch], r.size)
+    has bit k when s is in ``batch[k][p]``; other masks are not read.  Bit by
+    bit, as a transpose would pack all ``r.size`` planes of each family."""
+    planes = [0] * r.size
+    for k, families in enumerate(batch):
+        for at, fam in zip(r.index, families):
+            for s in fam:
+                if s in at:
+                    planes[at[s]] |= 1 << k
+    return planes
 
 
 def _lower_tables(r: _Layout, planes: list[int], w: int) -> list[Table]:
@@ -227,15 +233,9 @@ def _lower_families(r: _Layout, planes: list[int], w: int) -> list[Families]:
                    for span, sieves in zip(r.ranges, r.sieves)]) for c in _columns(planes, w)]
 
 
-class _Corner:
-    """One corner of the triangle: its key in a witness, the class of its
-    values, ``lift(r, values)`` to planes and ``lower(r, planes, w)``, a
-    batch of w back to values."""
-
-    __slots__ = ("key", "cls", "lift", "lower")
-
-    def __init__(self, key: str, cls: type, lift, lower):
-        self.key, self.cls, self.lift, self.lower = key, cls, lift, lower
+# one corner of the triangle: its key in a witness, the class of its values,
+# lift(r, values) to planes and lower(r, planes, w), a batch of w back to values
+_Corner = namedtuple("_Corner", "key cls lift lower")
 
 
 _SUBSET = _Corner("subset", Subset, lambda r, xs: _transpose(xs, r.n),
@@ -301,8 +301,9 @@ def nucleus_to_topology(j: Nucleus) -> GrothendieckTopology:
 
 def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
     """j(S) collects the points where S pulls back to a covering sieve."""
-    return Nucleus(J.poset, _on_one(_families_to_table, _TOPOLOGY, _NUCLEUS, J.poset,
-                                    J.families).images)
+    r = _layout(J.poset)
+    planes = _families_to_table(r, _TOPOLOGY.lift(r, [J.families]), 1)
+    return Nucleus(J.poset, _NUCLEUS.lower(r, planes, 1)[0])
 
 
 # -- the verifier ----------------------------------------------------------
