@@ -42,11 +42,13 @@ straight to planes, the images as the meets of the T_p and the families as
 the sieves containing the m_p.  The kernels run on three batches (all
 subsets and the two censuses), and the plane checks of :mod:`nucleus` and
 :mod:`topology` validate each census batch once, also flagging a value
-whose generators are not its own.  Every law passes when the planes hold
-both generator censuses exactly, both counts are 2^n, neither census
-repeats a generator tuple, both censuses validate and both sides of every
-roundtrip, commutation and extraction law are equal batches, because then
-the other laws follow:
+whose generators are not its own.  The laws are one table, in report
+order, each row naming a law, the finder of its witness and the batches it
+reads; the roundtrip, commutation and extraction laws read two batches.
+Every law passes when the planes hold both generator censuses exactly,
+both counts are 2^n, neither census repeats a generator tuple, both
+censuses validate and the two batches of every two-batch law are equal,
+because then the other laws follow:
 
 * distinct values: each validated value has its own generators, so T |-> j
   and m |-> J are one-to-one on the censuses, which hold 2^n values each;
@@ -58,9 +60,11 @@ the other laws follow:
   validated, and by commutation the census of each corner maps onto the
   other's.
 
-Otherwise the censuses are expanded from the same generators, in canonical
-order, and :func:`_law_by_law` finds each law's witness in the same
-batches, comparing census values as listed; it runs no kernel.
+Then the report passes every row.  Otherwise each census is expanded
+once from its distinct generators and listed as searched, in canonical
+order, and :func:`_law_by_law` hands each row to its finder, which finds
+the law's witness in the row's batches, comparing census values as listed;
+it runs no kernel.
 """
 
 from __future__ import annotations
@@ -177,7 +181,8 @@ def _transpose(values: Iterable[int], width: int) -> list[int]:
     int whose bit k is bit b of value k; any other value raises ValueError
     or OverflowError.  Packed big-endian, (width + 7) // 8 bytes each (one
     when width <= 8), and reversed, the blob holds the values last first and
-    little-endian; plane b is read as a column of it translated to digits."""
+    little-endian; plane b is its column of bytes b // 8, cut out first and
+    then translated to the digits of bit b % 8, so a plane reads one column."""
     size = max(1, (width + 7) >> 3)
     blob = (bytes(values) if size == 1
             else b"".join([v.to_bytes(size, "big") for v in values]))[::-1]
@@ -185,7 +190,7 @@ def _transpose(values: Iterable[int], width: int) -> list[int]:
         raise ValueError(f"a value is not below 2**{width}")
     if not blob:
         return [0] * width
-    return [int(blob.translate(_bit_tables()[b & 7])[b >> 3 :: size], 2) for b in range(width)]
+    return [int(blob[b >> 3 :: size].translate(_bit_tables()[b & 7]), 2) for b in range(width)]
 
 
 def _columns(planes: Sequence[int], w: int) -> list[int]:
@@ -360,17 +365,6 @@ class TriangleReport:
         }
 
 
-_LAWS = (
-    "subset_nucleus_roundtrip", "subset_topology_roundtrip", "nucleus_roundtrip",
-    "topology_roundtrip", "nucleus_topology_roundtrip", "topology_nucleus_roundtrip",
-    "triangle_commutes_via_nucleus", "triangle_commutes_via_topology",
-    "identity_composite", "identity_alt", "composite_cross_check",
-    "nucleus_count", "topology_count", "nucleus_bijection", "topology_bijection",
-    "subset_to_nucleus_valid", "subset_to_topology_valid",
-    "nucleus_to_topology_valid", "topology_to_nucleus_valid",
-)
-
-
 def verify_triangle(
     poset: Poset,
     *,
@@ -385,11 +379,13 @@ def verify_triangle(
     records a minimal witness and the remaining laws still run.
 
     Every kernel runs once on each batch it reads, and each census batch
-    is validated once.  The 11 roundtrip, commutation and extraction laws
-    are written once, in ``sides``, as pairs of batches that must be equal.
-    When every law passes on planes (see the module docstring) the report
-    is built directly; otherwise :func:`_law_by_law` finds the witnesses in
-    the same batches.  Both caps are checked before any work starts.
+    is validated once.  The laws are written once, in the table ``laws``,
+    one row per law in report order: its name, the finder of its witness in
+    :func:`_law_by_law`, the corner whose values it visits, the corner of
+    its batches, its witness keys and its batches.  When every law passes on
+    planes (see the module docstring) the report passes every row;
+    otherwise :func:`_law_by_law` finds the witnesses in the same batches.
+    Both caps are checked before any work starts.
     """
     t0 = perf_counter()
     _require_nucleus_cap(poset, nucleus_cap)
@@ -409,58 +405,73 @@ def verify_triangle(
     n2s, n2t = _table_to_subset(r, js, on), _table_to_families(r, js, on)
     alt, via = _table_to_subset_alt(r, js, on), _table_to_subset_via_topology(r, js, on)
     t2s, t2n = _families_to_subset(r, Js, ot), _families_to_table(r, Js, ot)
-    sides = (
-        (_table_to_subset(r, s2n, ones), xs),
-        (_families_to_subset(r, s2t, ones), xs),
-        (_subset_to_table(r, n2s, on), js),
-        (_subset_to_families(r, t2s, ot), Js),
-        (_families_to_table(r, n2t, on), js),
-        (_table_to_families(r, t2n, ot), Js),
-        (_table_to_families(r, s2n, ones), s2t),
-        (_families_to_table(r, s2t, ones), s2n),
-        (via, n2s),
-        (alt, n2s),
-        (_families_to_subset(r, n2t, on), via),
+    S, N, J = _SUBSET, _NUCLEUS, _TOPOLOGY
+    laws = (
+        ("subset_nucleus_roundtrip", "roundtrip", S, S, (), (_table_to_subset(r, s2n, ones), xs)),
+        ("subset_topology_roundtrip", "roundtrip", S, S, (),
+         (_families_to_subset(r, s2t, ones), xs)),
+        ("nucleus_roundtrip", "roundtrip", N, N, (), (_subset_to_table(r, n2s, on), js)),
+        ("topology_roundtrip", "roundtrip", J, J, (), (_subset_to_families(r, t2s, ot), Js)),
+        ("nucleus_topology_roundtrip", "roundtrip", N, N, (),
+         (_families_to_table(r, n2t, on), js)),
+        ("topology_nucleus_roundtrip", "roundtrip", J, J, (),
+         (_table_to_families(r, t2n, ot), Js)),
+        ("triangle_commutes_via_nucleus", "agree", S, J, ("via_nucleus", "direct"),
+         (_table_to_families(r, s2n, ones), s2t)),
+        ("triangle_commutes_via_topology", "agree", S, N, ("via_topology", "direct"),
+         (_families_to_table(r, s2t, ones), s2n)),
+        ("identity_composite", "extraction", N, S, (), (via, n2s)),
+        ("identity_alt", "extraction", N, S, (), (alt, n2s)),
+        ("composite_cross_check", "agree", N, S, ("literal", "closed_form"),
+         (_families_to_subset(r, n2t, on), via)),
+        ("nucleus_count", "count", N, N, (), ()),
+        ("topology_count", "count", J, J, (), ()),
+        ("nucleus_bijection", "bijection", S, N, (), (s2n,)),
+        ("topology_bijection", "bijection", S, J, (), (s2t,)),
+        ("subset_to_nucleus_valid", "validity", S, N, (), (s2n,)),
+        ("subset_to_topology_valid", "validity", S, J, (), (s2t,)),
+        ("nucleus_to_topology_valid", "validity", N, J, (), (n2t,)),
+        ("topology_to_nucleus_valid", "validity", J, N, (), (t2n,)),
     )
     if (
         exact_T and exact_m
         and len(Ts) == len(gens[0]) == len(ms) == len(gens[1]) == 1 << n
         and not _nucleus_fails(poset, js, on, T) and not _topology_fails(poset, Js, ot, m)
-        and all(a == b for a, b in sides)
+        and all(len(batches) < 2 or batches[0] == batches[1] for _, _, _, _, _, batches in laws)
     ):
-        laws = tuple(LawResult(name, True) for name in _LAWS)
+        results = tuple(LawResult(name, True) for name, _, _, _, _, _ in laws)
     else:
-        lanes = _images(poset, gens[0]), _families(poset, gens[1])
-        tables, fams = _in_order(_images(poset, Ts)), sorted(_families(poset, ms))
-        laws = _law_by_law(r, tables, fams, lanes, sides, (s2n, s2t, n2t, t2n))
+        # each distinct generator tuple expanded once, each census listed as searched
+        distinct = _images(poset, gens[0]), _families(poset, gens[1])
+        image, family = (dict(zip(g, values)) for g, values in zip(gens, distinct))
+        tables, fams = _in_order(map(image.__getitem__, Ts)), sorted(map(family.__getitem__, ms))
+        results = _law_by_law(r, tables, fams, distinct, laws)
     return TriangleReport(
         poset=poset,
         directed=poset.is_downward_directed(),
         counts=counts,
-        laws=laws,
+        laws=results,
         elapsed_seconds=perf_counter() - t0,
     )
 
 
-def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, sides: tuple,
-                outputs: tuple):
-    """Every law with its witness, read from the batches :func:`verify_triangle`
-    computed: ``sides`` pairs the two sides of each roundtrip, commutation
-    and extraction law, and ``outputs`` holds subset -> nucleus, subset ->
-    topology, nucleus -> topology and topology -> nucleus.  A batch spans all
-    subsets or the ``distinct`` values of a census, lane k holding value k.
-    A law visits the values of its corner as listed, each through its lane,
-    and its witness is the first whose two sides differ; a roundtrip
-    compares the value as listed.  A validity law flags its output batch on
-    planes, which hold kernel outputs exactly, and runs the validator core
-    on the first flagged value; the two laws that validate one corner share
-    the core's witnesses, so no value is scanned twice."""
+def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, laws: tuple):
+    """Every law with its witness: each row of ``laws``, the table
+    :func:`verify_triangle` built, goes to the finder it names, which reads
+    the row's corners, keys and batches.  A batch spans all subsets or the
+    ``distinct`` values of a census, lane k holding value k.  A law visits
+    the values of its corner as listed, each through its lane, and its
+    witness is the first whose two sides differ; a roundtrip compares the
+    value as listed.  A validity law flags its output batch on planes,
+    which hold kernel outputs exactly, and runs the validator core on the
+    first flagged value; the two laws that validate one corner share the
+    core's witnesses, so no value is scanned twice."""
     poset, n = r.poset, r.n
-    S, N, T = _SUBSET, _NUCLEUS, _TOPOLOGY
-    visits = {S: _canonical(range(1 << n)), N: tables, T: fams}
-    listed = {S: range(1 << n), N: distinct[0], T: distinct[1]}  # the value of each lane
+    S, N, J = _SUBSET, _NUCLEUS, _TOPOLOGY
+    visits = {S: _canonical(range(1 << n)), N: tables, J: fams}
+    listed = {S: range(1 << n), N: distinct[0], J: distinct[1]}  # the value of each lane
     lanes = {c: {v: k for k, v in enumerate(values)} for c, values in listed.items()}
-    memo = {N: {}, T: {}}  # the validator core's witness of each value it ran on
+    memo = {N: {}, J: {}}  # the validator core's witness of each value it ran on
 
     def shown(kind, v):
         return kind.cls._wrap(poset, v).to_jsonable()
@@ -478,41 +489,42 @@ def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, sides: tu
                 return i, v, got[k], want[k]
         return None
 
-    def roundtrip(kind, side):
-        hit = differ(kind, lower(kind, kind, side[0]), listed[kind])
-        return hit and {kind.key: shown(kind, hit[1]), "got": shown(kind, hit[2])}
+    def roundtrip(kind, target, keys, got, want):
+        hit = differ(kind, lower(kind, target, got), listed[kind])
+        return hit and {kind.key: shown(kind, hit[1]), "got": shown(target, hit[2])}
 
-    def agree(kind, target, side, name_a, name_b):
-        hit = differ(kind, lower(kind, target, side[0]), lower(kind, target, side[1]))
-        return hit and {kind.key: shown(kind, hit[1]), name_a: shown(target, hit[2]),
-                        name_b: shown(target, hit[3])}
+    def agree(kind, target, keys, a, b):
+        hit = differ(kind, lower(kind, target, a), lower(kind, target, b))
+        return hit and {kind.key: shown(kind, hit[1]), keys[0]: shown(target, hit[2]),
+                        keys[1]: shown(target, hit[3])}
 
-    def extraction_agreement(side):
-        hit = differ(N, lower(N, S, side[0]), lower(N, S, side[1]))
+    def extraction(kind, target, keys, other, direct):
+        hit = differ(kind, lower(kind, target, other), lower(kind, target, direct))
         if hit is None:
             return None
-        i, j, got, direct = hit
-        diff = direct ^ got
+        i, j, other, direct = hit
+        diff = direct ^ other
         return {
-            "nucleus": shown(N, j),
-            "direct": shown(S, direct),
-            "other": shown(S, got),
+            kind.key: shown(kind, j),
+            "direct": shown(target, direct),
+            "other": shown(target, other),
             "first_difference": poset.labels[(diff & -diff).bit_length() - 1],
             "nucleus_index": i,
         }
 
-    def count(found):
+    def count(kind, target, keys):
+        found = len(visits[kind])
         return None if found == 1 << n else {"expected": 1 << n, "got": found}
 
-    def bijection(target, planes, values):
-        image = set(lower(S, target, planes))
+    def bijection(kind, target, keys, planes):
+        image = set(lower(kind, target, planes))
         if len(image) != 1 << n:
             return {"reason": "not injective", "image_size": len(image)}
-        if image != set(values):
+        if image != set(visits[target]):
             return {"reason": "image differs from enumeration"}
         return None
 
-    def validity(kind, target, planes):
+    def validity(kind, target, keys, planes):
         fails, check = ((_nucleus_fails, _check_nucleus) if target is N
                         else (_topology_fails, _check_topology))
         bad = fails(poset, planes, (1 << len(listed[kind])) - 1)
@@ -532,26 +544,10 @@ def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, sides: tu
                                      " accepts")
         return {"input": shown(kind, v), **seen[out]}
 
-    s2n, s2t, n2t, t2n = outputs
-    witnesses = (
-        roundtrip(S, sides[0]),
-        roundtrip(S, sides[1]),
-        roundtrip(N, sides[2]),
-        roundtrip(T, sides[3]),
-        roundtrip(N, sides[4]),
-        roundtrip(T, sides[5]),
-        agree(S, T, sides[6], "via_nucleus", "direct"),
-        agree(S, N, sides[7], "via_topology", "direct"),
-        extraction_agreement(sides[8]),
-        extraction_agreement(sides[9]),
-        agree(N, S, sides[10], "literal", "closed_form"),
-        count(len(tables)),
-        count(len(fams)),
-        bijection(N, s2n, tables),
-        bijection(T, s2t, fams),
-        validity(S, N, s2n),
-        validity(S, T, s2t),
-        validity(N, T, n2t),
-        validity(T, N, t2n),
-    )
-    return tuple(LawResult(name, w is None, w) for name, w in zip(_LAWS, witnesses))
+    finders = {"roundtrip": roundtrip, "agree": agree, "extraction": extraction,
+               "count": count, "bijection": bijection, "validity": validity}
+    results = []
+    for name, finder, kind, target, keys, batches in laws:
+        witness = finders[finder](kind, target, keys, *batches)
+        results.append(LawResult(name, witness is None, witness))
+    return tuple(results)

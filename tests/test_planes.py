@@ -12,7 +12,8 @@ small posets, on every census value of the posets with n <= 4, and on
 every family tuple and generator tuple of the labeled posets with n <= 3
 and every image tuple of those with n <= 2.  The closed-form planes of
 all 2**n subsets are their transpose for n <= 16.  The transpose inverts
-itself and refuses a value out of range at widths from 0 to 200 bits.  The
+itself and refuses a value out of range at widths from 0 to 200 bits, and
+a batch past 1,024 lanes lowers and lifts back bit for bit.  The
 planes ``verify_triangle`` lifts from generator tuples hold the values the
 tuples expand to, and with the generator planes each check also flags a
 value whose generators are not its own.
@@ -119,6 +120,19 @@ def test_the_transpose_round_trips_and_refuses_a_value_out_of_range(width, w):
         masked = [m & full for m in batch]
         assert _mask_planes(pairs, width, 2) == (
             _transpose(masked, width) + _transpose(masked[::-1], width), False)
+
+
+@pytest.mark.parametrize("w", [1025, 4096])
+def test_a_batch_past_1024_lanes_lowers_and_lifts_bit_for_bit(w):
+    """20 planes of w lanes, with bits past the last lane and below 0: bit j
+    of value k is bit k of plane j, and the values lift back to the planes
+    cut to the batch."""
+    rng = random.Random(w)
+    planes = [rng.getrandbits(w + 9) - (1 << w + 8) for _ in range(20)]
+    values = _columns(planes, w)
+    assert values == [sum((plane >> k & 1) << j for j, plane in enumerate(planes))
+                      for k in range(w)]
+    assert _transpose(values, len(planes)) == [plane & (1 << w) - 1 for plane in planes]
 
 
 @pytest.mark.parametrize("poset, cap", [(chain(4), 5), (chain(10), 11)], ids=["chain4", "chain10"])

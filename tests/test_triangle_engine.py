@@ -25,8 +25,9 @@ batches of the laws that read it, and a non-nucleus that two edges output
 is scanned once; a value a plane check flags but its validator accepts is
 an error, not a pass.  A census that lists a value twice is reported as
 the reference reports it, and neither a run nor a poset stream leaves
-anything for the cyclic collector.  An oversize job is
-refused before anything is enumerated.
+anything for the cyclic collector.  Forced onto the law-by-law path, a
+passing poset gets the plane decision's report, as both read one law
+table.  An oversize job is refused before anything is enumerated.
 """
 
 import gc
@@ -893,6 +894,24 @@ def test_the_law_by_law_path_runs_no_kernel(diamond, monkeypatch, case):
     engine = triangle.verify_triangle(diamond)
     assert len(runs) == 1 and not engine.all_passed
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+
+
+def test_the_law_by_law_path_agrees_with_the_plane_decision_on_passing_posets(monkeypatch):
+    """Every labeled n <= 4 poset, sent down the law-by-law path with every
+    law still holding, gets the report the plane decision gives it.  The
+    nucleus plane check says value 0 fails when it is handed generator
+    planes, as only the decision hands them; the validity laws call it
+    without them and get its real verdict."""
+    posets = [poset for n in range(5) for poset in enumerate_posets(n)]
+    want = [report_bytes(triangle.verify_triangle(poset)) for poset in posets]
+    fails = triangle._nucleus_fails
+    monkeypatch.setattr(triangle, "_nucleus_fails", lambda poset, planes, ones, *gens:
+                        1 if gens else fails(poset, planes, ones))
+    runs = _law_by_law_runs(monkeypatch)
+    got = [report_bytes(triangle.verify_triangle(poset)) for poset in posets]
+    assert len(posets) == 243 and runs == posets
+    assert all(report["passed"] for report in want)
+    assert got == want
 
 
 def test_a_non_nucleus_two_edges_output_is_scanned_once(diamond, monkeypatch):
