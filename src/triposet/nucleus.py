@@ -249,4 +249,7 @@ def _images(poset: Poset, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]
 def _in_order(tables: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Image tuples in canonical order: lexicographic in the (cardinality,
     mask) order of their images, which on downsets is their rank order."""
-    return sorted(tables, key=lambda t: [(m.bit_count(), m) for m in t])
+    tables = list(tables)
+    masks = sorted(set().union(*tables), key=lambda m: (m.bit_count(), m))
+    place = {m: k for k, m in enumerate(masks)}
+    return sorted(tables, key=lambda t: list(map(place.__getitem__, t)))

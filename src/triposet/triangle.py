@@ -60,11 +60,11 @@ because then the other laws follow:
   validated, and by commutation the census of each corner maps onto the
   other's.
 
-Then the report passes every row.  Otherwise each census is expanded
-once from its distinct generators and listed as searched, in canonical
-order, and :func:`_law_by_law` hands each row to its finder, which finds
-the law's witness in the row's batches, comparing census values as listed;
-it runs no kernel.
+Then the report passes every row.  Otherwise :func:`_law_by_law` lowers
+each census batch once to list the census in canonical order, so each
+listed value is what its lane holds, and hands each row to its finder,
+which compares the row's batches on planes and lowers only the lanes of
+the law's witness; it runs no kernel.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from .nucleus import (
     DEFAULT_NUCLEUS_CAP,
     Nucleus,
     _check_nucleus,
-    _images,
     _in_order,
     _nucleus_fails,
     _nucleus_generators,
@@ -96,7 +95,6 @@ from .topology import (
     DEFAULT_TOPOLOGY_CAP,
     GrothendieckTopology,
     _check_topology,
-    _families,
     _require_topology_cap,
     _topology_fails,
     _topology_generators,
@@ -384,7 +382,8 @@ def verify_triangle(
     :func:`_law_by_law`, the corner whose values it visits, the corner of
     its batches, its witness keys and its batches.  When every law passes on
     planes (see the module docstring) the report passes every row;
-    otherwise :func:`_law_by_law` finds the witnesses in the same batches.
+    otherwise :func:`_law_by_law` lists each census off its batch and finds
+    the witnesses in the same batches.
     Both caps are checked before any work starts.
     """
     t0 = perf_counter()
@@ -405,17 +404,14 @@ def verify_triangle(
     n2s, n2t = _table_to_subset(r, js, on), _table_to_families(r, js, on)
     alt, via = _table_to_subset_alt(r, js, on), _table_to_subset_via_topology(r, js, on)
     t2s, t2n = _families_to_subset(r, Js, ot), _families_to_table(r, Js, ot)
-    S, N, J = _SUBSET, _NUCLEUS, _TOPOLOGY
+    S, N, J, got = _SUBSET, _NUCLEUS, _TOPOLOGY, ("got",)
     laws = (
-        ("subset_nucleus_roundtrip", "roundtrip", S, S, (), (_table_to_subset(r, s2n, ones), xs)),
-        ("subset_topology_roundtrip", "roundtrip", S, S, (),
-         (_families_to_subset(r, s2t, ones), xs)),
-        ("nucleus_roundtrip", "roundtrip", N, N, (), (_subset_to_table(r, n2s, on), js)),
-        ("topology_roundtrip", "roundtrip", J, J, (), (_subset_to_families(r, t2s, ot), Js)),
-        ("nucleus_topology_roundtrip", "roundtrip", N, N, (),
-         (_families_to_table(r, n2t, on), js)),
-        ("topology_nucleus_roundtrip", "roundtrip", J, J, (),
-         (_table_to_families(r, t2n, ot), Js)),
+        ("subset_nucleus_roundtrip", "agree", S, S, got, (_table_to_subset(r, s2n, ones), xs)),
+        ("subset_topology_roundtrip", "agree", S, S, got, (_families_to_subset(r, s2t, ones), xs)),
+        ("nucleus_roundtrip", "agree", N, N, got, (_subset_to_table(r, n2s, on), js)),
+        ("topology_roundtrip", "agree", J, J, got, (_subset_to_families(r, t2s, ot), Js)),
+        ("nucleus_topology_roundtrip", "agree", N, N, got, (_families_to_table(r, n2t, on), js)),
+        ("topology_nucleus_roundtrip", "agree", J, J, got, (_table_to_families(r, t2n, ot), Js)),
         ("triangle_commutes_via_nucleus", "agree", S, J, ("via_nucleus", "direct"),
          (_table_to_families(r, s2n, ones), s2t)),
         ("triangle_commutes_via_topology", "agree", S, N, ("via_topology", "direct"),
@@ -441,11 +437,7 @@ def verify_triangle(
     ):
         results = tuple(LawResult(name, True) for name, _, _, _, _, _ in laws)
     else:
-        # each distinct generator tuple expanded once, each census listed as searched
-        distinct = _images(poset, gens[0]), _families(poset, gens[1])
-        image, family = (dict(zip(g, values)) for g, values in zip(gens, distinct))
-        tables, fams = _in_order(map(image.__getitem__, Ts)), sorted(map(family.__getitem__, ms))
-        results = _law_by_law(r, tables, fams, distinct, laws)
+        results = _law_by_law(r, (Ts, ms), gens, (js, Js), laws)
     return TriangleReport(
         poset=poset,
         directed=poset.is_downward_directed(),
@@ -455,51 +447,55 @@ def verify_triangle(
     )
 
 
-def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, laws: tuple):
+def _law_by_law(r: _Layout, searched: tuple, gens: tuple, census: tuple, laws: tuple):
     """Every law with its witness: each row of ``laws``, the table
     :func:`verify_triangle` built, goes to the finder it names, which reads
     the row's corners, keys and batches.  A batch spans all subsets or the
-    ``distinct`` values of a census, lane k holding value k.  A law visits
-    the values of its corner as listed, each through its lane, and its
-    witness is the first whose two sides differ; a roundtrip compares the
-    value as listed.  A validity law flags its output batch on planes,
-    which hold kernel outputs exactly, and runs the validator core on the
-    first flagged value; the two laws that validate one corner share the
-    core's witnesses, so no value is scanned twice."""
+    distinct generator tuples ``gens`` of a census, lane k holding the value
+    of tuple k.  Each census batch of ``census`` is lowered once to list
+    those values, and a census is visited in canonical order, one value per
+    tuple it ``searched``.  A two-batch law ORs ``a ^ b`` over its planes,
+    and its witness is the first value visited whose lane is set, each side
+    lowered from that lane alone; a bijection compares the columns of its
+    output batch with those of the census, as lowering is one-to-one on
+    columns.  A validity law flags its output batch on planes and runs the
+    validator core on the first flagged value, lowered alone; the two laws
+    that validate one corner share the core's witnesses, so no value is
+    scanned twice."""
     poset, n = r.poset, r.n
     S, N, J = _SUBSET, _NUCLEUS, _TOPOLOGY
-    visits = {S: _canonical(range(1 << n)), N: tables, J: fams}
-    listed = {S: range(1 << n), N: distinct[0], J: distinct[1]}  # the value of each lane
+    census = dict(zip((N, J), census))
+    listed = {S: range(1 << n)}  # the value of each lane
+    visits = {S: _canonical(range(1 << n))}
+    for c, order, tuples, g in zip((N, J), (_in_order, sorted), searched, gens):
+        listed[c] = c.lower(r, census[c], len(g))
+        visits[c] = order(map(dict(zip(g, listed[c])).__getitem__, tuples))
     lanes = {c: {v: k for k, v in enumerate(values)} for c, values in listed.items()}
     memo = {N: {}, J: {}}  # the validator core's witness of each value it ran on
 
     def shown(kind, v):
         return kind.cls._wrap(poset, v).to_jsonable()
 
-    def lower(kind, target, planes):
-        return target.lower(r, planes, len(listed[kind]))
+    def at(target, planes, k):
+        return target.lower(r, [p >> k for p in planes], 1)[0]
 
-    def differ(kind, got, want):
-        """The first value of ``kind`` whose lanes in ``got`` and ``want``
-        differ: its index, it and both sides."""
-        lane = lanes[kind]
+    def differ(kind, target, a, b):
+        """The first value of ``kind`` whose lanes in ``a`` and ``b`` differ:
+        its index, it and both sides, each lowered from that lane alone."""
+        diff, lane = reduce(or_, map(xor, a, b), 0), lanes[kind]
         for i, v in enumerate(visits[kind]):
             k = lane[v]
-            if got[k] != want[k]:
-                return i, v, got[k], want[k]
+            if diff >> k & 1:
+                return i, v, at(target, a, k), at(target, b, k)
         return None
 
-    def roundtrip(kind, target, keys, got, want):
-        hit = differ(kind, lower(kind, target, got), listed[kind])
-        return hit and {kind.key: shown(kind, hit[1]), "got": shown(target, hit[2])}
-
     def agree(kind, target, keys, a, b):
-        hit = differ(kind, lower(kind, target, a), lower(kind, target, b))
-        return hit and {kind.key: shown(kind, hit[1]), keys[0]: shown(target, hit[2]),
-                        keys[1]: shown(target, hit[3])}
+        hit = differ(kind, target, a, b)
+        return hit and {kind.key: shown(kind, hit[1]),
+                        **{key: shown(target, side) for key, side in zip(keys, hit[2:])}}
 
     def extraction(kind, target, keys, other, direct):
-        hit = differ(kind, lower(kind, target, other), lower(kind, target, direct))
+        hit = differ(kind, target, other, direct)
         if hit is None:
             return None
         i, j, other, direct = hit
@@ -517,10 +513,10 @@ def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, laws: tup
         return None if found == 1 << n else {"expected": 1 << n, "got": found}
 
     def bijection(kind, target, keys, planes):
-        image = set(lower(kind, target, planes))
+        image = set(_columns(planes, len(listed[kind])))
         if len(image) != 1 << n:
             return {"reason": "not injective", "image_size": len(image)}
-        if image != set(visits[target]):
+        if image != set(_columns(census[target], len(listed[target]))):
             return {"reason": "image differs from enumeration"}
         return None
 
@@ -532,7 +528,7 @@ def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, laws: tup
             return None
         # the laws visit every lane, and a flagged value fails its core
         v = next(v for v in visits[kind] if bad >> lanes[kind][v] & 1)
-        out, seen = lower(kind, target, planes)[lanes[kind][v]], memo[target]
+        out, seen = at(target, planes, lanes[kind][v]), memo[target]
         if out not in seen:
             try:
                 check(poset, out)
@@ -544,8 +540,8 @@ def _law_by_law(r: _Layout, tables: list, fams: list, distinct: tuple, laws: tup
                                      " accepts")
         return {"input": shown(kind, v), **seen[out]}
 
-    finders = {"roundtrip": roundtrip, "agree": agree, "extraction": extraction,
-               "count": count, "bijection": bijection, "validity": validity}
+    finders = {"agree": agree, "extraction": extraction, "count": count,
+               "bijection": bijection, "validity": validity}
     results = []
     for name, finder, kind, target, keys, batches in laws:
         witness = finders[finder](kind, target, keys, *batches)

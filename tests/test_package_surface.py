@@ -277,3 +277,30 @@ def test_the_axiom_modules_never_read_the_conversion_tables():
     assert {read.split(": ")[1] for read in reads["triangle"]} == set(CONVERSION_FIELDS)
     assert attribute_reads("x = layout.steps\ny = layout.push[0]\n", CONVERSION_FIELDS) == [
         "2: push"]
+
+
+EXPANSIONS = ("_images", "_families")
+
+
+def names_read(source, names):
+    """``line: name`` for each of ``names`` that ``source`` imports or reads,
+    by name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(alias.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Name):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.attr))
+    return [f"{line}: {name}" for line, name in found if name in names]
+
+
+def test_the_triangle_reads_each_census_only_off_its_planes():
+    """The generator expansions of ``nucleus.py`` and ``topology.py`` serve
+    the public enumerators; ``triangle.py`` lists a census by lowering its
+    planes, so its laws have one source for census values."""
+    package = Path(triposet.__file__).resolve().parent
+    assert names_read((package / "triangle.py").read_text(encoding="utf-8"), EXPANSIONS) == []
+    sample = "from m import (\n    _images,\n)\nx = m._families\ny = _families_to_table\n"
+    assert names_read(sample, EXPANSIONS) == ["2: _images", "4: _families"]

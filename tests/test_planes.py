@@ -2,21 +2,22 @@
 
 A batch of values is held as planes, one int per bit of a value.  The
 transposes round-trip each corner's values for every poset size from 0 to
-10, and a lift reads only the bits and sieves its planes hold (the mask
-lift saying whether that is all of the batch); the family lift gives the
-per-bit planes however the families of a batch repeat.  The plane checks of
-``nucleus.py`` and ``topology.py`` set bit k of their "fails" mask exactly
-when the axiom-by-axiom witness scan raises on value k: on random batches
-of broken values, on every one-entry change of the nuclei and topologies of
-small posets, on every census value of the posets with n <= 4, and on
-every family tuple and generator tuple of the labeled posets with n <= 3
-and every image tuple of those with n <= 2.  The closed-form planes of
-all 2**n subsets are their transpose for n <= 16.  The transpose inverts
-itself and refuses a value out of range at widths from 0 to 200 bits, and
-a batch past 1,024 lanes lowers and lifts back bit for bit.  The
-planes ``verify_triangle`` lifts from generator tuples hold the values the
-tuples expand to, and with the generator planes each check also flags a
-value whose generators are not its own.
+10, lane k alone lowering to value k, and a lift reads only the bits and
+sieves its planes hold (the mask lift saying whether that is all of the
+batch); the family lift gives the per-bit planes however the families of a
+batch repeat.  The plane checks of ``nucleus.py`` and ``topology.py`` set
+bit k of their "fails" mask exactly when the axiom-by-axiom witness scan
+raises on value k: on random batches of broken values, on every one-entry
+change of the nuclei and topologies of small posets, on every census value
+of the posets with n <= 4, and on every family tuple and generator tuple
+of the labeled posets with n <= 3 and every image tuple of those with
+n <= 2.  The closed-form planes of all 2**n subsets are their transpose
+for n <= 16.  The transpose inverts itself and refuses a value out of range at
+widths from 0 to 200 bits, and a batch past 1,024 lanes lowers, whole and
+lane by lane, and lifts back bit for bit.  The planes ``verify_triangle``
+lifts from generator tuples hold the values the tuples expand to, and with
+the generator planes each check also flags a value whose generators are
+not its own.
 """
 
 import random
@@ -81,14 +82,18 @@ def test_the_transposes_round_trip(n):
                           for p in range(n)) for _ in range(w)]
             planes = triangle._SUBSET.lift(r, xs)
             assert planes == [sum((x >> q & 1) << k for k, x in enumerate(xs)) for q in range(n)]
-            assert triangle._SUBSET.lower(r, planes, w) == xs
             planes = triangle._NUCLEUS.lift(r, tables)
             assert planes == [sum((t[i] >> p & 1) << k for k, t in enumerate(tables))
                               for i in range(len(dmasks)) for p in range(n)]
-            assert triangle._NUCLEUS.lower(r, planes, w) == tables
             planes = triangle._TOPOLOGY.lift(r, fams)
             assert planes == family_planes_by_bit(poset, fams)[0]
-            assert triangle._TOPOLOGY.lower(r, planes, w) == fams
+            for corner, values in ((triangle._SUBSET, xs), (triangle._NUCLEUS, tables),
+                                   (triangle._TOPOLOGY, fams)):
+                planes = corner.lift(r, values)
+                assert corner.lower(r, planes, w) == values
+                # lane k alone, shifted down to lane 0, is value k
+                assert [corner.lower(r, [p >> k for p in planes], 1)[0]
+                        for k in range(w)] == values
 
 
 @pytest.mark.parametrize("n", range(17))
@@ -133,6 +138,8 @@ def test_a_batch_past_1024_lanes_lowers_and_lifts_bit_for_bit(w):
     assert values == [sum((plane >> k & 1) << j for j, plane in enumerate(planes))
                       for k in range(w)]
     assert _transpose(values, len(planes)) == [plane & (1 << w) - 1 for plane in planes]
+    # lane k alone: the planes shifted down keep their bits past lane 0
+    assert [_columns([plane >> k for plane in planes], 1)[0] for k in range(w)] == values
 
 
 @pytest.mark.parametrize("poset, cap", [(chain(4), 5), (chain(10), 11)], ids=["chain4", "chain10"])
@@ -334,8 +341,9 @@ def generator_batches(draw, stray=False):
 @given(generator_batches(stray=True))
 @settings(max_examples=150, deadline=None)
 def test_the_generator_planes_hold_what_the_expansions_list(case):
-    """The image and family planes lifted from generators lower to the
-    values the law-by-law path lists for them, for any ints."""
+    """The image and family planes lifted from generator tuples lower to the
+    values the tuples expand to, for any ints, so the law-by-law path lists
+    each census off its planes."""
     poset, batch = case
     r, w = _layout(poset), len(batch)
     _, images, families = generator_planes(poset, batch, (1 << w) - 1)

@@ -3,31 +3,32 @@
 The engine runs each edge kernel on batches of planes and validates each
 census batch once.  These tests hold it to the slow reference in
 ``reference_triangle.py``: same reports on a fixed poset set, all decided
-on planes, same failures when one kernel is broken, and no kernel run twice
-on one batch.  The report bytes of the sample, of every fault case and of
-two caps-lifted posets are pinned by digest.  The kernels are held to the
-object-level edges they replaced, each public edge to its kernel on a batch
-of one, and each kernel reads only the edge table it is handed.  A fault is
-injected into a kernel by lowering its batch to values, changing one value
-and lifting the batch again.  A fault in any kernel sends the poset to the
-law-by-law path, and a broken kernel fails ``verify --max-n`` the same
-way.  A census fault is injected as generator tuples through the engine's
-generator globals, the reference reading the values they expand to: a
-short census fails the census laws, generators that are not their
-value's own (out of range, not monotone, without M_p, not a downset, an
-m_p that is not a sieve on p) are not decided on planes, and a listed
-value the planes do not hold (an image out of range, a family that is not
-a canonical tuple of sieves) is compared as listed, off the planes.  A
-passing verify builds no census object.  The law-by-law path runs no
-kernel: it reads every conversion from the batches the plane check
-computed, so a kernel output outside the census travels only in the
-batches of the laws that read it, and a non-nucleus that two edges output
-is scanned once; a value a plane check flags but its validator accepts is
-an error, not a pass.  A census that lists a value twice is reported as
-the reference reports it, and neither a run nor a poset stream leaves
-anything for the cyclic collector.  Forced onto the law-by-law path, a
-passing poset gets the plane decision's report, as both read one law
-table.  An oversize job is refused before anything is enumerated.
+on planes, same failures when one kernel is broken, and no kernel run
+twice on one batch.  The report bytes of the sample, of every fault case
+and of two caps-lifted posets are pinned by digest.  The kernels are held
+to the object-level edges they replaced, each public edge to its kernel on
+a batch of one, and each kernel reads only the edge table it is handed.  A
+fault is injected into a kernel by lowering its batch to values, changing
+one value and lifting the batch again.  A fault in any kernel, on {a} or
+on the whole carrier in the last lane, sends the poset to the law-by-law
+path, and a broken kernel fails ``verify --max-n`` the same way.  A census
+fault is injected as generator tuples through the engine's generator
+globals, the reference reading the values they expand to: a short census
+fails the census laws, generators that are not their value's own (out of
+range, not monotone, without M_p, not a downset, an m_p that is not a
+sieve on p) are not decided on planes, and a T_p with bits past n, which
+no value reads, passes every law on the law-by-law path, which lists each
+census off its planes.  A passing verify builds no census object.  The
+law-by-law path runs no kernel: it reads every conversion from the batches
+the plane check computed, so a kernel output outside the census travels
+only in the batches of the laws that read it, and a non-nucleus that two
+edges output is scanned once; a value a plane check flags but its
+validator accepts is an error, not a pass.  A census that lists a value
+twice is reported as the reference reports it, and neither a run nor a
+poset stream leaves anything for the cyclic collector.  Forced onto the
+law-by-law path, a passing poset gets the plane decision's report, as both
+read one law table, and a caps-lifted poset its pinned report.  An
+oversize job is refused before anything is enumerated.
 """
 
 import gc
@@ -585,61 +586,22 @@ def test_a_generator_that_is_not_a_downset_is_not_decided_on_planes(diamond, mon
         reference_verify_triangle(diamond)
 
 
-def _listed_off_the_planes(monkeypatch, which, k, change):
-    """List ``change`` of the k-th value of ``which`` in place of the value,
-    in the engine's law-by-law path and in the reference, while the planes
-    hold the value itself, as they hold no generators for such a change.  A
-    bit past n in the value's first generator, which its expansion does not
-    read, sends the engine to that path."""
-    search, expand, order, cls, public = CENSUSES[which]
-    _in_census(monkeypatch, which, k, lambda g: (g[0] | 1 << 8, *g[1:]))
-
-    def listed(poset, gens):
-        return [change(v) if g[0] >> 8 else v for g, v in zip(gens, expand(poset, gens))]
-
-    def census(poset, cap):
-        values = listed(poset, getattr(triangle, search)(poset))
-        return [cls._wrap(poset, v) for v in order(values)]
-
-    monkeypatch.setattr(triangle, expand.__name__, listed)
-    monkeypatch.setattr(reference_triangle, public, census)
-
-
-FAMILY_CHANGES = {
-    "non_sieve": lambda f: (f[0], (*f[1], 0b0100), *f[2:]),  # {b} is not a sieve on a
-    "out_of_order": lambda f: tuple(tuple(reversed(fam)) for fam in f),
-    "repeated_sieve": lambda f: tuple((*fam, fam[-1]) for fam in f),
-}
-
-
 def _image_out_of_range(monkeypatch, stray):
-    # the planes hold only bits 0..n-1 of an image, so this nucleus is not
-    # held exactly; the laws compare it as listed.  A nucleus is shown by its
-    # raw images here, since a bit outside the poset has no label to show.
-    # bits below n are left alone: an image off the meet formula has no generators
-    _listed_off_the_planes(monkeypatch, "nuclei", 5, lambda t: (t[0] | stray & ~0b1111, *t[1:]))
-    monkeypatch.setattr(Nucleus, "to_jsonable", lambda j: list(j.images))
+    """T_o = j(M_o) of the 6th nucleus gets the bits of ``stray`` past n,
+    which neither the planes nor the expansion read, so no value changes."""
+    _in_census(monkeypatch, "nuclei", 5, lambda T: (T[0] | stray & ~0b1111, *T[1:]))
 
 
 @pytest.mark.parametrize("stray", STRAYS.values(), ids=STRAYS)
 def test_a_census_image_out_of_range_is_not_decided_on_planes(diamond, monkeypatch, stray):
+    """The planes do not hold such a generator, so the verify goes down the
+    law-by-law path, which lists the census off the planes: every law
+    passes there, as the reference says on the values the tuples expand to."""
     _image_out_of_range(monkeypatch, stray)
     runs = _law_by_law_runs(monkeypatch)
     engine = triangle.verify_triangle(diamond)
     assert runs == [diamond]
-    assert {"nucleus_roundtrip", "nucleus_bijection"} <= set(_failing(engine))
-    assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
-
-
-@pytest.mark.parametrize("change", FAMILY_CHANGES.values(), ids=FAMILY_CHANGES)
-def test_a_census_family_not_held_exactly_is_not_decided_on_planes(diamond, monkeypatch, change):
-    _listed_off_the_planes(monkeypatch, "topologies", 5, change)
-    runs = _law_by_law_runs(monkeypatch)
-    engine = triangle.verify_triangle(diamond)
-    assert runs == [diamond]
-    assert _failing(engine) == [
-        "topology_roundtrip", "topology_nucleus_roundtrip", "topology_bijection"
-    ]
+    assert engine.all_passed
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
@@ -764,9 +726,11 @@ def test_a_topology_listed_twice_by_the_census(diamond, monkeypatch, census, fai
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
-@pytest.mark.parametrize(
-    "poset, nucleus_cap", [(chain(10), 11), (boolean_lattice(3), 20)], ids=["chain10", "boolean3"]
-)
+# caps-lifted posets, each with the least nucleus cap that fits its downsets
+LIFTED = {"chain10": (chain(10), 11), "boolean3": (boolean_lattice(3), 20)}
+
+
+@pytest.mark.parametrize("poset, nucleus_cap", LIFTED.values(), ids=LIFTED)
 def test_the_caps_lifted_reports_are_pinned(poset, nucleus_cap, request):
     report = triangle.verify_triangle(poset, nucleus_cap=nucleus_cap, topology_cap=poset.n)
     assert report.all_passed
@@ -823,11 +787,11 @@ def test_each_edge_and_validator_runs_once_per_distinct_input(diamond, monkeypat
     }
 
 
-def _one_value_fault(poset, monkeypatch, edge):
-    """The kernel of ``edge`` gives the value of {a} the value of {b} (a
-    subset gets bit 0 flipped)."""
+def _one_value_fault(poset, monkeypatch, edge, members=("a",)):
+    """The kernel of ``edge`` gives the value of the subset of ``members``
+    the value of {b} (a subset gets bit 0 flipped)."""
     _, source, target = EDGES[edge]
-    a, b = poset.subset(["a"]), poset.subset(["b"])
+    a, b = poset.subset(members), poset.subset(["b"])
     corners = {Subset: lambda x: x, Nucleus: triangle.subset_to_nucleus,
                GrothendieckTopology: triangle.subset_to_topology}
     picked = _raw(corners[source](a))
@@ -841,9 +805,16 @@ def _one_value_fault(poset, monkeypatch, edge):
     inject(monkeypatch, edge, fault)
 
 
-@pytest.mark.parametrize("edge", EDGES)
-def test_a_one_value_fault_in_any_kernel_takes_the_law_by_law_path(diamond, monkeypatch, edge):
-    _one_value_fault(diamond, monkeypatch, edge)
+# id -> (edge, members): on the diamond {a} is lane 1 of all subsets, and
+# the whole carrier lane 15, in the second byte of each plane
+ONE_VALUE_FAULTS = {**{edge: (edge, ("a",)) for edge in EDGES},
+                    **{f"{edge}-carrier": (edge, ("o", "a", "b", "t")) for edge in EDGES}}
+
+
+@pytest.mark.parametrize("edge, members", ONE_VALUE_FAULTS.values(), ids=ONE_VALUE_FAULTS)
+def test_a_one_value_fault_in_any_kernel_takes_the_law_by_law_path(diamond, monkeypatch, edge,
+                                                                   members):
+    _one_value_fault(diamond, monkeypatch, edge, members)
     fallbacks = []
     original = triangle._law_by_law
 
@@ -863,16 +834,14 @@ FALLBACKS = {
     "non_topology_output": _non_topology_output,
     **{f"image_{name}": lambda p, m, stray=stray: _image_out_of_range(m, stray)
        for name, stray in STRAYS.items()},
-    **{f"family_{name}": lambda p, m, change=change: _listed_off_the_planes(m, "topologies", 5,
-                                                                            change)
-       for name, change in FAMILY_CHANGES.items()},
     "generator_t_not_monotone": lambda p, m: GENERATOR_FAULTS["t_not_monotone"][1](m),
 }
 
 
-@pytest.mark.parametrize("case", FALLBACKS.values(), ids=FALLBACKS)
-def test_the_law_by_law_path_runs_no_kernel(diamond, monkeypatch, case):
-    """It reads every conversion from the batches the plane check computed."""
+@pytest.mark.parametrize("name, case", FALLBACKS.items(), ids=FALLBACKS)
+def test_the_law_by_law_path_runs_no_kernel(diamond, monkeypatch, name, case):
+    """It reads every conversion from the batches the plane check computed.
+    A stray generator bit changes no value, so only its laws all pass."""
     case(diamond, monkeypatch)
     fallback, runs = triangle._law_by_law, []
 
@@ -892,16 +861,17 @@ def test_the_law_by_law_path_runs_no_kernel(diamond, monkeypatch, case):
 
     monkeypatch.setattr(triangle, "_law_by_law", guarded)
     engine = triangle.verify_triangle(diamond)
-    assert len(runs) == 1 and not engine.all_passed
+    assert len(runs) == 1 and engine.all_passed == name.startswith("image_")
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
 def test_the_law_by_law_path_agrees_with_the_plane_decision_on_passing_posets(monkeypatch):
     """Every labeled n <= 4 poset, sent down the law-by-law path with every
-    law still holding, gets the report the plane decision gives it.  The
-    nucleus plane check says value 0 fails when it is handed generator
-    planes, as only the decision hands them; the validity laws call it
-    without them and get its real verdict."""
+    law still holding, gets the report the plane decision gives it, and
+    each caps-lifted poset its pinned report.  The nucleus plane check says
+    value 0 fails when it is handed generator planes, as only the decision
+    hands them; the validity laws call it without them and get its real
+    verdict."""
     posets = [poset for n in range(5) for poset in enumerate_posets(n)]
     want = [report_bytes(triangle.verify_triangle(poset)) for poset in posets]
     fails = triangle._nucleus_fails
@@ -912,6 +882,10 @@ def test_the_law_by_law_path_agrees_with_the_plane_decision_on_passing_posets(mo
     assert len(posets) == 243 and runs == posets
     assert all(report["passed"] for report in want)
     assert got == want
+    for case, (poset, nucleus_cap) in LIFTED.items():
+        assert_pinned(case, triangle.verify_triangle(poset, nucleus_cap=nucleus_cap,
+                                                     topology_cap=poset.n))
+        assert runs[-1] is poset
 
 
 def test_a_non_nucleus_two_edges_output_is_scanned_once(diamond, monkeypatch):
