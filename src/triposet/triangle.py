@@ -19,36 +19,37 @@ p lands in j(S) exactly when S is the whole cone) and an alternate form
 comparing j on the cone of p with and without p.
 
 Each edge is one private kernel on a batch of values held as bit planes,
-w-bit ints whose bit k is one bit of value k: n planes for subsets (plane
-q holds point q), d * n for nuclei (plane i * n + p holds bit p of the
-image of the i-th downset) and one membership plane per point p and sieve
-on p for topologies.  This module holds the whole encoding in three corner
-records (subsets, nuclei, topologies), each holding its lift, its lowering,
-its value class and its key in a witness: one transpose lowers every batch
-and lifts subsets and image masks, and families are lifted sieve by sieve.
-A kernel maps planes to planes with a few ``&``, ``|`` and ``^`` each,
-given the layout the enumerators also read (:class:`poset._Layout`), of
-which only the kernels read the plane index maps ``alt``, ``push`` and
+w-bit ints whose bit k is one bit of value k: n planes for subsets (plane q
+holds point q), d * n for nuclei (plane i * n + p holds bit p of the image
+of the i-th downset) and one membership plane per point p and sieve on p for
+topologies.  This module holds the whole encoding in three corner records
+(subsets, nuclei, topologies), each holding its lift, its decoder, its value
+class and its key in a witness.  One transpose lifts subsets and image masks
+and, as :func:`_columns`, lowers every batch to its columns, one int per
+lane, which the corner decodes to values; families are lifted sieve by
+sieve.  A kernel maps planes to planes with a few ``&``, ``|`` and ``^``
+each, given the layout the enumerators also read (:class:`poset._Layout`),
+of which only the kernels read the plane index maps ``alt``, ``push`` and
 ``pull``; it reads only what planes hold, the bits below n of an image and
 the sieves of a family.  A public edge runs its kernel on a batch of one.
 
 :func:`verify_triangle` runs the whole law suite on one poset.  Counts come
 only from the censuses, never from the conversions under test (the two
 censuses run one search, so they are not independent of each other), and
-each census stays in generators: T_p = j(M_p) of each
-nucleus and the least covering sieves m_p of each topology, n masks per
-value.  The distinct generator tuples are transposed once and lifted
-straight to planes, the images as the meets of the T_p and the families as
-the sieves containing the m_p.  The kernels run on three batches (all
-subsets and the two censuses), and the plane checks of :mod:`nucleus` and
-:mod:`topology` validate each census batch once, also flagging a value
-whose generators are not its own.  The laws are one table, in report
-order, each row naming a law, the finder of its witness and the batches it
-reads; the roundtrip, commutation and extraction laws read two batches.
-Every law passes when the planes hold both generator censuses exactly,
-both counts are 2^n, neither census repeats a generator tuple, both
-censuses validate and the two batches of every two-batch law are equal,
-because then the other laws follow:
+each census stays in generators: T_p = j(M_p) of each nucleus and the least
+covering sieves m_p of each topology, n masks per value.  A census batch has
+one lane per generator tuple, in the order the search returns them: the
+tuples are transposed once and lifted straight to planes, the images as the
+meets of the T_p and the families as the sieves containing the m_p.  The
+kernels run on three batches (all subsets and the two censuses), and the
+plane checks of :mod:`nucleus` and :mod:`topology` validate each census
+batch once, also flagging a value whose generators are not its own.  The
+laws are one table, in report order, each row naming a law, the finder of
+its witness and the batches it reads; the roundtrip, commutation and
+extraction laws read two batches.  Every law passes when the planes hold
+both generator censuses exactly, both counts are 2^n, neither census repeats
+a generator tuple, both censuses validate and the two batches of every
+two-batch law are equal, because then the other laws follow:
 
 * distinct values: each validated value has its own generators, so T |-> j
   and m |-> J are one-to-one on the censuses, which hold 2^n values each;
@@ -60,11 +61,11 @@ because then the other laws follow:
   validated, and by commutation the census of each corner maps onto the
   other's.
 
-Then the report passes every row.  Otherwise :func:`_law_by_law` lowers
-each census batch once to list the census in canonical order, so each
-listed value is what its lane holds, and hands each row to its finder,
-which compares the row's batches on planes and lowers only the lanes of
-the law's witness; it runs no kernel.
+Then the report passes every row.  Otherwise :func:`_law_by_law` lowers each
+census batch once to its columns and decodes them to list the census in
+canonical order, so each listed value is what its lane holds, and hands each
+row to its finder, which compares the row's batches on planes and lowers
+only the lanes of the law's witness; it runs no kernel.
 """
 
 from __future__ import annotations
@@ -226,26 +227,26 @@ def _family_planes(r: _Layout, batch: Sequence[Sequence[tuple]]) -> list[int]:
     return planes
 
 
-def _lower_tables(r: _Layout, planes: list[int], w: int) -> list[Table]:
+def _decode_tables(r: _Layout, columns: list[int]) -> list[Table]:
     full, shifts = r.poset.full_mask, [i * r.n for i in range(r.d)]
-    return [tuple([c >> s & full for s in shifts]) for c in _columns(planes, w)]
+    return [tuple([c >> s & full for s in shifts]) for c in columns]
 
 
-def _lower_families(r: _Layout, planes: list[int], w: int) -> list[Families]:
+def _decode_families(r: _Layout, columns: list[int]) -> list[Families]:
     return [tuple([tuple([s for j, s in enumerate(sieves, span.start) if c >> j & 1])
-                   for span, sieves in zip(r.ranges, r.sieves)]) for c in _columns(planes, w)]
+                   for span, sieves in zip(r.ranges, r.sieves)]) for c in columns]
 
 
 # one corner of the triangle: its key in a witness, the class of its values,
-# lift(r, values) to planes and lower(r, planes, w), a batch of w back to values
-_Corner = namedtuple("_Corner", "key cls lift lower")
+# lift(r, values) to planes and decode(r, columns), the values of the columns
+# that _columns lowers a batch of its planes to
+_Corner = namedtuple("_Corner", "key cls lift decode")
 
 
-_SUBSET = _Corner("subset", Subset, lambda r, xs: _transpose(xs, r.n),
-                  lambda r, planes, w: _columns(planes, w))
+_SUBSET = _Corner("subset", Subset, lambda r, xs: _transpose(xs, r.n), lambda r, columns: columns)
 _NUCLEUS = _Corner("nucleus", Nucleus, lambda r, tables: _mask_planes(tables, r.n, r.d)[0],
-                   _lower_tables)
-_TOPOLOGY = _Corner("topology", GrothendieckTopology, _family_planes, _lower_families)
+                   _decode_tables)
+_TOPOLOGY = _Corner("topology", GrothendieckTopology, _family_planes, _decode_families)
 
 
 def _all_subsets(n: int, ones: int) -> list[int]:
@@ -256,7 +257,8 @@ def _all_subsets(n: int, ones: int) -> list[int]:
 def _on_one(kernel, source: _Corner, target: _Corner, poset: Poset, value):
     """``kernel`` on a batch of one ``source`` value, as a ``target`` object."""
     r = _layout(poset)
-    return target.cls._wrap(poset, target.lower(r, kernel(r, source.lift(r, [value]), 1), 1)[0])
+    planes = kernel(r, source.lift(r, [value]), 1)
+    return target.cls._wrap(poset, target.decode(r, _columns(planes, 1))[0])
 
 
 # -- the public edges ------------------------------------------------------
@@ -306,7 +308,7 @@ def topology_to_nucleus(J: GrothendieckTopology) -> Nucleus:
     """j(S) collects the points where S pulls back to a covering sieve."""
     r = _layout(J.poset)
     planes = _families_to_table(r, _TOPOLOGY.lift(r, [J.families]), 1)
-    return Nucleus(J.poset, _NUCLEUS.lower(r, planes, 1)[0])
+    return Nucleus(J.poset, _NUCLEUS.decode(r, _columns(planes, 1))[0])
 
 
 # -- the verifier ----------------------------------------------------------
@@ -380,11 +382,12 @@ def verify_triangle(
     is validated once.  The laws are written once, in the table ``laws``,
     one row per law in report order: its name, the finder of its witness in
     :func:`_law_by_law`, the corner whose values it visits, the corner of
-    its batches, its witness keys and its batches.  When every law passes on
+    its batches, its witness keys and its batches.  A census batch has one
+    lane per generator tuple the search returned.  When every law passes on
     planes (see the module docstring) the report passes every row;
     otherwise :func:`_law_by_law` lists each census off its batch and finds
-    the witnesses in the same batches.
-    Both caps are checked before any work starts.
+    the witnesses in the same batches.  Both caps are checked before any
+    work starts.
     """
     t0 = perf_counter()
     _require_nucleus_cap(poset, nucleus_cap)
@@ -394,9 +397,8 @@ def verify_triangle(
     counts = {"subsets": 1 << n, "nuclei": len(Ts), "topologies": len(ms)}
 
     r = _layout(poset)
-    gens = list(dict.fromkeys(Ts)), list(dict.fromkeys(ms))
-    (T, exact_T), (m, exact_m) = (_mask_planes(g, n, n) for g in gens)
-    ones, on, ot = ((1 << w) - 1 for w in (1 << n, *map(len, gens)))
+    (T, exact_T), (m, exact_m) = _mask_planes(Ts, n, n), _mask_planes(ms, n, n)
+    ones, on, ot = ((1 << w) - 1 for w in (1 << n, len(Ts), len(ms)))
     xs = _all_subsets(n, ones)
     js = r.meets([T[p * n : p * n + n] for p in range(n)], on)
     Js = r.covering([ot ^ x for x in m], ot)
@@ -431,13 +433,13 @@ def verify_triangle(
     )
     if (
         exact_T and exact_m
-        and len(Ts) == len(gens[0]) == len(ms) == len(gens[1]) == 1 << n
+        and len(Ts) == len(set(Ts)) == len(ms) == len(set(ms)) == 1 << n
         and not _nucleus_fails(poset, js, on, T) and not _topology_fails(poset, Js, ot, m)
         and all(len(batches) < 2 or batches[0] == batches[1] for _, _, _, _, _, batches in laws)
     ):
         results = tuple(LawResult(name, True) for name, _, _, _, _, _ in laws)
     else:
-        results = _law_by_law(r, (Ts, ms), gens, (js, Js), laws)
+        results = _law_by_law(r, ((js, len(Ts)), (Js, len(ms))), laws)
     return TriangleReport(
         poset=poset,
         directed=poset.is_downward_directed(),
@@ -447,29 +449,26 @@ def verify_triangle(
     )
 
 
-def _law_by_law(r: _Layout, searched: tuple, gens: tuple, census: tuple, laws: tuple):
+def _law_by_law(r: _Layout, census: tuple, laws: tuple):
     """Every law with its witness: each row of ``laws``, the table
     :func:`verify_triangle` built, goes to the finder it names, which reads
     the row's corners, keys and batches.  A batch spans all subsets or the
-    distinct generator tuples ``gens`` of a census, lane k holding the value
-    of tuple k.  Each census batch of ``census`` is lowered once to list
-    those values, and a census is visited in canonical order, one value per
-    tuple it ``searched``.  A two-batch law ORs ``a ^ b`` over its planes,
-    and its witness is the first value visited whose lane is set, each side
-    lowered from that lane alone; a bijection compares the columns of its
-    output batch with those of the census, as lowering is one-to-one on
-    columns.  A validity law flags its output batch on planes and runs the
-    validator core on the first flagged value, lowered alone; the two laws
-    that validate one corner share the core's witnesses, so no value is
-    scanned twice."""
+    generator tuples of a census as searched, lane k holding the value of
+    tuple k; ``census`` holds the planes and width of each census batch.
+    Each is lowered once to its columns, which are decoded to list those
+    values, and a census is visited in canonical order, one value per lane.
+    A two-batch law ORs ``a ^ b`` over its planes, and its witness is the
+    first value visited whose lane is set, each side lowered from that lane
+    alone; a bijection compares the columns of its output batch with the
+    census's, as decoding is one-to-one on columns.  A validity law flags
+    its output batch on planes and runs the validator core on the first
+    flagged value, lowered alone; the two laws that validate one corner
+    share the core's witnesses, so no value is scanned twice."""
     poset, n = r.poset, r.n
     S, N, J = _SUBSET, _NUCLEUS, _TOPOLOGY
-    census = dict(zip((N, J), census))
-    listed = {S: range(1 << n)}  # the value of each lane
-    visits = {S: _canonical(range(1 << n))}
-    for c, order, tuples, g in zip((N, J), (_in_order, sorted), searched, gens):
-        listed[c] = c.lower(r, census[c], len(g))
-        visits[c] = order(map(dict(zip(g, listed[c])).__getitem__, tuples))
+    columns = {c: _columns(planes, w) for c, (planes, w) in zip((N, J), census)}
+    listed = {S: range(1 << n), N: N.decode(r, columns[N]), J: J.decode(r, columns[J])}
+    visits = {S: _canonical(listed[S]), N: _in_order(listed[N]), J: sorted(listed[J])}
     lanes = {c: {v: k for k, v in enumerate(values)} for c, values in listed.items()}
     memo = {N: {}, J: {}}  # the validator core's witness of each value it ran on
 
@@ -477,7 +476,7 @@ def _law_by_law(r: _Layout, searched: tuple, gens: tuple, census: tuple, laws: t
         return kind.cls._wrap(poset, v).to_jsonable()
 
     def at(target, planes, k):
-        return target.lower(r, [p >> k for p in planes], 1)[0]
+        return target.decode(r, _columns([p >> k for p in planes], 1))[0]
 
     def differ(kind, target, a, b):
         """The first value of ``kind`` whose lanes in ``a`` and ``b`` differ:
@@ -516,7 +515,7 @@ def _law_by_law(r: _Layout, searched: tuple, gens: tuple, census: tuple, laws: t
         image = set(_columns(planes, len(listed[kind])))
         if len(image) != 1 << n:
             return {"reason": "not injective", "image_size": len(image)}
-        if image != set(_columns(census[target], len(listed[target]))):
+        if image != set(columns[target]):
             return {"reason": "image differs from enumeration"}
         return None
 

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import triposet
-from triposet import errors
+from triposet import errors, triangle
 from triposet.poset import _Layout
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -304,3 +304,34 @@ def test_the_triangle_reads_each_census_only_off_its_planes():
     assert names_read((package / "triangle.py").read_text(encoding="utf-8"), EXPANSIONS) == []
     sample = "from m import (\n    _images,\n)\nx = m._families\ny = _families_to_table\n"
     assert names_read(sample, EXPANSIONS) == ["2: _images", "4: _families"]
+
+
+# the functions of ``triangle.py`` that may read ``_transpose``, the one
+# lowering and the lift of generator masks; the lift of subsets is the third
+TRANSPOSERS = ("_columns", "_mask_planes")
+
+
+def transpose_reads(source):
+    """``line: _transpose`` for each read of ``_transpose`` in ``source``
+    outside the functions ``TRANSPOSERS`` and the lift of ``_SUBSET``."""
+    tree, allowed = ast.parse(source), set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in TRANSPOSERS:
+            allowed |= {id(node) for node in ast.walk(stmt)}
+        elif isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "_SUBSET":
+            lift = stmt.value.args[triangle._Corner._fields.index("lift")]
+            allowed |= {id(node) for node in ast.walk(lift)}
+    return [f"{node.lineno}: {node.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "_transpose" and id(node) not in allowed]
+
+
+def test_every_batch_is_lowered_through_the_columns():
+    """A corner decodes the columns ``_columns`` lowers a batch to, so no
+    other code in ``triangle.py`` transposes planes back to values."""
+    package = Path(triposet.__file__).resolve().parent
+    assert transpose_reads((package / "triangle.py").read_text(encoding="utf-8")) == []
+    sample = ("def _columns(planes, w):\n    return _transpose(planes, w)\n\n\n"
+              "def _lower(r, planes, w):\n    return _transpose(planes, w)\n\n\n"
+              "_SUBSET = _Corner('subset', Subset, lambda r, xs: _transpose(xs, r.n),\n"
+              "                  lambda r, planes, w: list(map(_transpose, planes)))\n")
+    assert transpose_reads(sample) == ["6: _transpose", "10: _transpose"]

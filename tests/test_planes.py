@@ -1,23 +1,24 @@
 """The bit-plane layer under the triangle engine.
 
-A batch of values is held as planes, one int per bit of a value.  The
-transposes round-trip each corner's values for every poset size from 0 to
-10, lane k alone lowering to value k, and a lift reads only the bits and
-sieves its planes hold (the mask lift saying whether that is all of the
-batch); the family lift gives the per-bit planes however the families of a
-batch repeat.  The plane checks of ``nucleus.py`` and ``topology.py`` set
-bit k of their "fails" mask exactly when the axiom-by-axiom witness scan
-raises on value k: on random batches of broken values, on every one-entry
-change of the nuclei and topologies of small posets, on every census value
-of the posets with n <= 4, and on every family tuple and generator tuple
-of the labeled posets with n <= 3 and every image tuple of those with
-n <= 2.  The closed-form planes of all 2**n subsets are their transpose
-for n <= 16.  The transpose inverts itself and refuses a value out of range at
-widths from 0 to 200 bits, and a batch past 1,024 lanes lowers, whole and
-lane by lane, and lifts back bit for bit.  The planes ``verify_triangle``
-lifts from generator tuples hold the values the tuples expand to, and with
-the generator planes each check also flags a value whose generators are
-not its own.
+A batch of values is held as planes, one int per bit of a value.  Each
+corner's lift, and its decoder on the columns of those planes, round-trip
+its values for every poset size from 0 to 10, lane k alone decoding to
+value k, and a lift reads only the bits and sieves its planes hold (the
+mask lift saying whether that is all of the batch); the family lift gives
+the per-bit planes however the families of a batch repeat.  The plane
+checks of ``nucleus.py`` and ``topology.py`` set bit k of their "fails"
+mask exactly when the axiom-by-axiom witness scan raises on value k: on
+random batches of broken values, on every one-entry change of the nuclei
+and topologies of small posets, on every census value of the posets with
+n <= 4, and on every family tuple and generator tuple of the labeled
+posets with n <= 3 and every image tuple of those with n <= 2.  The
+closed-form planes of all 2**n subsets are their transpose for n <= 16.
+The transpose inverts itself and refuses a value out of range at widths
+from 0 to 200 bits, and a batch past 1,024 lanes lowers, whole and lane by
+lane, and lifts back bit for bit.  The columns of the planes
+``verify_triangle`` lifts from generator tuples decode to the values the
+tuples expand to, and with the generator planes each check also flags a
+value whose generators are not its own.
 """
 
 import random
@@ -90,9 +91,9 @@ def test_the_transposes_round_trip(n):
             for corner, values in ((triangle._SUBSET, xs), (triangle._NUCLEUS, tables),
                                    (triangle._TOPOLOGY, fams)):
                 planes = corner.lift(r, values)
-                assert corner.lower(r, planes, w) == values
+                assert corner.decode(r, _columns(planes, w)) == values
                 # lane k alone, shifted down to lane 0, is value k
-                assert [corner.lower(r, [p >> k for p in planes], 1)[0]
+                assert [corner.decode(r, _columns([p >> k for p in planes], 1))[0]
                         for k in range(w)] == values
 
 
@@ -347,8 +348,8 @@ def test_the_generator_planes_hold_what_the_expansions_list(case):
     poset, batch = case
     r, w = _layout(poset), len(batch)
     _, images, families = generator_planes(poset, batch, (1 << w) - 1)
-    assert triangle._lower_tables(r, images, w) == _images(poset, batch)
-    assert triangle._lower_families(r, families, w) == _families(poset, batch)
+    assert triangle._decode_tables(r, _columns(images, w)) == _images(poset, batch)
+    assert triangle._decode_families(r, _columns(families, w)) == _families(poset, batch)
 
 
 @given(generator_batches())

@@ -407,3 +407,80 @@ def test_each_streamed_poset_is_the_one_the_checking_constructor_builds(n):
         assert hash(Subset(p, mask)) == hash(Subset(checked, mask))
         assert p.covers() == checked.covers()
         assert list(map(p.index, p.labels)) == list(map(checked.index, p.labels))
+
+
+def from_pairs(n, pairs):
+    """The poset on points p0..p{n-1} generated by ``pairs`` of indices (i, j), i <= j."""
+    labels = [f"p{i}" for i in range(n)]
+    return build_poset(labels, [(labels[i], labels[j]) for i, j in pairs])
+
+
+def strict_pairs(poset, shift=0):
+    """The pairs p < q of ``poset``, its points shifted up by ``shift``."""
+    return [(p + shift, q + shift) for p in range(poset.n) for q in range(poset.n)
+            if p != q and poset.leq(p, q)]
+
+
+def chain(n):
+    return from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def fence(n):
+    """The zigzag p0 < p1 > p2 < p3 ..."""
+    return from_pairs(n, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)])
+
+
+def boolean_lattice(k):
+    return from_pairs(1 << k, [(m, m | 1 << b) for m in range(1 << k) for b in range(k)
+                               if not m >> b & 1])
+
+
+def ordinal_sum(P, Q):
+    """P below Q: every point of P under every point of Q."""
+    return from_pairs(P.n + Q.n, strict_pairs(P) + strict_pairs(Q, P.n)
+                      + [(p, P.n + q) for p in range(P.n) for q in range(Q.n)])
+
+
+def disjoint_union(P, Q):
+    return from_pairs(P.n + Q.n, strict_pairs(P) + strict_pairs(Q, P.n))
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+# name -> (poset builder, its number of downsets in closed form)
+SMALL = {
+    "chain3": (lambda: chain(3), 4),
+    "antichain2": (lambda: from_pairs(2, []), 4),
+    "fence4": (lambda: fence(4), fibonacci(6)),
+    "boolean2": (lambda: boolean_lattice(2), 6),
+}
+DEDEKIND = (2, 3, 6, 20, 168)
+CLOSED_FORMS = {
+    **{f"chain{n}": (lambda n=n: chain(n), n + 1) for n in range(17)},
+    **{f"antichain{n}": (lambda n=n: from_pairs(n, []), 1 << n) for n in range(17)},
+    **{f"fence{n}": (lambda n=n: fence(n), fibonacci(n + 2)) for n in range(1, 17)},
+    **{f"boolean{k}": (lambda k=k: boolean_lattice(k), d) for k, d in enumerate(DEDEKIND)},
+    **{f"{a}_below_{b}": (lambda P=P, Q=Q: ordinal_sum(P(), Q()), dp + dq - 1)
+       for a, (P, dp) in SMALL.items() for b, (Q, dq) in SMALL.items()},
+    **{f"{a}_beside_{b}": (lambda P=P, Q=Q: disjoint_union(P(), Q()), dp * dq)
+       for a, (P, dp) in SMALL.items() for b, (Q, dq) in SMALL.items()},
+}
+
+
+@pytest.mark.parametrize("build, count", CLOSED_FORMS.values(), ids=CLOSED_FORMS)
+def test_the_downset_counts_meet_their_closed_forms(build, count):
+    """Counts that need no enumeration, up to the lattice cap: n + 1 on a
+    chain, 2^n on an antichain, F(n + 2) on a fence, the Dedekind numbers on
+    the Boolean lattices 2^k, |D(P)| + |D(Q)| - 1 on the ordinal sum and
+    |D(P)| * |D(Q)| on the disjoint union; each list holds distinct
+    downsets in (cardinality, mask) order."""
+    poset = build()
+    masks = poset.downset_masks()
+    assert len(masks) == count
+    assert list(masks) == sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    assert all(map(poset.is_downset_mask, masks))

@@ -23,12 +23,14 @@ law-by-law path runs no kernel: it reads every conversion from the batches
 the plane check computed, so a kernel output outside the census travels
 only in the batches of the laws that read it, and a non-nucleus that two
 edges output is scanned once; a value a plane check flags but its
-validator accepts is an error, not a pass.  A census that lists a value
-twice is reported as the reference reports it, and neither a run nor a
-poset stream leaves anything for the cyclic collector.  Forced onto the
-law-by-law path, a passing poset gets the plane decision's report, as both
-read one law table, and a caps-lifted poset its pinned report.  An
-oversize job is refused before anything is enumerated.
+validator accepts is an error, not a pass.  A census that lists a
+generator tuple twice, in a lane each, goes down the law-by-law path and is
+reported as the reference reports it, and neither a run nor a poset stream
+leaves anything for the cyclic collector.  Forced onto the law-by-law path,
+a passing poset gets the plane decision's report, as both read one law
+table, a caps-lifted poset its pinned report, and each census batch is
+lowered to its columns once.  An oversize job is refused before anything is
+enumerated.
 """
 
 import gc
@@ -73,15 +75,20 @@ EDGES = {
 KERNELS = tuple(kernel for kernel, _, _ in EDGES.values())
 CORES = ("_check_nucleus", "_check_topology")
 PLANE_CHECKS = {"_nucleus_fails": Nucleus, "_topology_fails": GrothendieckTopology}
-# class -> its corner, which lifts values to planes and lowers them back
+# class -> its corner, which lifts values to planes and decodes their columns
 CORNERS = {c.cls: c for c in (triangle._SUBSET, triangle._NUCLEUS, triangle._TOPOLOGY)}
+
+
+def lower(cls, r, planes, w):
+    """The ``w`` values of class ``cls`` that a batch of planes holds."""
+    return CORNERS[cls].decode(r, triangle._columns(planes, w))
 
 
 def run_kernel(kernel, r, source, target, values):
     """``kernel`` on the batch of ``values``, lowered to values."""
     w = len(values)
     planes = getattr(triangle, kernel)(r, CORNERS[source].lift(r, values), (1 << w) - 1)
-    return CORNERS[target].lower(r, planes, w)
+    return lower(target, r, planes, w)
 
 
 def inject(monkeypatch, edge, fault):
@@ -93,8 +100,8 @@ def inject(monkeypatch, edge, fault):
 
     def faulty(r, planes, ones):
         w = ones.bit_length()
-        values = CORNERS[source].lower(r, planes, w)
-        outputs = CORNERS[target].lower(r, original(r, planes, ones), w)
+        values = lower(source, r, planes, w)
+        outputs = lower(target, r, original(r, planes, ones), w)
         return CORNERS[target].lift(r, [fault(r, v, out) for v, out in zip(values, outputs)])
 
     monkeypatch.setattr(triangle, kernel, faulty)
@@ -131,6 +138,8 @@ PINNED = {
     "non_topology_output": "e09ac49857eef2d80e5311b82edb69757aee2b2b419cc91f81f154d77e7a4105",
     "nucleus_twice_nucleus_count": "34b7cee8bfa322e30e141921d2beab34853e74e9bdd25ad985d21ef0ca20bd3c",
     "nucleus_twice_nucleus_bijection": "be21ad9d56b74458079880a4cd5379105f24bc7fe42796d92df3111f8dbb1b1d",
+    "topology_twice_topology_count": "140423973c9a2435eb029a3a167d63b6b7bf56ffc4859ca7ea6107b12cc4adbd",
+    "topology_twice_topology_bijection": "29491b2ad9807889405574ed95479a3eb7e69884cb3d00aeaeed6b509810ad80",
     "chain10": "5f0c7f116f9b3d91e44254607af3ea79a1c3d919d69bd22754e4450a7b05b767",
     "boolean3": "4b8dc22cc6c24323d23b10273282fca52d8c31a219fab0f5f387bd9b13f5c4d8",
 }
@@ -257,7 +266,7 @@ def test_the_kernels_never_look_up_their_table(diamond, monkeypatch):
     monkeypatch.setattr(_Layout, "__init__", never)
     for kernel, source, target in EDGES.values():
         w = len(inputs[source])
-        CORNERS[target].lower(r, getattr(triangle, kernel)(r, lifted[kernel], (1 << w) - 1), w)
+        lower(target, r, getattr(triangle, kernel)(r, lifted[kernel], (1 << w) - 1), w)
 
 
 def test_a_verify_builds_one_layout_shared_by_every_reader(diamond, monkeypatch):
@@ -617,7 +626,7 @@ def _verify_recording_calls(poset, monkeypatch):
         def on_batch(r, planes, ones, *gens, name=name, fn=getattr(triangle, name),
                      source=source):
             table = r if isinstance(r, triangle._Layout) else triangle._layout(r)
-            calls[name, tuple(CORNERS[source].lower(table, planes, ones.bit_length()))] += 1
+            calls[name, tuple(lower(source, table, planes, ones.bit_length()))] += 1
             return fn(r, planes, ones, *gens)
 
         monkeypatch.setattr(triangle, name, on_batch)
@@ -703,8 +712,9 @@ def test_a_non_topology_from_an_edge_is_read_only_by_the_laws_that_need_it(diamo
 )
 def test_a_nucleus_listed_twice_by_the_census(diamond, monkeypatch, census, failing):
     _census(monkeypatch, "nuclei", census)
+    runs = _law_by_law_runs(monkeypatch)
     engine, calls = _verify_recording_calls(diamond, monkeypatch)
-    assert max(calls.values()) == 1
+    assert runs == [diamond] and max(calls.values()) == 1
     assert _failing(engine) == failing
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
     assert_pinned(f"nucleus_twice_{failing[0]}", engine)
@@ -719,11 +729,15 @@ def test_a_nucleus_listed_twice_by_the_census(diamond, monkeypatch, census, fail
     ids=["added", "in_place_of_the_last"],
 )
 def test_a_topology_listed_twice_by_the_census(diamond, monkeypatch, census, failing):
+    """In place of the last, only the check that no generator tuple repeats
+    keeps the plane decision from passing: every lane holds a topology."""
     _census(monkeypatch, "topologies", census)
+    runs = _law_by_law_runs(monkeypatch)
     engine, calls = _verify_recording_calls(diamond, monkeypatch)
-    assert max(calls.values()) == 1
+    assert runs == [diamond] and max(calls.values()) == 1
     assert _failing(engine) == failing
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
+    assert_pinned(f"topology_twice_{failing[0]}", engine)
 
 
 # caps-lifted posets, each with the least nucleus cap that fits its downsets
@@ -865,19 +879,24 @@ def test_the_law_by_law_path_runs_no_kernel(diamond, monkeypatch, name, case):
     assert report_bytes(engine) == report_bytes(reference_verify_triangle(diamond))
 
 
-def test_the_law_by_law_path_agrees_with_the_plane_decision_on_passing_posets(monkeypatch):
-    """Every labeled n <= 4 poset, sent down the law-by-law path with every
-    law still holding, gets the report the plane decision gives it, and
-    each caps-lifted poset its pinned report.  The nucleus plane check says
-    value 0 fails when it is handed generator planes, as only the decision
-    hands them; the validity laws call it without them and get its real
-    verdict."""
-    posets = [poset for n in range(5) for poset in enumerate_posets(n)]
-    want = [report_bytes(triangle.verify_triangle(poset)) for poset in posets]
+def _force_law_by_law(monkeypatch):
+    """Send every verify down the law-by-law path with every law still
+    holding, and return the posets sent.  The nucleus plane check says value
+    0 fails when it is handed generator planes, as only the decision hands
+    them; the validity laws call it without them and get its real verdict."""
     fails = triangle._nucleus_fails
     monkeypatch.setattr(triangle, "_nucleus_fails", lambda poset, planes, ones, *gens:
                         1 if gens else fails(poset, planes, ones))
-    runs = _law_by_law_runs(monkeypatch)
+    return _law_by_law_runs(monkeypatch)
+
+
+def test_the_law_by_law_path_agrees_with_the_plane_decision_on_passing_posets(monkeypatch):
+    """Every labeled n <= 4 poset, sent down the law-by-law path with every
+    law still holding, gets the report the plane decision gives it, and
+    each caps-lifted poset its pinned report."""
+    posets = [poset for n in range(5) for poset in enumerate_posets(n)]
+    want = [report_bytes(triangle.verify_triangle(poset)) for poset in posets]
+    runs = _force_law_by_law(monkeypatch)
     got = [report_bytes(triangle.verify_triangle(poset)) for poset in posets]
     assert len(posets) == 243 and runs == posets
     assert all(report["passed"] for report in want)
@@ -886,6 +905,24 @@ def test_the_law_by_law_path_agrees_with_the_plane_decision_on_passing_posets(mo
         assert_pinned(case, triangle.verify_triangle(poset, nucleus_cap=nucleus_cap,
                                                      topology_cap=poset.n))
         assert runs[-1] is poset
+
+
+def test_the_law_by_law_path_transposes_each_census_once(monkeypatch):
+    """Forced onto the law-by-law path, a passing poset lowers four batches
+    whole: each census once, to list it and to compare its columns with the
+    image of its bijection law, and each bijection law's output batch."""
+    poset = build_poset(["a", "b", "c"], [("a", "b")])
+    runs, widths, columns = _force_law_by_law(monkeypatch), [], triangle._columns
+
+    def counted(planes, w):
+        widths.append(w)
+        return columns(planes, w)
+
+    monkeypatch.setattr(triangle, "_columns", counted)
+    report = triangle.verify_triangle(poset)
+    assert runs == [poset] and report.all_passed
+    assert report.counts == {"subsets": 8, "nuclei": 8, "topologies": 8}
+    assert widths == [8] * 4
 
 
 def test_a_non_nucleus_two_edges_output_is_scanned_once(diamond, monkeypatch):
