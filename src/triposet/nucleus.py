@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
 from itertools import chain
-from operator import and_, or_, xor
+from operator import or_, xor
 
 from .errors import (
     CapExceededError,
@@ -171,11 +171,18 @@ def _nucleus_fails(poset: Poset, planes: list[int], ones: int,
     T = [planes[k : k + n] for k in layout.tops]
     fails = reduce(or_, map(xor, chain.from_iterable(T), gens) if gens is not None
                    else map(xor, planes, layout.meets(T, ones)), 0)
-    for p, (t, above) in enumerate(zip(T, layout.above)):
-        fails = reduce(or_, [t[b] & ~t[a] for a, b in covers], fails)
-        fails = reduce(or_, [ones ^ t[q] for q in range(n) if not up[p] >> q & 1], fails)
+    # plain loops: CPython 3.11 builds and calls a function for every comprehension
+    for t, u, above in zip(T, up, layout.above):
+        for a, b in covers:
+            fails |= t[b] & ~t[a]
+        for q in range(n):
+            if not u >> q & 1:
+                fails |= ones ^ t[q]
         for b in above:
-            fails |= reduce(and_, [t[r] | T[r][b] for r in above], ones ^ t[b])
+            kept = ones ^ t[b]
+            for r in above:
+                kept &= t[r] | T[r][b]
+            fails |= kept
     return fails
 
 

@@ -147,9 +147,6 @@ class Poset:
         """True iff element ``p`` is below-or-equal to element ``q``."""
         return bool(self._down[q] >> p & 1)
 
-    def principal_downset(self, p: int) -> DownSet:
-        return DownSet._wrap(self, self._down[p])
-
     def is_downward_directed(self) -> bool:
         """Nonempty, and every two elements share a lower bound."""
         if self.n == 0:
@@ -357,10 +354,14 @@ def _search_plan(cones: Sequence[int], points: Sequence[Sequence[int]],
     """Per point p, smallest cone first: p, the ``points`` of its cone (its
     principal downset or up-set) and (g, g ^ ``flip``, the points of g or
     None for the whole cone) for each closed set g in ``closed[p]``."""
-    return tuple((p, points[p],
-                  tuple([(g, g ^ flip, None if g == cones[p] else tuple(_bits(g)))
-                         for g in closed[p]]))
-                 for p in sorted(range(len(cones)), key=lambda p: cones[p].bit_count()))
+    # plain loops: CPython 3.11 builds and calls a function for every comprehension
+    plan = []
+    for p in sorted(range(len(cones)), key=lambda p: cones[p].bit_count()):
+        candidates, cone = [], cones[p]
+        for g in closed[p]:
+            candidates.append((g, g ^ flip, None if g == cone else tuple(_bits(g))))
+        plan.append((p, points[p], tuple(candidates)))
+    return tuple(plan)
 
 
 def _least_generators(cones: Sequence[int], points: Sequence[Sequence[int]],

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
 from itertools import chain
-from operator import and_, or_, xor
+from operator import or_, xor
 
 from .errors import (
     CapExceededError,
@@ -209,17 +209,28 @@ def _topology_fails(poset: Poset, planes: list[int], ones: int,
     always a sieve on p.  With ``gens``, plane p * n + b holding bit b of
     m_p, the planes are the sieves containing the m_p, and a value passes
     only when each read-off m_p is the given one."""
-    layout, up = _layout(poset), poset._up
-    m = [[ones ^ planes[at[top & ~u]] if top >> b & 1 else 0 for b, u in enumerate(up)]
-         for at, top in zip(layout.index, poset._down)]
+    layout, up, n = _layout(poset), poset._up, poset.n
+    # plain loops: CPython 3.11 builds and calls a function for every comprehension
+    m = []
+    for at, top, cone in zip(layout.index, poset._down, layout.cones):
+        mp = [0] * n
+        for b in cone:
+            mp[b] = ones ^ planes[at[top & ~up[b]]]
+        m.append(mp)
     flat = list(chain.from_iterable(m))
     fails = reduce(or_, map(xor, flat, gens) if gens is not None
                    else map(xor, planes, layout.covering([ones ^ x for x in flat], ones)), 0)
     for a, b in poset.covers():
-        fails = reduce(or_, [m[a][q] & ~m[b][q] for q in layout.cones[a]], fails)
+        ma, mb = m[a], m[b]
+        for q in layout.cones[a]:
+            fails |= ma[q] & ~mb[q]
     for mp, cone in zip(m, layout.cones):
         for b in cone:
-            fails |= reduce(and_, [ones ^ (mp[q] & m[q][b]) for q in cone if up[b] >> q & 1], mp[b])
+            kept, ub = mp[b], up[b]
+            for q in cone:
+                if ub >> q & 1:
+                    kept &= ones ^ (mp[q] & m[q][b])
+            fails |= kept
     return fails
 
 

@@ -127,9 +127,13 @@ Families = tuple[tuple[int, ...], ...]
 def _subset_to_table(r: _Layout, planes: list[int], ones: int) -> list[int]:
     # q is in X -> S when no point of X lies in (down q) - S; a meet step
     # S_i = S_k - p adds p to that set for the points q above p
-    outside = [ones ^ x for x in planes]
-    spread = [[outside[p] if above >> q & 1 else ones for q in range(r.n)]
-              for p, above in enumerate(r.poset._up)]
+    # plain loops: CPython 3.11 builds and calls a function for every comprehension
+    spread = []
+    for x, above in zip(planes, r.above):
+        row, out = [ones] * r.n, ones ^ x
+        for q in above:
+            row[q] = out
+        spread.append(row)
     return r.meets(spread, ones)
 
 

@@ -51,6 +51,11 @@ def small_posets(empty, singleton, chain2, chain3, antichain2, vee, diamond):
     return [empty, singleton, chain2, chain3, antichain2, vee, diamond]
 
 
+def cone(poset, p):
+    """The principal downset of point ``p``, by the public API."""
+    return poset.downset([q for q in range(poset.n) if poset.leq(q, p)])
+
+
 @st.composite
 def posets(draw, max_n=4):
     """Random labeled posets: orient some index-increasing pairs, then

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import oracles
+from conftest import cone
 from triposet import (
     DuplicateLabelError,
     PosetSyntaxError,
@@ -128,7 +129,7 @@ class TestSerialize:
         assert serialize(j) == '[[[],[]],[["a"],["a"]]]'
 
     def test_smallest_topology_on_singleton(self, singleton):
-        J = validate_topology(singleton, [[singleton.principal_downset(0)]])
+        J = validate_topology(singleton, [[cone(singleton, 0)]])
         assert serialize(J) == '{"a":[["a"]]}'
 
     def test_label_arrays_are_sorted(self, vee):

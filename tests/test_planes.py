@@ -10,8 +10,10 @@ checks of ``nucleus.py`` and ``topology.py`` set bit k of their "fails"
 mask exactly when the axiom-by-axiom witness scan raises on value k: on
 random batches of broken values, on every one-entry change of the nuclei
 and topologies of small posets, on every census value of the posets with
-n <= 4, and on every family tuple and generator tuple of the labeled
-posets with n <= 3 and every image tuple of those with n <= 2.  The
+n <= 4, on every family tuple and generator tuple of the labeled posets
+with n <= 3 and every image tuple of those with n <= 2, and on census
+values and generator tuples with one entry changed on every 100th labeled
+poset with n = 5.  The
 closed-form planes of all 2**n subsets are their transpose for n <= 16.
 The transpose inverts itself and refuses a value out of range at widths
 from 0 to 200 bits, and a batch past 1,024 lanes lowers, whole and lane by
@@ -358,7 +360,10 @@ def test_the_plane_checks_on_generators_flag_what_is_not_a_value_s_generators(ca
     """With the generator planes, a value is flagged exactly when the scan
     rejects its expansion or its generators are not its own: j(M_p) is not
     T_p, or m_p is not a sieve on p (and so not the least sieve in J(p))."""
-    poset, batch = case
+    check_generators(*case)
+
+
+def check_generators(poset, batch):
     n, full, up, down = poset.n, poset.full_mask, poset._up, poset._down
     rank, dmasks = poset._downset_ranks(), set(poset.downset_masks())
     ones = (1 << len(batch)) - 1
@@ -419,3 +424,41 @@ def test_every_image_tuple_of_the_smallest_posets_is_flagged_exactly():
                                                   repeat=len(poset.downset_masks()))))
     assert set(kinds) - {None} == {"ImageNotDownsetError", "NotInflationaryError",
                                    "NotIdempotentError", "NotMeetPreservingError"}
+
+
+def test_a_stride_of_the_five_point_stream_is_flagged_exactly():
+    """Every 100th labeled poset with n = 5, among them the antichain and
+    chains, so the checks meet the longest up-sets and cones a sweep runs:
+    the census values, each with one image or one family entry changed, and
+    the generator tuples, each with one generator changed."""
+    chosen = list(enumerate_posets(5))[::100]
+    assert max(max(map(int.bit_count, poset._up)) for poset in chosen) == 5
+    assert max(max(map(int.bit_count, poset._down)) for poset in chosen) == 5
+    nucleus_kinds, topology_kinds = Counter(), Counter()
+    for at, poset in enumerate(chosen):
+        rng = random.Random(at)
+        dmasks = poset.downset_masks()
+        nuclei = [j.images for j in enumerate_nuclei(poset)]
+        batch = [*nuclei]
+        for images in nuclei:
+            i = rng.randrange(len(images))
+            for m in (rng.choice(dmasks), rng.randrange(32)):
+                batch.append((*images[:i], m, *images[i + 1:]))
+        nucleus_kinds += check_nuclei(poset, batch)
+        topologies = [J.families for J in enumerate_topologies(poset)]
+        batch = [*topologies]
+        for fams in topologies:
+            p = rng.randrange(5)
+            s = rng.choice(poset.sieve_masks(p))
+            toggled = tuple(m for m in poset.sieve_masks(p) if (m in fams[p]) != (m == s))
+            batch.append((*fams[:p], toggled, *fams[p + 1:]))
+        topology_kinds += check_topologies(poset, batch)
+        batch = []
+        for gens in _nucleus_generators(poset) + _topology_generators(poset):
+            p = rng.randrange(5)
+            batch += [gens, (*gens[:p], rng.randrange(32), *gens[p + 1:])]
+        check_generators(poset, batch)
+    assert set(nucleus_kinds) - {None} == {"ImageNotDownsetError", "NotInflationaryError",
+                                           "NotIdempotentError", "NotMeetPreservingError"}
+    assert set(topology_kinds) - {None} == {"MissingMaximalError", "StabilityFailError",
+                                            "TransitivityFailError"}

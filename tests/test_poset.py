@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import posets
+from conftest import cone, posets
 from triposet import (
     CapExceededError,
     CycleDetectedError,
     DownSet,
     DuplicateLabelError,
     HARD_STREAM_CAP,
+    LATTICE_CAP,
     Poset,
     Subset,
     UnknownLabelError,
@@ -102,17 +103,17 @@ class TestOrder:
         assert not antichain2.leq(1, 0)
 
     def test_principal_downset_chain(self, chain2):
-        assert chain2.principal_downset(chain2.index("b")) == chain2.downset("ab")
-        assert chain2.principal_downset(chain2.index("a")) == chain2.downset("a")
+        assert cone(chain2, chain2.index("b")) == chain2.downset("ab")
+        assert cone(chain2, chain2.index("a")) == chain2.downset("a")
 
     def test_principal_downset_vee(self, vee):
-        assert vee.principal_downset(vee.index("a")) == vee.downset(["a", "c"])
+        assert cone(vee, vee.index("a")) == vee.downset(["a", "c"])
 
     def test_punctured_is_principal_minus_point(self, small_posets):
         # the punctured cone is downward closed by antisymmetry
         for poset in small_posets:
             for p in range(poset.n):
-                assert poset.is_downset_mask(poset.principal_downset(p).mask & ~(1 << p))
+                assert poset.is_downset_mask(cone(poset, p).mask & ~(1 << p))
 
     def test_directedness(self, chain2, antichain2, vee, empty):
         assert chain2.is_downward_directed()
@@ -168,9 +169,9 @@ class TestDownsets:
     def test_punctured_is_a_proper_sieve(self, small_posets):
         for poset in small_posets:
             for p in range(poset.n):
-                punct = DownSet(poset, poset.principal_downset(p).mask & ~(1 << p))
+                punct = DownSet(poset, cone(poset, p).mask & ~(1 << p))
                 assert punct in poset.sieves(p)
-                assert punct != poset.principal_downset(p)
+                assert punct != cone(poset, p)
 
     def test_sieves_are_the_closed_subsets_of_the_cone(self, small_posets):
         for poset in small_posets:
@@ -268,8 +269,8 @@ class TestEnumeration:
         assert oracles.count_posets_brute(n) == count
 
     def test_stream_is_deterministic(self):
-        first = [p.principal_downset(2).mask for p in enumerate_posets(3)]
-        second = [p.principal_downset(2).mask for p in enumerate_posets(3)]
+        first = [cone(p, 2).mask for p in enumerate_posets(3)]
+        second = [cone(p, 2).mask for p in enumerate_posets(3)]
         assert first == second
 
     def test_default_cap(self):
@@ -461,9 +462,9 @@ SMALL = {
 }
 DEDEKIND = (2, 3, 6, 20, 168)
 CLOSED_FORMS = {
-    **{f"chain{n}": (lambda n=n: chain(n), n + 1) for n in range(17)},
-    **{f"antichain{n}": (lambda n=n: from_pairs(n, []), 1 << n) for n in range(17)},
-    **{f"fence{n}": (lambda n=n: fence(n), fibonacci(n + 2)) for n in range(1, 17)},
+    **{f"chain{n}": (lambda n=n: chain(n), n + 1) for n in range(LATTICE_CAP + 1)},
+    **{f"antichain{n}": (lambda n=n: from_pairs(n, []), 1 << n) for n in range(LATTICE_CAP + 1)},
+    **{f"fence{n}": (lambda n=n: fence(n), fibonacci(n + 2)) for n in range(1, LATTICE_CAP + 1)},
     **{f"boolean{k}": (lambda k=k: boolean_lattice(k), d) for k, d in enumerate(DEDEKIND)},
     **{f"{a}_below_{b}": (lambda P=P, Q=Q: ordinal_sum(P(), Q()), dp + dq - 1)
        for a, (P, dp) in SMALL.items() for b, (Q, dq) in SMALL.items()},
@@ -480,6 +481,7 @@ def test_the_downset_counts_meet_their_closed_forms(build, count):
     |D(P)| * |D(Q)| on the disjoint union; each list holds distinct
     downsets in (cardinality, mask) order."""
     poset = build()
+    assert poset.n <= LATTICE_CAP
     masks = poset.downset_masks()
     assert len(masks) == count
     assert list(masks) == sorted(set(masks), key=lambda m: (m.bit_count(), m))

@@ -1,9 +1,11 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import posets
+from conftest import cone, posets
 from triposet import (
     CapExceededError,
     GrothendieckTopology,
@@ -21,7 +23,7 @@ from triposet.poset import _Layout, _layout
 
 
 def smallest_families(poset):
-    return [[poset.principal_downset(p)] for p in range(poset.n)]
+    return [[cone(poset, p)] for p in range(poset.n)]
 
 
 def largest_families(poset):
@@ -38,8 +40,8 @@ class TestValidate:
 
     def test_missing_pullback_flags_stability(self, chain2):
         families = [
-            [chain2.principal_downset(0)],
-            [chain2.downset([]), chain2.principal_downset(1)],
+            [cone(chain2, 0)],
+            [chain2.downset([]), cone(chain2, 1)],
         ]
         with pytest.raises(StabilityFailError) as exc:
             validate_topology(chain2, families)
@@ -49,8 +51,8 @@ class TestValidate:
 
     def test_open_set_is_not_a_sieve(self, chain2):
         families = [
-            [chain2.principal_downset(0)],
-            [chain2.subset("b"), chain2.principal_downset(1)],
+            [cone(chain2, 0)],
+            [chain2.subset("b"), cone(chain2, 1)],
         ]
         with pytest.raises(NotASieveError) as exc:
             validate_topology(chain2, families)
@@ -58,8 +60,8 @@ class TestValidate:
 
     def test_sieve_must_sit_below_its_point(self, chain2):
         families = [
-            [chain2.downset("ab"), chain2.principal_downset(0)],
-            [chain2.principal_downset(1)],
+            [chain2.downset("ab"), cone(chain2, 0)],
+            [cone(chain2, 1)],
         ]
         with pytest.raises(NotASieveError) as exc:
             validate_topology(chain2, families)
@@ -74,8 +76,8 @@ class TestValidate:
         # empty is covered on the cover {a} of b, so leaving it out of the
         # family at b breaks transitivity
         families = [
-            [chain2.downset([]), chain2.principal_downset(0)],
-            [chain2.downset("a"), chain2.principal_downset(1)],
+            [chain2.downset([]), cone(chain2, 0)],
+            [chain2.downset("a"), cone(chain2, 1)],
         ]
         with pytest.raises(TransitivityFailError) as exc:
             validate_topology(chain2, families)
@@ -86,15 +88,15 @@ class TestValidate:
     def test_families_by_label(self, chain2):
         J = validate_topology(
             chain2,
-            {"b": [chain2.principal_downset(1)], "a": [chain2.principal_downset(0)]},
+            {"b": [cone(chain2, 1)], "a": [cone(chain2, 0)]},
         )
         assert J == validate_topology(chain2, smallest_families(chain2))
 
     def test_missing_family_rejected(self, chain2):
         with pytest.raises(ValueError):
-            validate_topology(chain2, {"a": [chain2.principal_downset(0)]})
+            validate_topology(chain2, {"a": [cone(chain2, 0)]})
         with pytest.raises(ValueError):
-            validate_topology(chain2, [[chain2.principal_downset(0)]])
+            validate_topology(chain2, [[cone(chain2, 0)]])
 
     def test_foreign_sieve_rejected(self, chain2, antichain2):
         families = smallest_families(chain2)
@@ -116,7 +118,7 @@ class TestFamilies:
     def test_smallest_topology_families(self, chain3):
         J = validate_topology(chain3, smallest_families(chain3))
         for p in range(chain3.n):
-            assert J.sieves_at(p) == (chain3.principal_downset(p),)
+            assert J.sieves_at(p) == (cone(chain3, p),)
 
     def test_largest_topology_at_minimal_point(self, chain2):
         J = validate_topology(chain2, largest_families(chain2))
@@ -137,7 +139,7 @@ class TestFamilies:
         assert [s.labels() for s in J.sieves_at(chain2.index("b"))] == [("a", "b")]
 
     def test_duplicate_sieves_collapse(self, singleton):
-        d = singleton.principal_downset(0)
+        d = cone(singleton, 0)
         J = validate_topology(singleton, [[d, d]])
         assert J.sieves_at(0) == (d,)
 
@@ -177,7 +179,7 @@ class TestEnumerate:
         Js = enumerate_topologies(singleton)
         assert len(Js) == 2
         families = {J.sieves_at(0) for J in Js}
-        d = singleton.principal_downset(0)
+        d = cone(singleton, 0)
         assert (d,) in families
         assert (singleton.downset([]), d) in families
 
@@ -217,8 +219,7 @@ def test_validation_builds_no_layout(chain2, chain3, singleton, antichain2, monk
     layout, so on a poset with no layout cached it builds none, accepting
     each valid topology and raising the first error of each bad one as it
     does with the layout built."""
-    down, sub = chain2.downset, chain2.subset
-    top = chain2.principal_downset
+    down, sub, top = chain2.downset, chain2.subset, partial(cone, chain2)
     cases = [
         (chain3, smallest_families(chain3)),
         (chain3, largest_families(chain3)),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import posets
+from conftest import cone, posets
 from triposet import (
     CapExceededError,
     GrothendieckTopology,
@@ -59,7 +59,7 @@ def constant_top_nucleus(poset):
 
 def smallest_topology(poset):
     return validate_topology(
-        poset, [[poset.principal_downset(p)] for p in range(poset.n)]
+        poset, [[cone(poset, p)] for p in range(poset.n)]
     )
 
 
